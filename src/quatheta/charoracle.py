@@ -4,7 +4,9 @@ Weight multisets are computed by Freudenthal's recursion, products by
 multiset convolution, and restrictions by pushing weights through an
 integer coordinate map; decompositions are recovered by repeatedly
 stripping the character of the top remaining dominant weight.  Every
-path is exact (doubled-integer coordinates, Fraction intermediates).
+path is integer-only: doubled coordinates throughout, with no Fraction
+intermediates (the weight-diagram search tests cone membership with the
+root system's precomputed integer adjugate, see rootdata._SysData).
 
 Irreps of product groups are supported throughout: the group is a tuple
 of labels and the highest weight a matching tuple of Weights.  A weight
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .rootdata import Weight, _sys
+from .rootdata import Weight, _add, _dot, _sub, _sys
 
 DEFAULT_DIM_CAP = 20000
 
@@ -60,9 +61,7 @@ class Irrep:
 
     def __post_init__(self):
         labels = _as_tuple(self.group)
-        hws = self.hw if isinstance(self.hw, tuple) and not isinstance(self.group, str) else (self.hw,)
-        if isinstance(self.group, str):
-            hws = (self.hw,)
+        hws = (self.hw,) if isinstance(self.group, str) else self.hw
         if len(labels) != len(hws):
             raise ValueError("group/hw factor counts differ")
         fixed = []
@@ -76,10 +75,11 @@ class Irrep:
                 raise ValueError(f"{lab} weight needs {d.dim} coordinates")
             if not d.is_dominant(w.twice()):
                 raise ValueError(f"{w!r} is not dominant for {lab}")
-            if lab[0] in ("B", "D") and lab != "Spin2":
-                par = {t % 2 for t in w.twice()}
-                if len(par) > 1:
-                    raise ValueError(f"{w!r}: Spin weights must be congruent mod 1")
+            if not d.is_integral(w.twice()):
+                raise ValueError(
+                    f"{w!r} is not in the weight lattice of {lab}: "
+                    "its simple-coroot pairings must be integers"
+                )
             fixed.append(w)
         object.__setattr__(self, "group", labels if len(labels) > 1 else labels[0])
         object.__setattr__(self, "hw", tuple(fixed) if len(fixed) > 1 else fixed[0])
@@ -185,16 +185,15 @@ def _dim_single(label: str, thw: tuple) -> int:
     d = _sys(label)
     if d.rank == 0:
         return 1
-    num = Fraction(1)
-    lam_rho = tuple(a + b for a, b in zip(thw, d.rho2))
+    lam_rho = _add(thw, d.rho2)
+    num = den = 1
     for a in d.pos:
-        num *= Fraction(
-            sum(x * y for x, y in zip(lam_rho, a)),
-            sum(x * y for x, y in zip(d.rho2, a)),
-        )
-    if num.denominator != 1:
+        num *= _dot(lam_rho, a)
+        den *= _dot(d.rho2, a)
+    q, r = divmod(num, den)
+    if r:
         raise AssertionError("Weyl dimension not an integer")
-    return int(num)
+    return q
 
 
 def weyl_dim(r: Irrep) -> int:
@@ -208,27 +207,6 @@ def weyl_dim(r: Irrep) -> int:
 # Freudenthal weight multiplicities
 
 
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _addv(u, v) -> tuple:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _subv(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _is_weight_of(d, tlam, tdom) -> bool:
-    """tdom dominant; True iff tlam - tdom is a Z>=0 combination of
-    simple roots (then tdom is a weight of V(tlam))."""
-    coeffs = d.simple_root_coefficients(_subv(tlam, tdom))
-    if coeffs is None:
-        return False
-    return all(c.denominator == 1 and c >= 0 for c in coeffs)
-
-
 @lru_cache(maxsize=None)
 def _char_single(label: str, thw: tuple) -> dict:
     """Full weight multiset {doubled coords: mult} of one irreducible."""
@@ -237,16 +215,17 @@ def _char_single(label: str, thw: tuple) -> dict:
         return {thw: 1}
     # enumerate the weight diagram: BFS downward by simple roots, keeping
     # exactly the vectors whose dominant representative lies under thw
+    # (thw - dominant is a Z>=0 combination of simple roots)
     weights = {thw}
     frontier = [thw]
     while frontier:
         nxt = []
         for t in frontier:
             for a in d.simple:
-                v = _subv(t, a)
+                v = _sub(t, a)
                 if v in weights:
                     continue
-                if _is_weight_of(d, thw, d.dominant_twice(v)):
+                if d.in_root_cone(_sub(thw, d.dominant_twice(v))):
                     weights.add(v)
                     nxt.append(v)
         frontier = nxt
@@ -254,7 +233,7 @@ def _char_single(label: str, thw: tuple) -> dict:
         (t for t in weights if d.is_dominant(t)),
         key=lambda t: -_dot(t, d.rho2),
     )
-    lam_rho = _addv(thw, d.rho2)
+    lam_rho = _add(thw, d.rho2)
     lam_norm = _dot(thw, thw)
     top_norm = _dot(lam_rho, lam_rho)
     mult = {thw: 1}
@@ -265,13 +244,13 @@ def _char_single(label: str, thw: tuple) -> dict:
         for a in d.pos:
             v = mu
             while True:
-                v = _addv(v, a)
+                v = _add(v, a)
                 if _dot(v, v) > lam_norm:
                     break
                 m = mult.get(d.dominant_twice(v))
                 if m:
                     total += m * _dot(v, a)
-        mu_rho = _addv(mu, d.rho2)
+        mu_rho = _add(mu, d.rho2)
         denom = top_norm - _dot(mu_rho, mu_rho)
         if denom <= 0 or (2 * total) % denom:
             raise AssertionError("Freudenthal recursion failed")
@@ -310,7 +289,7 @@ def convolve(c1: CharMultiset, c2: CharMultiset) -> CharMultiset:
     out = {}
     for t1, m1 in c1.mults.items():
         for t2, m2 in c2.mults.items():
-            t = _addv(t1, t2)
+            t = _add(t1, t2)
             out[t] = out.get(t, 0) + m1 * m2
     return CharMultiset(c1.labels, out)
 
@@ -356,19 +335,23 @@ def strip_dominant(c: CharMultiset, cap: int | None = None) -> IsoDecomp:
     Repeatedly strips the character of the remaining dominant weight of
     greatest rho-pairing (lexicographic tiebreak).  Negative residual
     multiplicities mean the input was not a character; that raises.
+
+    Stripping only removes keys (a key it would add goes negative and
+    raises), so the dominant keys are found and ordered once; each step
+    takes the first of them still present.
     """
     height, dominant = _strip_key(c.labels)
-    rem = dict(c.mults)
+    rem = {t: m for t, m in c.mults.items() if m}
+    tops = sorted(
+        (t for t in rem if dominant(t)),
+        key=lambda t: (height(t), t),
+        reverse=True,
+    )
     out = {}
-    while rem:
-        doms = [t for t, m in rem.items() if m and dominant(t)]
-        if not doms:
-            nonzero = {t: m for t, m in rem.items() if m}
-            if nonzero:
-                raise AssertionError("stripping left a dominant-free residue")
-            break
-        top = max(doms, key=lambda t: (height(t), t))
-        m = rem[top]
+    for top in tops:
+        m = rem.get(top)
+        if m is None:
+            continue
         if m < 0:
             raise AssertionError("negative multiplicity while stripping")
         i = 0
@@ -390,6 +373,8 @@ def strip_dominant(c: CharMultiset, cap: int | None = None) -> IsoDecomp:
                 rem[t] = nm
             else:
                 rem.pop(t, None)
+    if rem:
+        raise AssertionError("stripping left a dominant-free residue")
     return IsoDecomp(out)
 
 

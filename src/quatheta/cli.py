@@ -56,6 +56,21 @@ def _ints(s: str) -> tuple:
     return tuple(int(x) for x in s.split(","))
 
 
+def _arity(parse, n: int):
+    """argparse type: parse a comma-separated tuple and require exactly n
+    entries, so a wrong count is a usage error."""
+    def typed(s: str) -> tuple:
+        t = parse(s)
+        if len(t) != n:
+            raise argparse.ArgumentTypeError(
+                f"expected {n} comma-separated values, got {len(t)}"
+            )
+        return t
+
+    typed.__name__ = parse.__name__  # argparse names it in "invalid ... value"
+    return typed
+
+
 def _wm(s: str) -> tuple:
     return tuple(tuple(_half(x) for x in f.split(",")) for f in s.split(";"))
 
@@ -476,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "e7-su2spin12"))
     p.add_argument("--lam", type=_coords, default=None,
                    help="dominant weight, e.g. 2,1 or 3/2,1/2")
-    p.add_argument("--ab", type=_ints, default=None,
+    p.add_argument("--ab", type=_arity(_ints, 2), default=None,
                    help="f4-spin9 parameters a,b")
     p.add_argument("--k", type=int, default=None,
                    help="e7-su2spin12 level k")
@@ -486,16 +501,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="theta-correspondence parameter maps")
     p.add_argument("--ambient", required=True,
                    choices=("E6", "E7", "E8", "F4"))
-    p.add_argument("--torus", type=_ints, default=None,
+    p.add_argument("--torus", type=_arity(_ints, 3), default=None,
                    help="E6: torus character a,b,c (use --torus=-1,0,1 "
                         "for a leading minus)")
-    p.add_argument("--u2", type=_ints, default=None,
+    p.add_argument("--u2", type=_arity(_ints, 2), default=None,
                    help="E6: U(2) type a,b")
-    p.add_argument("--type", dest="type_", type=_ints, default=None,
+    p.add_argument("--type", dest="type_", type=_arity(_ints, 3), default=None,
                    help="E7: Sp(2) x Sp(1) type a,b,c")
-    p.add_argument("--spin8", type=_coords, default=None,
+    p.add_argument("--spin8", type=_arity(_coords, 4), default=None,
                    help="E8: Spin(8) weight a,b,c,d")
-    p.add_argument("--spin9", type=_coords, default=None,
+    p.add_argument("--spin9", type=_arity(_coords, 4), default=None,
                    help="E8: Spin(9) weight a,b,c,d")
     p.add_argument("--su2", type=int, default=None, help="F4: SU(2) label n")
     p.add_argument("--sign", choices=("+", "-"), default=None,

@@ -61,7 +61,7 @@ class QuatModule:
                 f"{self.g_label} needs {len(qs.m_factors)} factor weights"
             )
         object.__setattr__(self, "wm", wm)
-        self.m_irrep()  # validates dominance and congruence per factor
+        self.m_irrep()  # validates dominance and lattice membership per factor
         if not isinstance(self.s, int) or self.s < 2:
             raise ValueError("need integer s >= 2")
         if self.kind not in ("A", "sigma"):
@@ -250,7 +250,7 @@ def _mu_ambient(m: QuatModule) -> tuple:
     """Doubled ambient coordinates of wm under the M-embedding; only
     available when every M-factor is an SU(2) spanned by a known root."""
     qs = m.structure()
-    if qs.m_simple_coords is None:
+    if None in qs.m_simple_coords:
         raise ValueError(
             f"no torus embedding data for M of {m.g_label}"
         )

@@ -18,6 +18,13 @@ Supported system labels:
 G2 is realised inside the sum-zero plane of Z^3 with simple roots
 (1,-1,0) and (-1,2,-1); the compact dual pair computations elsewhere in
 the package rely on this realisation (rho = (2,1,-3)).
+
+The root-data kernels behind the character oracle are integer-only, on
+doubled coordinates: simple reflections divide with divmod, the weight
+lattice is "every simple-coroot pairing is an integer", and membership
+in the cone of nonnegative simple-root combinations uses each system's
+Gram determinant and integer adjugate, computed once.  Fraction appears
+only at the API edge (HalfInt accepts and produces it).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +199,12 @@ def _e(i: int, n: int, v: int = 2) -> tuple:
     return tuple(row)
 
 
-def _add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _add(u, v) -> tuple:
+    return tuple(map(add, u, v))
 
 
-def _sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+def _sub(u, v) -> tuple:
+    return tuple(map(sub, u, v))
 
 
 def _neg(u):
@@ -204,11 +212,7 @@ def _neg(u):
 
 
 def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _scale(u, c: int):
-    return tuple(c * a for a in u)
+    return sum(map(mul, u, v))
 
 
 def _type_a(n: int):
@@ -372,12 +376,39 @@ _BUILDERS = {
 SUPPORTED_SYSTEMS = tuple(sorted(_BUILDERS))
 
 
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination."""
+    m = [list(r) for r in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
+
+
 class _SysData:
-    """Interned per-label root data in doubled coordinates."""
+    """Interned per-label root data in doubled coordinates.
+
+    Every kernel is integer-only.  The Gram matrix G of the simple roots
+    is inverted once, on first use, as its determinant and integer
+    adjugate folded into the simple roots: row i is
+    sum_j adj(G)[i][j] * alpha_j, so that det(G) * c_i = <v, row i>
+    whenever v = sum c_i alpha_i.
+    """
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "weyl_order",
-        "_gram_inv", "_coroot_norm",
+        "simple_norm", "_cone",
     )
 
     def __init__(self, label):
@@ -396,65 +427,69 @@ class _SysData:
             raise AssertionError(f"rho of {label} not a half-integer vector")
         self.rho2 = tuple(t // 2 for t in rho2_doubled)  # doubled rho
         self.weyl_order = order
-        self._gram_inv = None
-        self._coroot_norm = tuple(_dot(a, a) for a in self.simple)
+        self.simple_norm = tuple(_dot(a, a) for a in self.simple)
+        self._cone = None
 
-    def pairing(self, tvec, a) -> Fraction:
-        """<w, alpha^vee> for doubled vectors; exact rational."""
-        return Fraction(2 * _dot(tvec, a), _dot(a, a))
-
-    def simple_pairings(self, tvec):
-        return [self.pairing(tvec, a) for a in self.simple]
+    def cone_data(self):
+        """(det G, adjugate rows, columns of the simple-root matrix)."""
+        if self._cone is None:
+            n, simple = self.rank, self.simple
+            gram = [[_dot(a, b) for b in simple] for a in simple]
+            rows = []
+            for i in range(n):
+                row = [0] * self.dim
+                for j in range(n):
+                    minor = [
+                        [gram[r][c] for c in range(n) if c != i]
+                        for r in range(n) if r != j
+                    ]
+                    cof = (-1) ** (i + j) * _det(minor)
+                    row = [x + cof * y for x, y in zip(row, simple[j])]
+                rows.append(tuple(row))
+            cols = tuple(
+                tuple(a[k] for a in simple) for k in range(self.dim)
+            )
+            self._cone = (_det(gram), tuple(rows), cols)
+        return self._cone
 
     def is_dominant(self, tvec) -> bool:
         return all(_dot(tvec, a) >= 0 for a in self.simple)
 
+    def is_integral(self, tvec) -> bool:
+        """True iff every simple-coroot pairing 2<w,a>/<a,a> is an integer,
+        i.e. the vector lies in the weight lattice."""
+        return all(
+            2 * _dot(tvec, a) % n == 0
+            for a, n in zip(self.simple, self.simple_norm)
+        )
+
     def reflect_simple(self, tvec, i: int):
         a = self.simple[i]
-        p = self.pairing(tvec, a)
-        if p.denominator != 1:
+        p, r = divmod(2 * _dot(tvec, a), self.simple_norm[i])
+        if r:
             raise ValueError("vector not in the weight lattice")
-        return _sub(tvec, _scale(a, int(p)))
+        return tuple(x - p * y for x, y in zip(tvec, a))
 
-    def gram_inverse(self):
-        if self._gram_inv is None:
-            n = self.rank
-            g = [
-                [Fraction(_dot(self.simple[i], self.simple[j])) for j in range(n)]
-                for i in range(n)
-            ]
-            inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            for col in range(n):
-                piv = next(r for r in range(col, n) if g[r][col] != 0)
-                g[col], g[piv] = g[piv], g[col]
-                inv[col], inv[piv] = inv[piv], inv[col]
-                d = g[col][col]
-                g[col] = [x / d for x in g[col]]
-                inv[col] = [x / d for x in inv[col]]
-                for r in range(n):
-                    if r != col and g[r][col] != 0:
-                        f = g[r][col]
-                        g[r] = [x - f * y for x, y in zip(g[r], g[col])]
-                        inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-            self._gram_inv = inv
-        return self._gram_inv
+    def simple_coefficients(self, tvec):
+        """Integers c with tvec = sum c_i alpha_i (doubled on both sides),
+        or None when tvec is not an integral combination of the simple
+        roots."""
+        det, rows, cols = self.cone_data()
+        coeffs = []
+        for row in rows:
+            c, r = divmod(_dot(row, tvec), det)
+            if r:
+                return None
+            coeffs.append(c)
+        for col, x in zip(cols, tvec):
+            if _dot(coeffs, col) != x:
+                return None
+        return tuple(coeffs)
 
-    def simple_root_coefficients(self, tvec):
-        """Write a doubled vector as sum c_i * alpha_i, or None if outside
-        the rational span of the simple roots."""
-        rhs = [Fraction(_dot(tvec, a)) for a in self.simple]
-        inv = self.gram_inverse()
-        coeffs = [
-            sum(inv[i][j] * rhs[j] for j in range(self.rank))
-            for i in range(self.rank)
-        ]
-        recon = [Fraction(0)] * self.dim
-        for c, a in zip(coeffs, self.simple):
-            for k in range(self.dim):
-                recon[k] += c * Fraction(a[k], 2)
-        if any(recon[k] != Fraction(tvec[k], 2) for k in range(self.dim)):
-            return None
-        return coeffs
+    def in_root_cone(self, tvec) -> bool:
+        """True iff tvec is a Z>=0 combination of the simple roots."""
+        c = self.simple_coefficients(tvec)
+        return c is not None and min(c, default=0) >= 0
 
     def dominant_twice(self, t):
         """Dominant Weyl representative of a doubled coordinate vector."""
@@ -464,9 +499,9 @@ class _SysData:
         if fam == "A":
             return tuple(sorted(t, reverse=True))
         if fam in ("B", "C"):
-            return tuple(sorted((abs(x) for x in t), reverse=True))
+            return tuple(sorted(map(abs, t), reverse=True))
         if fam == "D":
-            mags = sorted((abs(x) for x in t), reverse=True)
+            mags = sorted(map(abs, t), reverse=True)
             if sum(1 for x in t if x < 0) % 2:
                 mags[-1] = -mags[-1]
             return tuple(mags)
@@ -538,11 +573,10 @@ def highest_root_coefficients(label: str) -> tuple:
     """Expansion of the highest root in the simple roots, as integers in
     the simple-root order of build_root_system."""
     d = _sys(label)
-    theta = highest_root(label).twice()
-    coeffs = d.simple_root_coefficients(theta)
-    if coeffs is None or any(c.denominator != 1 for c in coeffs):
+    coeffs = d.simple_coefficients(highest_root(label).twice())
+    if coeffs is None:
         raise AssertionError("highest root not an integral combination")
-    return tuple(int(c) for c in coeffs)
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

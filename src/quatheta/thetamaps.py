@@ -416,14 +416,16 @@ def _ktype_multiset(module: QuatModule, nmax: int, acc: dict, mult: int = 1):
             bucket[key] = bucket.get(key, 0) + m * mult
 
 
-def seesaw_truncation_check(b, d, nmax: int) -> bool:
+def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     """Truncated see-saw identity for the rank-8 pair.
 
     LHS: K-types of the Spin(9)-parameter lifts summed over a >= b and
     over the middle entries c in [d, b]; RHS: (b-d+1) times the
     K-types of A(Spin(4,3), (a-b, 2d)[10+a+b]) summed over a >= b.
     Both sides are truncated to SU_0(2) labels <= nmax and compared as
-    exact multisets level by level.
+    exact multisets level by level.  Returns (sides equal, number of
+    distinct K-types compared); a truncation too low to reach any
+    K-type compares none.
     """
     b, d = _h(b), _h(d)
     if not b >= d >= 0:
@@ -448,4 +450,10 @@ def seesaw_truncation_check(b, d, nmax: int) -> bool:
         )
         _ktype_multiset(rhs_mod, nmax, rhs, copies)
         a = a + 1
-    return lhs == rhs
+    compared = {
+        (su0, key)
+        for side in (lhs, rhs)
+        for su0, bucket in side.items()
+        for key in bucket
+    }
+    return lhs == rhs, len(compared)

@@ -54,6 +54,21 @@ class TestIrrep:
         with pytest.raises(ValueError):
             irrep("B3", (1, h(1), h(1)))
 
+    @pytest.mark.parametrize("label,hw", [
+        ("A2", (1, h(1), 0)),
+        ("C1", (h(1),)),
+        ("C2", (h(1), h(1))),
+        ("G2", (h(1), 0, h(-1))),
+        ("F4", (2, h(1), h(1), h(1))),
+    ])
+    def test_rejects_off_lattice_weight(self, label, hw):
+        with pytest.raises(ValueError, match="weight lattice"):
+            irrep(label, hw)
+
+    def test_accepts_half_integral_lattice_weights(self):
+        assert weyl_dim(irrep("A2", (h(1), h(1), h(-1)))) == 3
+        assert weyl_dim(irrep("F4", (h(3), h(1), h(1), h(1)))) > 0
+
     def test_d_type_signed_last_coordinate(self):
         irrep("D4", (1, 1, 1, -1))
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +254,63 @@ class TestKtypesCommand:
         _, out, _ = run(capsys, "ktypes", "--g", "Spin(4,3)", "--wm", "0;0",
                         "--s", "4", "--kmax", "0", "--sigma")
         assert json.loads(out)["module"]["quotient"] is True
+
+
+class TestErrorsReachTheUserAsOneLine:
+    @pytest.mark.parametrize("argv", [
+        # off-lattice M-types
+        ["ktypes", "--g", "Spin(4,3)", "--wm", "1/2;1", "--s", "6",
+         "--kmax", "2"],
+        ["ktypes", "--g", "F4_4", "--wm", "1/2,1/2,1/2", "--s", "6",
+         "--kmax", "2"],
+        ["infchar", "--g", "Spin(4,3)", "--wm", "1/2;1", "--s", "6"],
+        # M factors without torus data
+        ["infchar", "--g", "E6_4", "--wm", "0,0,0,0,0,0", "--s", "4"],
+        ["infchar", "--g", "F4_4", "--wm", "0,0,0", "--s", "4"],
+        # wrong arity for the ambient's source type
+        ["theta", "--ambient", "E6", "--torus", "1,2"],
+        ["theta", "--ambient", "E6", "--u2", "1,2,3"],
+        ["theta", "--ambient", "E7", "--type", "1,1"],
+        ["theta", "--ambient", "E8", "--spin8", "1,1,1"],
+        ["theta", "--ambient", "E8", "--spin9", "1,1,1,1,1"],
+        ["branch", "--rule", "f4-spin9", "--ab", "1"],
+    ])
+    def test_exit_code_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quatheta.cli", *argv],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode in (1, 64)
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert "error:" in proc.stderr
+
+    def test_off_lattice_is_a_domain_error(self, capsys):
+        code, _, err = run(capsys, "infchar", "--g", "Spin(4,3)",
+                           "--wm", "1/2;1", "--s", "6")
+        assert code == 1
+        assert "weight lattice" in err
+
+    def test_arity_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--ambient", "E6", "--torus", "1,2"])
+        assert exc.value.code == 64
+        assert "expected 3" in capsys.readouterr().err
+
+
+class TestVerifyCounts:
+    def test_seesaw_comparing_nothing_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "seesaw",
+                           "--max-entry", "0")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith("FAIL seesaw:") for line in lines)
+        assert all(line.endswith("(0 K-types compared)") for line in lines)
+
+    def test_appendix_comparing_nothing_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "appendix-branching",
+                           "--max-entry", "-1")
+        assert code == 2
+        assert all(line.startswith("FAIL") and "on 0 dominant" in line
+                   for line in out.splitlines())

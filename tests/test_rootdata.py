@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quatheta.rootdata import (
     HalfInt,
     Weight,
+    _sys,
     build_root_system,
     dominant_representative,
     half,
@@ -176,6 +178,88 @@ def test_dominant_representative_properties(label):
         assert is_dominant(d)
         assert dominant_representative(d) == d
         assert w in weyl_orbit(d)
+
+
+ORACLE_SYSTEMS = ("A1", "A2", "A3", "A5", "B1", "B2", "B3", "B4", "C1",
+                  "C2", "C3", "D2", "D3", "D4", "G2", "F4")
+
+
+def _in_cone_by_search(d, t):
+    """Brute force: walk down from t by simple roots looking for 0.  Every
+    simple root pairs positively with rho, so a vector of nonpositive
+    rho-pairing other than 0 is no N-combination and the search ends."""
+    zero = (0,) * d.dim
+    seen = set()
+    stack = [tuple(t)]
+    while stack:
+        v = stack.pop()
+        if v == zero:
+            return True
+        if v in seen or sum(x * y for x, y in zip(v, d.rho2)) <= 0:
+            continue
+        seen.add(v)
+        for a in d.simple:
+            stack.append(tuple(x - y for x, y in zip(v, a)))
+    return False
+
+
+@st.composite
+def _system_and_vector(draw):
+    """A doubled vector near the root lattice: a small integer combination
+    of simple roots, sometimes moved off the lattice or out of the span."""
+    d = _sys(draw(st.sampled_from(ORACLE_SYSTEMS)))
+    coeffs = draw(st.lists(st.integers(-1, 3), min_size=d.rank,
+                           max_size=d.rank))
+    noise = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2)),
+                          min_size=d.dim, max_size=d.dim))
+    t = [sum(c * a[k] for c, a in zip(coeffs, d.simple)) + n
+         for k, n in enumerate(noise)]
+    return d, tuple(t)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_system_and_vector())
+def test_integer_cone_test_matches_search(case):
+    d, t = case
+    assert d.in_root_cone(t) == _in_cone_by_search(d, t)
+    coeffs = d.simple_coefficients(t)
+    if coeffs is not None:
+        recon = [sum(c * a[k] for c, a in zip(coeffs, d.simple))
+                 for k in range(d.dim)]
+        assert tuple(recon) == t
+
+
+def _reflect_rational(t, a):
+    p = Fraction(2 * sum(x * y for x, y in zip(t, a)),
+                 sum(x * x for x in a))
+    if p.denominator != 1:
+        raise ValueError("vector not in the weight lattice")
+    return tuple(x - int(p) * y for x, y in zip(t, a))
+
+
+@pytest.mark.parametrize("label,hw", [
+    ("F4", (1, 0, 0, 0)),
+    ("F4", (2, 1, 1, 0)),
+    ("F4", (HalfInt(3), HalfInt(1), HalfInt(1), HalfInt(1))),
+    ("G2", (1, 0, -1)),
+    ("G2", (2, 1, -3)),
+])
+def test_reflect_simple_matches_rational_formula(label, hw):
+    d = _sys(label)
+    for w in weyl_orbit(Weight(hw, label)):
+        t = w.twice()
+        for i, a in enumerate(d.simple):
+            assert d.reflect_simple(t, i) == _reflect_rational(t, a)
+
+
+@pytest.mark.parametrize("label,t,i", [("F4", (1, 0, 0, 0), 3),
+                                       ("G2", (1, 0, -1), 0)])
+def test_reflect_simple_rejects_off_lattice(label, t, i):
+    d = _sys(label)
+    with pytest.raises(ValueError, match="weight lattice"):
+        _reflect_rational(t, d.simple[i])
+    with pytest.raises(ValueError, match="weight lattice"):
+        d.reflect_simple(t, i)
 
 
 def test_weyl_orbit_sizes():

@@ -222,7 +222,13 @@ class TestSeesaw:
     @pytest.mark.parametrize("bd", [(0, 0), (1, 0), (1, 1)])
     def test_integral(self, bd):
         b, d = bd
-        assert seesaw_truncation_check(b, d, 8)
+        ok, compared = seesaw_truncation_check(b, d, 12)
+        assert ok and compared > 0
 
     def test_half_integral(self):
-        assert seesaw_truncation_check(h(1), h(1), 8)
+        ok, compared = seesaw_truncation_check(h(1), h(1), 12)
+        assert ok and compared > 0
+
+    def test_low_truncation_compares_nothing(self):
+        # the lowest outer label on either side is 8 + a + b
+        assert seesaw_truncation_check(1, 0, 8) == (True, 0)
