@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .rootdata import _add, _dot, _neg
 from .branchrules import clebsch_gordan
 from .thetamaps import theta_e6_u2
 
@@ -77,18 +78,6 @@ _WALL_WEIGHTS = {
     ("PU21", "IIa.3"): ((1, -1, 0), (0, 1, -1)),
     ("PU21", "IIb"): ((-1, 1, 0), (0, 1, -1)),
 }
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-def _add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def _neg(u):
-    return tuple(-x for x in u)
 
 
 def abc_to_xy(t):

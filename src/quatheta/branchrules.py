@@ -3,9 +3,9 @@
 Two-step branching for Sp(n), Spin(2n+1), Spin(2n) down to the
 next-smaller group of the same family times Sp(1) resp. Spin(2);
 Gelfand-Zetlin interlacing chains for Spin(m) down arbitrary steps; the
-U(2)-to-torus triple rule; the restriction of E7 Cartan powers of the
-miniscule representation to SU(2) x Spin(12); and the closed form for
-multiplicities in the restriction of F4 irreps to Spin(9).
+restriction of E7 Cartan powers of the miniscule representation to
+SU(2) x Spin(12); and the closed form for multiplicities in the
+restriction of F4 irreps to Spin(9).
 
 Conventions: SU(2) representations are labeled by their integer highest
 weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
@@ -17,15 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rootdata import HalfInt, Weight, half
-
-
-def _h(x) -> HalfInt:
-    return HalfInt.of(x)
+from .rootdata import HalfInt, Weight
 
 
 def _coords(seq) -> tuple:
-    return tuple(_h(x) for x in seq)
+    return tuple(map(HalfInt.of, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +67,7 @@ class Spin2Module:
     @staticmethod
     def from_dict(d: dict) -> "Spin2Module":
         ent = tuple(sorted(
-            (_h(w).twice, m) for w, m in d.items() if m
+            (HalfInt.of(w).twice, m) for w, m in d.items() if m
         ))
         if any(m < 0 for _, m in ent):
             raise ValueError("negative multiplicity")
@@ -83,12 +79,12 @@ class Spin2Module:
 
     @staticmethod
     def single(w) -> "Spin2Module":
-        return Spin2Module.from_dict({_h(w): 1})
+        return Spin2Module.from_dict({HalfInt.of(w): 1})
 
     @staticmethod
     def A(a) -> "Spin2Module":
         """Weights a, a-1, ..., -a (integer steps)."""
-        ta = _h(a).twice
+        ta = HalfInt.of(a).twice
         if ta < 0:
             raise ValueError("A(a) needs a >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-ta, ta + 1, 2)))
@@ -96,7 +92,7 @@ class Spin2Module:
     @staticmethod
     def B(b) -> "Spin2Module":
         """Weights b, b-2, ..., -b (steps of two)."""
-        tb = _h(b).twice
+        tb = HalfInt.of(b).twice
         if tb < 0:
             raise ValueError("B(b) needs b >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-tb, tb + 1, 4)))
@@ -108,7 +104,7 @@ class Spin2Module:
         return sum(m for _, m in self.entries)
 
     def mult(self, w) -> int:
-        t = _h(w).twice
+        t = HalfInt.of(w).twice
         for tw, m in self.entries:
             if tw == t:
                 return m
@@ -119,7 +115,7 @@ class Spin2Module:
         return all(d.get(-t, 0) == m for t, m in self.entries)
 
     def shift(self, c) -> "Spin2Module":
-        tc = _h(c).twice
+        tc = HalfInt.of(c).twice
         return Spin2Module(tuple((t + tc, m) for t, m in self.entries))
 
     def negate(self) -> "Spin2Module":
@@ -167,7 +163,7 @@ class InterlacingCert:
         # two-step condition x_i >= y_i >= x_{i+2} (x beyond the end is 0)
         for i in range(n - 1):
             upper = lam[i]
-            lower = lam[i + 2] if i + 2 < n else _h(0)
+            lower = lam[i + 2] if i + 2 < n else HalfInt(0)
             if not (upper >= vals[i] >= lower):
                 return None
         z = sorted(list(lam) + vals, key=lambda v: -v.twice)
@@ -236,7 +232,7 @@ def branch_sp(lam) -> dict:
         raise ValueError("lam must be a dominant integer Sp(n) weight")
     out = {}
     for mu in itertools.product(
-        *[list(_half_range(lam[i + 2] if i + 2 < n else _h(0), lam[i]))
+        *[list(_half_range(lam[i + 2] if i + 2 < n else HalfInt(0), lam[i]))
           for i in range(n - 1)]
     ):
         cert = InterlacingCert.build(lam, mu, use_abs_mu=False)
@@ -268,7 +264,7 @@ def branch_spin_odd(lam) -> dict:
     for mu in itertools.product(
         *[
             list(_parity_range(
-                lam[i + 2] if i + 2 < n else _h(0), lam[i], parity
+                lam[i + 2] if i + 2 < n else HalfInt(0), lam[i], parity
             ))
             for i in range(n - 1)
         ]
@@ -318,10 +314,10 @@ def branch_spin_even(lam) -> dict:
     ranges = []
     for i in range(n - 2):
         ranges.append(list(_parity_range(
-            lam[i + 2] if i + 2 < n else _h(0), lam[i], parity
+            lam[i + 2] if i + 2 < n else HalfInt(0), lam[i], parity
         )))
     # last coordinate of mu enumerated nonnegative; signs by symmetry
-    ranges.append(list(_parity_range(_h(0), lam[n - 2], parity)))
+    ranges.append(list(_parity_range(HalfInt(0), lam[n - 2], parity)))
     for mu in itertools.product(*ranges):
         mod = _even_hom(lam, mu)
         if mod is None:
@@ -408,18 +404,6 @@ def gz_chain(m: int, lam, target_m: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# U(2) to torus
-
-
-def u2_to_torus(m: int, n: int) -> list:
-    """Weights of the U(2) representation with highest weight (m, n),
-    listed as integer triples (-m-n, m-j, n+j) summing to zero."""
-    if m < n:
-        raise ValueError("need m >= n")
-    return [(-m - n, m - j, n + j) for j in range(m - n + 1)]
-
-
-# ---------------------------------------------------------------------------
 # E7 restriction
 
 
@@ -466,7 +450,7 @@ def f4_to_spin9(a: int, b: int, w) -> int:
     s12 = w[0] + w[1]
     if s12 > a + b:
         return 0
-    f1 = int(_h(a + b) - s12)
+    f1 = int(HalfInt.of(a + b) - s12)
     f2 = int(w[0] - w[1])
     f3 = int(w[3] * 2)
     return cg_mult([f1, f2, f3], a - b)
@@ -478,7 +462,7 @@ def f4_to_spin9_table(a: int, b: int) -> dict:
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
     out = {}
-    bound = _h(a + b)
+    bound = HalfInt.of(a + b)
     for parity in (0, 1):
         for w in _dominant_tuples(bound, 4, parity, signed_last=False):
             m = f4_to_spin9(a, b, w)

@@ -294,15 +294,6 @@ def convolve(c1: CharMultiset, c2: CharMultiset) -> CharMultiset:
     return CharMultiset(c1.labels, out)
 
 
-def adams(c: CharMultiset, k: int) -> CharMultiset:
-    """k-th Adams operation: every weight scaled by k."""
-    out = {}
-    for t, m in c.mults.items():
-        key = tuple(k * x for x in t)
-        out[key] = out.get(key, 0) + m
-    return CharMultiset(c.labels, out)
-
-
 # ---------------------------------------------------------------------------
 # dominant stripping
 
@@ -445,19 +436,16 @@ def _mk_embeddings():
     add("Sp3>Sp2xSp1", "C3", ("C2", "C1"), _proj_rows(3, [0, 1, 2]))
     add("Spin5>Spin3xSpin2", "B2", ("B1", "Spin2"), _proj_rows(2, [0, 1]))
     add("Spin7>Spin5xSpin2", "B3", ("B2", "Spin2"), _proj_rows(3, [0, 1, 2]))
-    add("Spin9>Spin7xSpin2", "B4", ("B3", "Spin2"), _proj_rows(4, [0, 1, 2, 3]))
     add("Spin6>Spin4xSpin2", "D3", ("D2", "Spin2"), _proj_rows(3, [0, 1, 2]))
     add("Spin8>Spin6xSpin2", "D4", ("D3", "Spin2"), _proj_rows(4, [0, 1, 2, 3]))
-    # Gelfand-Zetlin one-step chain
+    # Gelfand-Zetlin one-step chain, the oracle for branchrules.gz_chain
     add("Spin9>Spin8", "B4", ("D4",), _proj_rows(4, [0, 1, 2, 3]))
     add("Spin8>Spin7", "D4", ("B3",), _proj_rows(4, [0, 1, 2]))
     add("Spin7>Spin6", "B3", ("D3",), _proj_rows(3, [0, 1, 2]))
     add("Spin6>Spin5", "D3", ("B2",), _proj_rows(3, [0, 1]))
     add("Spin5>Spin4", "B2", ("D2",), _proj_rows(2, [0, 1]))
     add("Spin4>Spin3", "D2", ("B1",), _proj_rows(2, [0]))
-    # multi-step tori/subgroups used by oracle cross-checks
-    add("Spin12>Spin9", "D6", ("B4",), _proj_rows(6, [0, 1, 2, 3]))
-    add("Sp3>Sp1^3", "C3", ("C1", "C1", "C1"), _proj_rows(3, [0, 1, 2]))
+    # the oracle for the F4 -> Spin(9) closed form
     add("F4>B4", "F4", ("B4",), _proj_rows(4, [0, 1, 2, 3]))
     return table
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from .rootdata import (
     HalfInt,
     Weight,
+    _add,
     build_root_system,
     dominant_representative,
     quaternionic_structure,
@@ -32,7 +33,6 @@ from .charoracle import (
     IsoDecomp,
     char_weights,
     strip_dominant,
-    weyl_dim,
 )
 from .branchrules import clebsch_gordan
 
@@ -103,10 +103,6 @@ class QuatModule:
         return QuatModule(d["G"], wm, d["s"], kind)
 
 
-def quat_module(g_label: str, wm, s: int, kind: str = "A") -> QuatModule:
-    return QuatModule(g_label, tuple(wm), int(s), kind)
-
-
 def minimal_type(m: QuatModule) -> tuple:
     """Lowest K-type: SU_0(2) label s-2 with M-type W itself."""
     return (m.s - 2, m.wm)
@@ -124,33 +120,23 @@ def _vm_irrep(qs) -> Irrep:
 
 def _sym_char_chain(base: CharMultiset, kmax: int) -> list:
     """Characters of S^0, ..., S^kmax of the module with character base,
-    via the power-sum recursion k h_k = sum_{i=1..k} p_i h_{k-i}."""
-    powers = [None] + [
-        charoracle.adams(base, i).mults for i in range(1, kmax + 1)
-    ]
-    zero = tuple(0 for _ in next(iter(base.mults)))
-    hs = [{zero: Fraction(1)}]
-    for k in range(1, kmax + 1):
-        acc = {}
-        for i in range(1, k + 1):
-            for t1, m1 in powers[i].items():
-                for t2, m2 in hs[k - i].items():
-                    t = tuple(a + b for a, b in zip(t1, t2))
-                    acc[t] = acc.get(t, Fraction(0)) + m1 * m2
-        hk = {}
-        for t, m in acc.items():
-            v = m / k
-            if v:
-                if v.denominator != 1:
-                    raise AssertionError("symmetric power not integral")
-                hk[t] = v
-        hs.append(hk)
-    out = []
-    for h in hs:
-        out.append(CharMultiset(
-            base.labels, {t: int(m) for t, m in h.items()}
-        ))
-    return out
+    read off the generating function prod_nu (1 - t x^nu)^(-m_nu)
+    truncated at degree kmax.
+
+    Each factor multiplies in place: running k upwards, h_k gains
+    x^nu h_(k-1), and h_(k-1) already carries this factor, which makes
+    the factor 1 / (1 - t x^nu).
+    """
+    zero = (0,) * len(next(iter(base.mults)))
+    hs = [{zero: 1}] + [{} for _ in range(kmax)]
+    for nu, m in base.mults.items():
+        for _ in range(m):
+            for k in range(1, kmax + 1):
+                hk = hs[k]
+                for t, c in hs[k - 1].items():
+                    t = _add(t, nu)
+                    hk[t] = hk.get(t, 0) + c
+    return [CharMultiset(base.labels, h) for h in hs]
 
 
 def sym_power(vm: Irrep, k: int, cap: int | None = None) -> IsoDecomp:
@@ -160,12 +146,6 @@ def sym_power(vm: Irrep, k: int, cap: int | None = None) -> IsoDecomp:
     base = char_weights(vm, cap=cap)
     chain = _sym_char_chain(base, k)
     return strip_dominant(chain[k], cap=cap)
-
-
-def sym_power_chain(vm: Irrep, kmax: int, cap: int | None = None) -> list:
-    """IsoDecomps of S^0(vm), ..., S^kmax(vm)."""
-    base = char_weights(vm, cap=cap)
-    return [strip_dominant(c, cap=cap) for c in _sym_char_chain(base, kmax)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +215,6 @@ def ktypes(m: QuatModule, kmax: int, cap: int | None = None) -> KTypeLedger:
         tau = charoracle.convolve(sym_c, w_char)
         levels.append((m.s + k - 2, strip_dominant(tau, cap=cap)))
     return KTypeLedger(m, tuple(levels))
-
-
-def ktype_dimension(m: QuatModule, k: int, cap: int | None = None) -> int:
-    """Dimension of the level-k K-type of A(G, W[s])."""
-    return ktypes(m, k, cap=cap).level_dimension(k)
 
 
 # ---------------------------------------------------------------------------

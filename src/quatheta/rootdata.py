@@ -183,12 +183,6 @@ class Weight:
         return f"Weight({', '.join(str(c) for c in self.coords)}; {self.system})"
 
 
-def weight(system: str, *values) -> Weight:
-    if len(values) == 1 and isinstance(values[0], (tuple, list)):
-        values = tuple(values[0])
-    return Weight(tuple(values), system)
-
-
 # ---------------------------------------------------------------------------
 # root-system construction (doubled coordinates throughout)
 

@@ -20,10 +20,6 @@ from .rootdata import HalfInt, Weight, build_root_system, dominant_representativ
 from .quaternionic import QuatModule, inf_char, ktypes
 
 
-def _h(x) -> HalfInt:
-    return HalfInt.of(x)
-
-
 @dataclass(frozen=True)
 class ThetaLift:
     """Outcome of a theta map: modules with multiplicities, or zero.
@@ -102,32 +98,25 @@ class ThetaLift:
             return ThetaLift((), **kw)
         if "sigma" in data:
             return ThetaLift(
-                ((_module_from_json(data["sigma"], "sigma"), 1),), **kw
+                ((QuatModule.from_json(data["sigma"]).quotient(), 1),), **kw
             )
         if "A" in data:
             return ThetaLift(
-                ((_module_from_json(data["A"], "A"), data.get("mult", 1)),),
+                ((QuatModule.from_json(data["A"]), data.get("mult", 1)),),
                 **kw,
             )
         lifts = []
         for entry in data["lifts"]:
-            kind = "sigma" if "sigma" in entry else "A"
-            lifts.append(
-                (_module_from_json(entry[kind], kind), entry.get("mult", 1))
-            )
+            if "sigma" in entry:
+                mod = QuatModule.from_json(entry["sigma"]).quotient()
+            else:
+                mod = QuatModule.from_json(entry["A"])
+            lifts.append((mod, entry.get("mult", 1)))
         return ThetaLift(tuple(lifts), **kw)
 
 
 def _module_json(m: QuatModule) -> dict:
     return {"G": m.g_label, "wm": m.wm_json(), "s": m.s}
-
-
-def _module_from_json(d: dict, kind: str) -> QuatModule:
-    wm = tuple(
-        tuple(HalfInt.parse(c) if isinstance(c, str) else c for c in f)
-        for f in d["wm"]
-    )
-    return QuatModule(d["G"], wm, d["s"], kind)
 
 
 def _sigma(g: str, wm, s: int) -> QuatModule:
@@ -253,7 +242,7 @@ def theta_e7(a: int, b: int, c: int) -> ThetaLift:
 def theta_e8_spin8(a, b, c, d) -> ThetaLift:
     """Lift of the Spin(8) type (a, b, c, d) to Spin(4,4):
     (b-c+1) copies of A(Spin(4,4), (a-b, c+d, c-d)[10+a+b])."""
-    a, b, c, d = (_h(x) for x in (a, b, c, d))
+    a, b, c, d = map(HalfInt.of, (a, b, c, d))
     if not (a >= b >= c >= abs(d)):
         raise ValueError("weight must be dominant for Spin(8)")
     if len({x.twice % 2 for x in (a, b, c, d)}) > 1:
@@ -268,7 +257,7 @@ def theta_e8_spin9(a, b, c, d) -> ThetaLift:
     """Lift of the Spin(9) type (a, b, c, d) to Spin(4,3):
     A(Spin(4,3), (a-b, 2d)[10+a+b]), independently of c, with
     infinitesimal character (a+7/2, b+5/2, d+1/2)."""
-    a, b, c, d = (_h(x) for x in (a, b, c, d))
+    a, b, c, d = map(HalfInt.of, (a, b, c, d))
     if not (a >= b >= c >= d >= 0):
         raise ValueError("weight must be dominant for Spin(9)")
     if len({x.twice % 2 for x in (a, b, c, d)}) > 1:
@@ -373,7 +362,7 @@ def infchar_crosscheck(which: str, params) -> bool:
         want = dominant_representative(lift.stated_inf_char)
         return all(inf_char(m) == want for m in lift.modules())
     if which == "e8_spin8":
-        a, b, c, d = (_h(x) for x in params)
+        a, b, c, d = map(HalfInt.of, params)
         lift = theta_e8_spin8(a, b, c, d)
         rho2 = build_root_system("D4").rho.twice()
         lam2 = tuple(x.twice for x in (a, b, c, d))
@@ -427,7 +416,7 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     distinct K-types compared); a truncation too low to reach any
     K-type compares none.
     """
-    b, d = _h(b), _h(d)
+    b, d = HalfInt.of(b), HalfInt.of(d)
     if not b >= d >= 0:
         raise ValueError("need b >= d >= 0")
     if (b.twice - d.twice) % 2:

@@ -9,6 +9,7 @@ no timing or environment data, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .rootdata import (
     HalfInt,
@@ -249,14 +250,15 @@ def _suite_quaternionic(max_entry=None):
         _iso_labels(sym_power(irrep("C1", (2,)), 2)) == {(8,): 1, (0,): 1},
     ))
     mod = QuatModule("Spin(4,3)", ((1,), (2,)), 5)
-    vm = irrep(("C1", "C1"), (1,), (2,))
-    wdim = weyl_dim(vm)  # V_M and W coincide for this choice of W
+    d = weyl_dim(irrep(("C1", "C1"), (1,), (2,)))  # dim V_M
+    wdim = weyl_dim(mod.m_irrep())
     led = ktypes(mod, 3)
     ok = True
     for k, (su0, dec) in enumerate(led):
         if su0 != mod.s + k - 2:
             ok = False
-        if dec.dimension() != sym_power(vm, k).dimension() * wdim:
+        # dim S^k(V_M) = C(k+d-1, k), independent of the ledger's chain
+        if dec.dimension() != comb(k + d - 1, k) * wdim:
             ok = False
     checks.append((
         "K-type levels carry S^k(V_M) (x) W with outer label s+k-2",
@@ -403,57 +405,58 @@ def _suite_infchar(max_entry=None):
     bound = 6 if max_entry is None else int(max_entry)
     checks = []
 
-    ok = all(
-        infchar_crosscheck("tmain", (a, b))
-        for a in range(-bound, bound + 1)
-        for b in range(-bound, a + 1)
-    )
-    checks.append((
-        "U(2)-lift infinitesimal characters match (a+b+1,a+b-1,a-b+1)/2",
-        ok,
-    ))
+    def check(label, results):
+        """One line over the crosscheck results; no results is a FAIL."""
+        results = list(results)
+        if not results:
+            checks.append((f"{label} (no cases compared)", False))
+        else:
+            checks.append((label, all(results)))
 
-    ok = True
-    for a in range(bound + 1):
-        for b in range(a + 1):
-            for c in range(bound + 1):
-                if c <= a - b or (c <= a + b and (a + b - c) % 2 == 0):
-                    ok = ok and infchar_crosscheck("e7", (a, b, c))
-    checks.append((
+    check(
+        "U(2)-lift infinitesimal characters match (a+b+1,a+b-1,a-b+1)/2",
+        (infchar_crosscheck("tmain", (a, b))
+         for a in range(-bound, bound + 1)
+         for b in range(-bound, a + 1)),
+    )
+    check(
         "Sp(2) x Sp(1)-lift infinitesimal characters match "
         "(a+b+3,a-b+1,c+1)/2",
-        ok,
-    ))
-
-    ok = True
-    for parity in (0, 1):
-        for w in _dominant_tuples(HalfInt(2 * 4), 4, parity, True):
-            ok = ok and infchar_crosscheck("e8_spin8", w)
-        for w in _dominant_tuples(HalfInt(2 * bound), 4, parity, False):
-            ok = ok and infchar_crosscheck("e8_spin9", w)
-    checks.append((
+        (infchar_crosscheck("e7", (a, b, c))
+         for a in range(bound + 1)
+         for b in range(a + 1)
+         for c in range(bound + 1)
+         if c <= a - b or (c <= a + b and (a + b - c) % 2 == 0)),
+    )
+    spin8 = [
+        infchar_crosscheck("e8_spin8", w)
+        for parity in (0, 1)
+        for w in _dominant_tuples(HalfInt(2 * 4), 4, parity, True)
+    ]
+    spin9 = [
+        infchar_crosscheck("e8_spin9", w)
+        for parity in (0, 1)
+        for w in _dominant_tuples(HalfInt(2 * bound), 4, parity, False)
+    ]
+    # the Spin(8) range is fixed, so the line counts as empty when the
+    # bounded Spin(9) range is
+    check(
         "Spin(8)- and Spin(9)-lift infinitesimal characters match their "
         "stated forms",
-        ok,
-    ))
-
-    ok = all(infchar_crosscheck("f4", n) for n in range(bound + 1))
-    checks.append((
-        "SU(2)-lift infinitesimal characters match (n,2,1)/2",
-        ok,
-    ))
-
-    ok = all(
-        infchar_crosscheck("t161", (a, b))
-        for a in range(bound + 1)
-        for b in range(bound + 1)
-        if (a, b) != (0, 0)
+        spin8 + spin9 if spin9 else [],
     )
-    checks.append((
+    check(
+        "SU(2)-lift infinitesimal characters match (n,2,1)/2",
+        (infchar_crosscheck("f4", n) for n in range(bound + 1)),
+    )
+    check(
         "the three cyclic torus lifts share one outer orbit of "
         "infinitesimal characters",
-        ok,
-    ))
+        (infchar_crosscheck("t161", (a, b))
+         for a in range(bound + 1)
+         for b in range(bound + 1)
+         if (a, b) != (0, 0)),
+    )
     return checks
 
 

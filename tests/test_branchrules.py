@@ -2,6 +2,7 @@ import pytest
 
 from quatheta.branchrules import (
     Spin2Module,
+    _dominant_tuples,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
@@ -12,7 +13,6 @@ from quatheta.branchrules import (
     f4_to_spin9_table,
     gz_chain,
     restrict_e7_to_su2_spin12,
-    u2_to_torus,
 )
 from quatheta.charoracle import embedding, irrep, restrict, weyl_dim
 from quatheta.rootdata import HalfInt
@@ -191,9 +191,22 @@ class TestGzChain:
         with pytest.raises(ValueError):
             gz_chain(3, (2, 1), 1)
 
-
-def test_u2_to_torus_golden():
-    assert u2_to_torus(2, 1) == [(-3, 2, 1), (-3, 1, 2)]
+    @pytest.mark.parametrize("m", range(4, 10))
+    def test_one_step_matches_oracle(self, m):
+        # every dominant weight with entries <= 3/2, both parities; for
+        # even m that includes negative last coordinates
+        label = ("D" if m % 2 == 0 else "B") + str(m // 2)
+        e = embedding(f"Spin{m}>Spin{m - 1}")
+        cases = 0
+        for parity in (0, 1):
+            for lam in _dominant_tuples(h(3), m // 2, parity, m % 2 == 0):
+                want = {r.twice_concat(): c
+                        for r, c in restrict(irrep(label, lam), e).items()}
+                got = {tuple(x.twice for x in mu): c
+                       for mu, c in gz_chain(m, lam, m - 1).items()}
+                assert got == want, lam
+                cases += 1
+        assert cases >= 6
 
 
 class TestF4ToSpin9:

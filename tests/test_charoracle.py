@@ -6,7 +6,6 @@ from quatheta.charoracle import (
     CharMultiset,
     Irrep,
     OracleCapError,
-    adams,
     char_weights,
     convolve,
     dim_cap,
@@ -120,13 +119,6 @@ def test_convolve_mass_is_multiplicative():
     b = char_weights(irrep("B3", (h(1), h(1), h(1))))
     c = convolve(a, b)
     assert c.mass() == a.mass() * b.mass()
-
-
-def test_adams_scales_weights():
-    cw = char_weights(irrep("C1", (1,)))
-    a2 = adams(cw, 2)
-    assert a2.mults == {(-4,): 1, (4,): 1}
-    assert a2.mass() == cw.mass()
 
 
 @pytest.mark.parametrize("label,hw", [

@@ -314,3 +314,21 @@ class TestVerifyCounts:
         assert code == 2
         assert all(line.startswith("FAIL") and "on 0 dominant" in line
                    for line in out.splitlines())
+
+    def test_infchar_comparing_nothing_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "infchar",
+                           "--max-entry", "-1")
+        assert code == 2
+        lines = out.splitlines()
+        assert len(lines) == 5
+        assert all(line.startswith("FAIL infchar:")
+                   and line.endswith("(no cases compared)") for line in lines)
+
+    def test_infchar_empty_torus_range_fails(self, capsys):
+        # at bound 0 only (a, b) = (0, 0) is in range, and it is excluded
+        code, out, _ = run(capsys, "verify", "--suite", "infchar",
+                           "--max-entry", "0")
+        assert code == 2
+        lines = out.splitlines()
+        assert [line[:4] for line in lines] == ["PASS"] * 4 + ["FAIL"]
+        assert "cyclic torus lifts" in lines[-1]

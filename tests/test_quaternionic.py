@@ -1,20 +1,22 @@
+from collections import Counter
+from itertools import combinations_with_replacement
+
 import pytest
 
-from quatheta.charoracle import irrep, weyl_dim
+from quatheta.charoracle import char_weights, irrep, weyl_dim
 from quatheta.quaternionic import (
     KTypeLedger,
     QuatModule,
+    _sym_char_chain,
+    _vm_irrep,
     check_lemma_surjectivity,
     inf_char,
-    ktype_dimension,
     ktypes,
     minimal_type,
-    quat_module,
     restrict_filtration,
     sym_power,
-    sym_power_chain,
 )
-from quatheta.rootdata import HalfInt
+from quatheta.rootdata import HalfInt, quaternionic_structure
 
 
 def h(p):
@@ -62,13 +64,18 @@ class TestQuatModule:
         with pytest.raises(TypeError):
             sorted([a, b])
 
-    def test_quat_module_helper(self):
-        assert quat_module("G2_2", (3,), 5) == QuatModule("G2_2", (3,), 5, "A")
-
 
 def test_minimal_type():
     m = QuatModule("Spin(4,3)", ((0,), (1,)), 6, "A")
     assert minimal_type(m) == (4, ((0,), (1,)))
+
+
+# V_M of five quaternionic groups, and the vector representation of B3
+CHAIN_CASES = {
+    g: _vm_irrep(quaternionic_structure(g))
+    for g in ("G2_2", "Spin(4,3)", "Spin(4,4)", "F4_4", "E6_4")
+}
+CHAIN_CASES["B3"] = irrep("B3", (1, 0, 0))
 
 
 class TestSymPower:
@@ -77,13 +84,20 @@ class TestSymPower:
         got = {r.twice_concat(): m for r, m in dec.items()}
         assert got == {(0,): 1, (8,): 1}
 
-    def test_chain_matches_individual_powers(self):
-        vm = irrep(("C1", "C1"), (1,), (2,))
-        chain = sym_power_chain(vm, 3)
-        for k, dec in enumerate(chain):
-            single = sym_power(vm, k)
-            assert {r: m for r, m in dec.items()} == \
-                   {r: m for r, m in single.items()}
+    @pytest.mark.parametrize("vm", list(CHAIN_CASES.values()),
+                             ids=list(CHAIN_CASES))
+    def test_chain_matches_weight_multisets(self, vm):
+        # S^k weights are the sums over k-multisets of the weights of V_M
+        base = char_weights(vm)
+        wts = [t for t, m in base.mults.items() for _ in range(m)]
+        chain = _sym_char_chain(base, 4)
+        for k, sym_c in enumerate(chain):
+            want = Counter(
+                tuple(map(sum, zip(*combo))) if combo else (0,) * len(wts[0])
+                for combo in combinations_with_replacement(wts, k)
+            )
+            assert sym_c.labels == base.labels
+            assert sym_c.mults == dict(want)
 
     def test_dimension_is_binomial(self):
         # dim S^k(C^d) = C(d+k-1, k)
@@ -120,7 +134,6 @@ class TestKTypes:
         assert led.level_dimension(0) == 5 * 2
         assert led.level_dimension(1) == 6 * 12
         assert led.level_dimension(2) == 7 * 42
-        assert ktype_dimension(m, 2) == 294
 
     def test_json_round_trip(self):
         m = QuatModule("Spin(4,3)", ((0,), (1,)), 6, "A")
