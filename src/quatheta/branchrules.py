@@ -74,10 +74,6 @@ class Spin2Module:
         return Spin2Module(ent)
 
     @staticmethod
-    def zero() -> "Spin2Module":
-        return Spin2Module(())
-
-    @staticmethod
     def single(w) -> "Spin2Module":
         return Spin2Module.from_dict({HalfInt.of(w): 1})
 
@@ -97,23 +93,6 @@ class Spin2Module:
             raise ValueError("B(b) needs b >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-tb, tb + 1, 4)))
 
-    def as_dict(self) -> dict:
-        return {HalfInt(t): m for t, m in self.entries}
-
-    def mass(self) -> int:
-        return sum(m for _, m in self.entries)
-
-    def mult(self, w) -> int:
-        t = HalfInt.of(w).twice
-        for tw, m in self.entries:
-            if tw == t:
-                return m
-        return 0
-
-    def is_symmetric(self) -> bool:
-        d = dict(self.entries)
-        return all(d.get(-t, 0) == m for t, m in self.entries)
-
     def shift(self, c) -> "Spin2Module":
         tc = HalfInt.of(c).twice
         return Spin2Module(tuple((t + tc, m) for t, m in self.entries))
@@ -127,15 +106,6 @@ class Spin2Module:
             for t2, m2 in other.entries:
                 out[t1 + t2] = out.get(t1 + t2, 0) + m1 * m2
         return Spin2Module(tuple(sorted(out.items())))
-
-    def __add__(self, other: "Spin2Module") -> "Spin2Module":
-        out = dict(self.entries)
-        for t, m in other.entries:
-            out[t] = out.get(t, 0) + m
-        return Spin2Module(tuple(sorted(out.items())))
-
-    def to_json(self) -> dict:
-        return {str(HalfInt(t)): m for t, m in self.entries}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Brute-force character arithmetic used as ground truth.
 
-Weight multisets are computed by Freudenthal's recursion, products by
-multiset convolution, and restrictions by pushing weights through an
-integer coordinate map; decompositions are recovered by repeatedly
-stripping the character of the top remaining dominant weight.  Every
-path is integer-only: doubled coordinates throughout, with no Fraction
-intermediates (the weight-diagram search tests cone membership with the
-root system's precomputed integer adjugate, see rootdata._SysData).
+Weight multisets are computed by Freudenthal's recursion and
+restrictions by pushing weights through a coordinate projection;
+decompositions are recovered by repeatedly stripping the character of
+the top remaining dominant weight.  Every path is integer-only: doubled
+coordinates throughout, with no Fraction intermediates (the
+weight-diagram search tests cone membership with the root system's
+precomputed integer adjugate, see rootdata._SysData).
 
 Irreps of product groups are supported throughout: the group is a tuple
 of labels and the highest weight a matching tuple of Weights.  A weight
@@ -132,24 +132,6 @@ class CharMultiset:
     def mass(self) -> int:
         return sum(self.mults.values())
 
-    def factor_dims(self) -> tuple:
-        return tuple(_sys(lab).dim for lab in self.labels)
-
-    def split(self, tvec) -> tuple:
-        out, i = [], 0
-        for nd in self.factor_dims():
-            out.append(tuple(tvec[i:i + nd]))
-            i += nd
-        return tuple(out)
-
-    def weights(self):
-        """Yields (tuple of Weight per factor, multiplicity)."""
-        for t, m in sorted(self.mults.items()):
-            yield tuple(
-                Weight.from_twice(part, lab)
-                for part, lab in zip(self.split(t), self.labels)
-            ), m
-
 
 @dataclass(frozen=True)
 class IsoDecomp:
@@ -162,12 +144,6 @@ class IsoDecomp:
 
     def items(self):
         return sorted(self.mults.items(), key=lambda kv: kv[0].twice_concat())
-
-    def __getitem__(self, r: Irrep) -> int:
-        return self.mults.get(r, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, IsoDecomp) and self.mults == other.mults
 
     def to_json(self):
         return [
@@ -261,10 +237,10 @@ def _char_single(label: str, thw: tuple) -> dict:
     return out
 
 
-def char_weights(r: Irrep, cap: int | None = None) -> CharMultiset:
-    """Weight multiset of an irrep (or product irrep)."""
-    if cap is None:
-        cap = dim_cap()
+def char_weights(r: Irrep) -> CharMultiset:
+    """Weight multiset of an irrep (or product irrep), refused above
+    dim_cap()."""
+    cap = dim_cap()
     for lab in r.labels:
         if lab in CHAR_EXCLUDED:
             raise OracleCapError(f"{lab} characters are out of oracle scope")
@@ -281,17 +257,6 @@ def char_weights(r: Irrep, cap: int | None = None) -> CharMultiset:
             for t2, m2 in fac.items()
         }
     return CharMultiset(r.labels, mults)
-
-
-def convolve(c1: CharMultiset, c2: CharMultiset) -> CharMultiset:
-    if c1.labels != c2.labels:
-        raise ValueError("character groups differ")
-    out = {}
-    for t1, m1 in c1.mults.items():
-        for t2, m2 in c2.mults.items():
-            t = _add(t1, t2)
-            out[t] = out.get(t, 0) + m1 * m2
-    return CharMultiset(c1.labels, out)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +285,7 @@ def _strip_key(labels):
     return height, dominant
 
 
-def strip_dominant(c: CharMultiset, cap: int | None = None) -> IsoDecomp:
+def strip_dominant(c: CharMultiset) -> IsoDecomp:
     """Decompose a genuine character into irreducibles.
 
     Repeatedly strips the character of the remaining dominant weight of
@@ -356,7 +321,7 @@ def strip_dominant(c: CharMultiset, cap: int | None = None) -> IsoDecomp:
             tuple(hws) if len(hws) > 1 else hws[0],
         )
         out[r] = out.get(r, 0) + m
-        for t, fm in char_weights(r, cap=cap).mults.items():
+        for t, fm in char_weights(r).mults.items():
             nm = rem.get(t, 0) - m * fm
             if nm < 0:
                 raise AssertionError("negative multiplicity while stripping")
@@ -369,84 +334,60 @@ def strip_dominant(c: CharMultiset, cap: int | None = None) -> IsoDecomp:
     return IsoDecomp(out)
 
 
-def tensor_decompose(r1: Irrep, r2: Irrep, cap: int | None = None) -> IsoDecomp:
-    """Decomposition of a tensor product of two irreps of one group."""
-    if cap is None:
-        cap = dim_cap()
-    if r1.labels != r2.labels:
-        raise ValueError("tensor factors live on different groups")
-    total = weyl_dim(r1) * weyl_dim(r2)
-    if total > cap:
-        raise OracleCapError(f"product dim {total} exceeds oracle cap {cap}")
-    prod = convolve(char_weights(r1, cap=cap), char_weights(r2, cap=cap))
-    dec = strip_dominant(prod, cap=cap)
-    if dec.dimension() != total:
-        raise AssertionError("tensor decomposition lost dimension")
-    return dec
-
-
 # ---------------------------------------------------------------------------
 # embeddings and restriction
 
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """Cartan-coordinate map of a subgroup inclusion.
+    """Cartan-coordinate map of a subgroup inclusion: a projection.
 
-    matrix rows are indexed by the concatenated target coordinates; the
-    map is applied to doubled coordinate vectors (entries are integers,
-    so half-integers stay half-integers).
+    coords lists, for each concatenated target coordinate, the source
+    coordinate it keeps; the map is applied to doubled coordinate
+    vectors, so half-integers stay half-integers.
     """
 
     name: str
     source: str
     targets: tuple
-    matrix: tuple
+    coords: tuple
 
     def __post_init__(self):
-        nrows = sum(_sys(lab).dim for lab in self.targets)
-        if len(self.matrix) != nrows:
-            raise ValueError(f"{self.name}: need {nrows} matrix rows")
-        ncols = _sys(self.source).dim
-        for row in self.matrix:
-            if len(row) != ncols:
-                raise ValueError(f"{self.name}: need {ncols} matrix columns")
+        ntarget = sum(_sys(lab).dim for lab in self.targets)
+        if len(self.coords) != ntarget:
+            raise ValueError(f"{self.name}: need {ntarget} coordinates")
+        nsource = _sys(self.source).dim
+        if any(not 0 <= i < nsource for i in self.coords):
+            raise ValueError(
+                f"{self.name}: coordinates must lie in range({nsource})"
+            )
 
     def apply(self, tvec: tuple) -> tuple:
-        return tuple(_dot(row, tvec) for row in self.matrix)
-
-
-def _proj_rows(src_dim, rows):
-    out = []
-    for r in rows:
-        row = [0] * src_dim
-        row[r] = 1
-        out.append(tuple(row))
-    return tuple(out)
+        return tuple(tvec[i] for i in self.coords)
 
 
 def _mk_embeddings():
     table = {}
 
-    def add(name, source, targets, matrix):
-        table[name] = EmbeddingMap(name, source, tuple(targets), tuple(matrix))
+    def add(name, source, targets, coords):
+        table[name] = EmbeddingMap(name, source, tuple(targets), tuple(coords))
 
     # split-last embeddings behind the two-step branching rules
-    add("Sp2>Sp1xSp1", "C2", ("C1", "C1"), _proj_rows(2, [0, 1]))
-    add("Sp3>Sp2xSp1", "C3", ("C2", "C1"), _proj_rows(3, [0, 1, 2]))
-    add("Spin5>Spin3xSpin2", "B2", ("B1", "Spin2"), _proj_rows(2, [0, 1]))
-    add("Spin7>Spin5xSpin2", "B3", ("B2", "Spin2"), _proj_rows(3, [0, 1, 2]))
-    add("Spin6>Spin4xSpin2", "D3", ("D2", "Spin2"), _proj_rows(3, [0, 1, 2]))
-    add("Spin8>Spin6xSpin2", "D4", ("D3", "Spin2"), _proj_rows(4, [0, 1, 2, 3]))
+    add("Sp2>Sp1xSp1", "C2", ("C1", "C1"), [0, 1])
+    add("Sp3>Sp2xSp1", "C3", ("C2", "C1"), [0, 1, 2])
+    add("Spin5>Spin3xSpin2", "B2", ("B1", "Spin2"), [0, 1])
+    add("Spin7>Spin5xSpin2", "B3", ("B2", "Spin2"), [0, 1, 2])
+    add("Spin6>Spin4xSpin2", "D3", ("D2", "Spin2"), [0, 1, 2])
+    add("Spin8>Spin6xSpin2", "D4", ("D3", "Spin2"), [0, 1, 2, 3])
     # Gelfand-Zetlin one-step chain, the oracle for branchrules.gz_chain
-    add("Spin9>Spin8", "B4", ("D4",), _proj_rows(4, [0, 1, 2, 3]))
-    add("Spin8>Spin7", "D4", ("B3",), _proj_rows(4, [0, 1, 2]))
-    add("Spin7>Spin6", "B3", ("D3",), _proj_rows(3, [0, 1, 2]))
-    add("Spin6>Spin5", "D3", ("B2",), _proj_rows(3, [0, 1]))
-    add("Spin5>Spin4", "B2", ("D2",), _proj_rows(2, [0, 1]))
-    add("Spin4>Spin3", "D2", ("B1",), _proj_rows(2, [0]))
+    add("Spin9>Spin8", "B4", ("D4",), [0, 1, 2, 3])
+    add("Spin8>Spin7", "D4", ("B3",), [0, 1, 2])
+    add("Spin7>Spin6", "B3", ("D3",), [0, 1, 2])
+    add("Spin6>Spin5", "D3", ("B2",), [0, 1])
+    add("Spin5>Spin4", "B2", ("D2",), [0, 1])
+    add("Spin4>Spin3", "D2", ("B1",), [0])
     # the oracle for the F4 -> Spin(9) closed form
-    add("F4>B4", "F4", ("B4",), _proj_rows(4, [0, 1, 2, 3]))
+    add("F4>B4", "F4", ("B4",), [0, 1, 2, 3])
     return table
 
 
@@ -460,19 +401,17 @@ def embedding(name: str) -> EmbeddingMap:
         raise ValueError(f"unknown embedding {name!r}") from None
 
 
-def restrict(r: Irrep, e: EmbeddingMap, cap: int | None = None) -> IsoDecomp:
+def restrict(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
     """Restriction of an irrep along an embedding, by weight pushforward
     and dominant stripping."""
-    if cap is None:
-        cap = dim_cap()
     if not isinstance(r.group, str) or e.source != r.group:
         raise ValueError(f"embedding {e.name} does not start at {r.group}")
-    src = char_weights(r, cap=cap)
+    src = char_weights(r)
     pushed = {}
     for t, m in src.mults.items():
         u = e.apply(t)
         pushed[u] = pushed.get(u, 0) + m
-    dec = strip_dominant(CharMultiset(e.targets, pushed), cap=cap)
+    dec = strip_dominant(CharMultiset(e.targets, pushed))
     if dec.dimension() != weyl_dim(r):
         raise AssertionError("restriction lost dimension")
     return dec

@@ -220,7 +220,7 @@ def _module_from_args(args) -> QuatModule:
 
 def _cmd_ktypes(args) -> int:
     mod = _module_from_args(args)
-    led = ktypes(mod, args.kmax, cap=args.cap)
+    led = ktypes(mod, args.kmax)
     _print_json(led.to_json())
     return 0
 
@@ -319,12 +319,12 @@ def emit_svg(spec: dict) -> str:
     kinds: {"figure": "cones", "group": "G2"|"PU21", "lam": (a,b,c)|None}
     draws the K-type cones sharing one infinitesimal character (lattice
     only when lam is None); {"figure": "ledger", "module": QuatModule,
-    "kmax": N, "cap": int|None} draws the outer-label histogram.
+    "kmax": N} draws the outer-label histogram.
     """
     if spec["figure"] == "cones":
         return _svg_cones(spec["group"], spec.get("lam"))
     if spec["figure"] == "ledger":
-        led = ktypes(spec["module"], spec["kmax"], cap=spec.get("cap"))
+        led = ktypes(spec["module"], spec["kmax"])
         return _svg_ledger(led)
     raise ValueError(f"unknown figure kind {spec['figure']!r}")
 
@@ -452,7 +452,6 @@ def _cmd_plot(args) -> int:
         mod = _module_from_args(args)
         sys.stdout.write(emit_svg({
             "figure": "ledger", "module": mod, "kmax": args.kmax,
-            "cap": args.cap,
         }))
         return 0
     raise ValueError(f"unknown figure {args.figure!r}")
@@ -471,8 +470,6 @@ def _add_module_flags(p, required=True):
                    help="outer parameter s")
     p.add_argument("--sigma", action="store_true",
                    help="take the irreducible quotient")
-    p.add_argument("--cap", type=int, default=None,
-                   help="override the oracle dimension cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -531,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case", required=True,
                    help="case id: I, II, III, Ia.1..Ia.3, Ib, "
                         "IIa.1..IIa.3, IIb")
-    p.add_argument("--lambda", dest="lam", type=_ints, required=True,
+    p.add_argument("--lambda", dest="lam", type=_arity(_ints, 3),
+                   required=True,
                    help="sum-zero parameter a,b,c (use --lambda=2,1,-3)")
     p.set_defaults(func=_cmd_aq)
 
@@ -546,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", required=True, choices=("cones", "ledger"))
     p.add_argument("--group", choices=("g2", "pu21"), default=None,
                    help="cones: dual-pair member")
-    p.add_argument("--lambda", dest="lam", type=_ints, default=None,
+    p.add_argument("--lambda", dest="lam", type=_arity(_ints, 3), default=None,
                    help="cones: parameter a,b,c; omit for a bare lattice")
     _add_module_flags(p, required=False)
     p.add_argument("--kmax", type=int, default=None,

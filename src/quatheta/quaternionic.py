@@ -16,7 +16,7 @@ K-type computations here operate on the full module A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
+from math import gcd
 
 from .rootdata import (
     HalfInt,
@@ -26,7 +26,6 @@ from .rootdata import (
     dominant_representative,
     quaternionic_structure,
 )
-from . import charoracle
 from .charoracle import (
     CharMultiset,
     Irrep,
@@ -118,17 +117,24 @@ def _vm_irrep(qs) -> Irrep:
     return Irrep(qs.m_factors, qs.vm_hw)
 
 
-def _sym_char_chain(base: CharMultiset, kmax: int) -> list:
-    """Characters of S^0, ..., S^kmax of the module with character base,
-    read off the generating function prod_nu (1 - t x^nu)^(-m_nu)
-    truncated at degree kmax.
+def _sym_char_chain(
+    base: CharMultiset, kmax: int, seed: CharMultiset | None = None
+) -> list:
+    """Characters of S^0 (x) W, ..., S^kmax (x) W for the module with
+    character base, read off the generating function
+    prod_nu (1 - t x^nu)^(-m_nu) chi_W truncated at degree kmax; W is
+    the trivial module unless seed gives its character.
 
     Each factor multiplies in place: running k upwards, h_k gains
     x^nu h_(k-1), and h_(k-1) already carries this factor, which makes
-    the factor 1 / (1 - t x^nu).
+    the factor 1 / (1 - t x^nu).  The series is linear in its constant
+    term, so seeding h_0 with chi_W tensors every level with W.
     """
-    zero = (0,) * len(next(iter(base.mults)))
-    hs = [{zero: 1}] + [{} for _ in range(kmax)]
+    if seed is None:
+        h0 = {(0,) * len(next(iter(base.mults))): 1}
+    else:
+        h0 = dict(seed.mults)  # a copy: cached characters are shared
+    hs = [h0] + [{} for _ in range(kmax)]
     for nu, m in base.mults.items():
         for _ in range(m):
             for k in range(1, kmax + 1):
@@ -139,13 +145,12 @@ def _sym_char_chain(base: CharMultiset, kmax: int) -> list:
     return [CharMultiset(base.labels, h) for h in hs]
 
 
-def sym_power(vm: Irrep, k: int, cap: int | None = None) -> IsoDecomp:
+def sym_power(vm: Irrep, k: int) -> IsoDecomp:
     """Decomposition of the k-th symmetric power of an irreducible."""
     if k < 0:
         raise ValueError("need k >= 0")
-    base = char_weights(vm, cap=cap)
-    chain = _sym_char_chain(base, k)
-    return strip_dominant(chain[k], cap=cap)
+    chain = _sym_char_chain(char_weights(vm), k)
+    return strip_dominant(chain[k])
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +208,15 @@ class KTypeLedger:
         return KTypeLedger(mod, tuple(levels))
 
 
-def ktypes(m: QuatModule, kmax: int, cap: int | None = None) -> KTypeLedger:
+def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:
     """K-type ledger of A(G, W[s]) up to level kmax."""
     if kmax < 0:
         raise ValueError("need kmax >= 0")
-    qs = m.structure()
-    base = char_weights(_vm_irrep(qs), cap=cap)
-    w_char = char_weights(m.m_irrep(), cap=cap)
-    levels = []
-    for k, sym_c in enumerate(_sym_char_chain(base, kmax)):
-        tau = charoracle.convolve(sym_c, w_char)
-        levels.append((m.s + k - 2, strip_dominant(tau, cap=cap)))
-    return KTypeLedger(m, tuple(levels))
+    base = char_weights(_vm_irrep(m.structure()))
+    chain = _sym_char_chain(base, kmax, seed=char_weights(m.m_irrep()))
+    return KTypeLedger(m, tuple(
+        (m.s + k - 2, strip_dominant(tau)) for k, tau in enumerate(chain)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +323,25 @@ def _poly_mult_matrix(n: int):
 
 
 def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
+    """Rank over Q by integer forward elimination: a row with an entry
+    a under the pivot p becomes p*row - a*top, divided by its content.
+    Both steps are invertible over Q, so the rank is unchanged."""
+    mat = [list(r) for r in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
-    col = 0
     for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col]:
-                piv = r
-                break
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col] / pv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for r in range(rank + 1, len(mat)):
+            a = mat[r][col]
+            if a:
+                row = [p * x - a * y for x, y in zip(mat[r], top)]
+                g = gcd(*row)
+                mat[r] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == len(mat):
             break

@@ -577,16 +577,13 @@ def highest_root_coefficients(label: str) -> tuple:
 # dominant representatives
 
 
-def dominant_representative(w: Weight, sys: RootSystem | None = None) -> Weight:
+def dominant_representative(w: Weight) -> Weight:
     """The dominant Weyl-chamber representative of the orbit of w.
 
     Classical families use the signed-permutation normal form; the
     exceptional systems walk simple reflections (which requires w to be
-    in the weight lattice, i.e. have integral simple pairings).  The
-    optional sys argument, if given, must match w.system.
+    in the weight lattice, i.e. have integral simple pairings).
     """
-    if sys is not None and sys.label != w.system:
-        raise ValueError("root system does not match the weight's label")
     d = _sys(w.system)
     return Weight.from_twice(d.dominant_twice(w.twice()), w.system)
 
@@ -641,7 +638,6 @@ class QuaternionicStructure:
     alpha0: Weight
     k_label: str
     m_simple_coords: tuple
-    heisenberg_embedding: dict | None = None
 
 
 _QUAT_TABLE = {}
@@ -649,7 +645,7 @@ _QUAT_TABLE = {}
 
 def _register_quat(
     g_label, system, m_label, m_factors, vm_hw, vm_dim, k_label,
-    m_simple_coords, heisenberg_embedding=None,
+    m_simple_coords,
 ):
     theta = highest_root(system)
     alpha0 = Weight.from_twice(_neg(theta.twice()), system)
@@ -663,7 +659,6 @@ def _register_quat(
         alpha0=alpha0,
         k_label=k_label,
         m_simple_coords=m_simple_coords,
-        heisenberg_embedding=heisenberg_embedding,
     )
 
 
@@ -676,13 +671,6 @@ def _init_quat_table():
         "Spin(4,3)", "B3", "SU(2)xSpin(3)", ("C1", "C1"),
         ((1,), (2,)), 6, "SU_0(2) x SU(2) x Spin(3)",
         ((2, -2, 0), (0, 0, 2)),
-        heisenberg_embedding={
-            "subgroup": "G2_2",
-            "k2": "SU_s(2) x SU_l(2)",
-            "rule": "SU_s(2) diagonal in SU_0(2) x Spin(3); SU_l(2) = SU(2) factor of M",
-            "p2_as_k2": ((3,), (1,)),
-            "p_as_su0_spin3_su2": ((1,), (2,), (1,)),
-        },
     )
     # Spin(4,4): M = SU(2)^3.  Factor order (alpha, beta, gamma) pinned to
     # the simple roots e1-e2, e3+e4, e3-e4 so that the Spin(8) lift table

@@ -7,10 +7,12 @@ enforces the stated runtime budget, and prints a single PASS/FAIL line
 verdict through the test names).
 """
 
+import os
 import subprocess
 import sys
 import time
 
+import quatheta
 from quatheta.charoracle import irrep, weyl_dim
 from quatheta.quaternionic import check_lemma_surjectivity
 from quatheta.branchrules import restrict_e7_to_su2_spin12
@@ -114,8 +116,12 @@ def test_criterion_09_e7_family_dimension_sums():
 def test_criterion_10_verify_all_is_deterministic():
     t0 = time.perf_counter()
     cmd = [sys.executable, "-m", "quatheta.cli", "verify", "--suite", "all"]
-    a = subprocess.run(cmd, capture_output=True)
-    b = subprocess.run(cmd, capture_output=True)
+    # the subprocesses import the same quatheta as this test run
+    src = os.path.dirname(os.path.dirname(quatheta.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    a = subprocess.run(cmd, capture_output=True, env=env)
+    b = subprocess.run(cmd, capture_output=True, env=env)
     ok = (a.returncode == 0 and b.returncode == 0
           and a.stdout == b.stdout and len(a.stdout) > 0)
     _report(10, "verify --suite all twice produces byte-identical passing "

@@ -4,16 +4,15 @@ import pytest
 
 from quatheta.charoracle import (
     CharMultiset,
+    EmbeddingMap,
     Irrep,
     OracleCapError,
     char_weights,
-    convolve,
     dim_cap,
     embedding,
     irrep,
     restrict,
     strip_dominant,
-    tensor_decompose,
     weyl_dim,
 )
 from quatheta.rootdata import HalfInt
@@ -114,13 +113,6 @@ def test_char_mass_equals_dimension(label, hw):
     assert char_weights(r).mass() == weyl_dim(r)
 
 
-def test_convolve_mass_is_multiplicative():
-    a = char_weights(irrep("B3", (1, 0, 0)))
-    b = char_weights(irrep("B3", (h(1), h(1), h(1))))
-    c = convolve(a, b)
-    assert c.mass() == a.mass() * b.mass()
-
-
 @pytest.mark.parametrize("label,hw", [
     ("B3", (1, 1, 0)),
     ("B3", (h(3), h(1), h(1))),
@@ -159,19 +151,21 @@ def test_strip_dominant_random_sums():
 
 
 def test_tensor_decompose_su2():
-    td = tensor_decompose(irrep("C1", (1,)), irrep("C1", (1,)))
+    """(1) (x) (1) = (0) + (2) for SU(2): strip the product of two characters."""
+    a = char_weights(irrep("C1", (1,)))
+    acc = {}
+    for wa, ma in a.mults.items():
+        for wb, mb in a.mults.items():
+            k = tuple(x + y for x, y in zip(wa, wb))
+            acc[k] = acc.get(k, 0) + ma * mb
+    td = strip_dominant(CharMultiset(("C1",), acc))
     assert {r.twice_concat(): m for r, m in td.items()} == {(0,): 1, (4,): 1}
 
 
-def test_tensor_decompose_preserves_dimension():
-    a = irrep("B3", (1, 0, 0))
-    b = irrep("B3", (h(1), h(1), h(1)))
-    td = tensor_decompose(a, b)
-    assert td.dimension() == weyl_dim(a) * weyl_dim(b)
-
-
 def test_iso_decomp_json_and_order():
-    td = tensor_decompose(irrep("C1", (1,)), irrep("C1", (1,)))
+    # the character of (1) (x) (1) for SU(2), in doubled coordinates
+    td = strip_dominant(CharMultiset(("C1",), {(-4,): 1, (0,): 2, (4,): 1}))
+    assert {r.twice_concat(): m for r, m in td.items()} == {(0,): 1, (4,): 1}
     data = td.to_json()
     assert data == [{"hw": [0], "mult": 1}, {"hw": [2], "mult": 1}]
     keys = [r.twice_concat() for r, _ in td.items()]
@@ -210,11 +204,27 @@ class TestRestrict:
         with pytest.raises(ValueError):
             embedding("E8>E7")
 
+    def test_embedding_projects_coordinates(self):
+        e = embedding("Spin8>Spin7")
+        assert e.coords == (0, 1, 2)
+        assert e.apply((5, 3, 1, -1)) == (5, 3, 1)
+
+    @pytest.mark.parametrize("coords", [(0, 1), (0, 1, 2, 3)])
+    def test_embedding_rejects_wrong_coordinate_count(self, coords):
+        with pytest.raises(ValueError, match="need 3 coordinates"):
+            EmbeddingMap("bad", "D4", ("B3",), coords)
+
+    @pytest.mark.parametrize("coords", [(0, 1, 4), (-1, 1, 2)])
+    def test_embedding_rejects_out_of_range_index(self, coords):
+        with pytest.raises(ValueError, match="range"):
+            EmbeddingMap("bad", "D4", ("B3",), coords)
+
 
 class TestDimCap:
-    def test_cap_error(self):
-        with pytest.raises(OracleCapError):
-            char_weights(irrep("F4", (1, 0, 0, 0)), cap=10)
+    def test_cap_error(self, monkeypatch):
+        monkeypatch.setenv("QUATHETA_DIM_CAP", "10")
+        with pytest.raises(OracleCapError, match="exceeds oracle cap 10"):
+            char_weights(irrep("F4", (1, 0, 0, 0)))
 
     def test_cap_env_default(self):
         assert dim_cap() == 20000

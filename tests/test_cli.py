@@ -1,14 +1,22 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import quatheta
 from quatheta.aqmodules import AqData
 from quatheta.cli import emit_svg, main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
 from quatheta.rootdata import Weight
 from quatheta.thetamaps import ThetaLift, theta_e6_u2
+
+
+# subprocesses import the same quatheta as this test run
+SRC = os.path.dirname(os.path.dirname(quatheta.__file__))
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run(capsys, *argv):
@@ -243,12 +251,20 @@ class TestPlotCommand:
 
 
 class TestKtypesCommand:
-    def test_cap_flag_propagates(self, capsys):
-        code, _, err = run(capsys, "ktypes", "--g", "E8_4", "--wm",
-                           "0,0,0,0,0,0,0,0", "--s", "10", "--kmax", "3",
-                           "--cap", "100")
+    def test_env_cap_bites(self, capsys, monkeypatch):
+        # V_M = (1) (x) (2) of Spin(4,3) has dimension 6
+        monkeypatch.setenv("QUATHETA_DIM_CAP", "5")
+        code, out, err = run(capsys, "ktypes", "--g", "Spin(4,3)", "--wm",
+                             "0;0", "--s", "4", "--kmax", "1")
         assert code == 1
-        assert "error:" in err
+        assert out == ""
+        assert "exceeds oracle cap 5" in err
+
+    def test_cap_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ktypes", "--g", "Spin(4,3)", "--wm", "0;0", "--s", "4",
+                  "--kmax", "1", "--cap", "5"])
+        assert exc.value.code == 64
 
     def test_sigma_flag(self, capsys):
         _, out, _ = run(capsys, "ktypes", "--g", "Spin(4,3)", "--wm", "0;0",
@@ -274,11 +290,13 @@ class TestErrorsReachTheUserAsOneLine:
         ["theta", "--ambient", "E8", "--spin8", "1,1,1"],
         ["theta", "--ambient", "E8", "--spin9", "1,1,1,1,1"],
         ["branch", "--rule", "f4-spin9", "--ab", "1"],
+        ["plot", "--figure", "cones", "--group", "g2", "--lambda=1,2"],
+        ["aq", "--group", "g2", "--case", "I", "--lambda=1,1"],
     ])
     def test_exit_code_without_traceback(self, argv):
         proc = subprocess.run(
             [sys.executable, "-m", "quatheta.cli", *argv],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=ENV,
         )
         assert proc.returncode in (1, 64)
         assert proc.stdout == ""
@@ -294,6 +312,16 @@ class TestErrorsReachTheUserAsOneLine:
     def test_arity_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["theta", "--ambient", "E6", "--torus", "1,2"])
+        assert exc.value.code == 64
+        assert "expected 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["plot", "--figure", "cones", "--group", "g2", "--lambda=1,2"],
+        ["aq", "--group", "g2", "--case", "I", "--lambda=1,1"],
+    ])
+    def test_lambda_arity_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
         assert exc.value.code == 64
         assert "expected 3" in capsys.readouterr().err
 

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -7,6 +9,7 @@ from quatheta.charoracle import char_weights, irrep, weyl_dim
 from quatheta.quaternionic import (
     KTypeLedger,
     QuatModule,
+    _rank,
     _sym_char_chain,
     _vm_irrep,
     check_lemma_surjectivity,
@@ -77,6 +80,16 @@ CHAIN_CASES = {
 }
 CHAIN_CASES["B3"] = irrep("B3", (1, 0, 0))
 
+# (V_M, W) pairs for the chain seeded with chi_W
+SEEDED_CASES = {
+    "G2_2": (CHAIN_CASES["G2_2"], irrep("C1", (2,))),
+    "Spin(4,3)": (CHAIN_CASES["Spin(4,3)"], irrep(("C1", "C1"), (1,), (2,))),
+    "Spin(4,4)": (CHAIN_CASES["Spin(4,4)"],
+                  irrep(("C1", "C1", "C1"), (1,), (0,), (1,))),
+    "F4_4": (CHAIN_CASES["F4_4"], irrep("C3", (1, 0, 0))),
+    "B3": (CHAIN_CASES["B3"], irrep("B3", (h(1), h(1), h(1)))),
+}
+
 
 class TestSymPower:
     def test_square_of_su2_adjoint(self):
@@ -98,6 +111,25 @@ class TestSymPower:
             )
             assert sym_c.labels == base.labels
             assert sym_c.mults == dict(want)
+
+    @pytest.mark.parametrize("vm,w", list(SEEDED_CASES.values()),
+                             ids=list(SEEDED_CASES))
+    def test_seeded_chain_matches_weight_multisets(self, vm, w):
+        # S^k(V_M) (x) W weights: a k-multiset sum of V_M weights plus a
+        # weight of W
+        base = char_weights(vm)
+        w_char = char_weights(w)
+        wts = [t for t, m in base.mults.items() for _ in range(m)]
+        chain = _sym_char_chain(base, 3, seed=w_char)
+        assert chain[0].mults == w_char.mults
+        assert chain[0].mults is not w_char.mults  # the cache stays unshared
+        for k, tau in enumerate(chain):
+            want = Counter()
+            for combo in combinations_with_replacement(wts, k):
+                for t, m in w_char.mults.items():
+                    want[tuple(map(sum, zip(t, *combo)))] += m
+            assert tau.labels == base.labels
+            assert tau.mults == dict(want)
 
     def test_dimension_is_binomial(self):
         # dim S^k(C^d) = C(d+k-1, k)
@@ -187,6 +219,43 @@ class TestRestrictFiltration:
         assert all(x.kind == "sigma" for row in filt for x in row)
 
 
+def _rank_reference(rows) -> int:
+    """Gauss-Jordan rank over Fraction."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _random_matrix(rng):
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    inner = rng.randint(1, 7)  # rank <= inner, often below min(nrows, ncols)
+    left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(inner)]
+    mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+           for row in left]
+    for row in mat:  # sparse entries
+        for j in range(ncols):
+            if rng.random() < 0.15:
+                row[j] = 0
+    if mat and rng.random() < 0.3:
+        mat[rng.randrange(nrows)] = [0] * ncols
+    if ncols and rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in mat:
+            row[j] = 0
+    return mat
+
+
 class TestSurjectivity:
     def test_goldens(self):
         assert check_lemma_surjectivity(2) == (12, 12, True)
@@ -199,3 +268,13 @@ class TestSurjectivity:
             assert expected == 3 * (n + 2)
             assert ok == (rank == expected)
             assert ok == (n >= 2)
+
+    def test_rank_matches_fraction_reference(self):
+        rng = random.Random(5)
+        ranks = Counter()
+        for _ in range(3000):
+            mat = _random_matrix(rng)
+            want = _rank_reference(mat)
+            assert _rank(mat) == want, mat
+            ranks[want < min(len(mat), len(mat[0]) if mat else 0)] += 1
+        assert ranks[True] > 500 and ranks[False] > 500  # both kinds drawn
