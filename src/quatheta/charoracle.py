@@ -1,12 +1,16 @@
 """Brute-force character arithmetic used as ground truth.
 
-Weight multisets are computed by Freudenthal's recursion and
-restrictions by pushing weights through a coordinate projection;
-decompositions are recovered by repeatedly stripping the character of
-the top remaining dominant weight.  Every path is integer-only: doubled
-coordinates throughout, with no Fraction intermediates (the
-weight-diagram search tests cone membership with the root system's
-precomputed integer adjugate, see rootdata._SysData).
+The oracle computes the dominant character of an irreducible: its
+dominant weights, found by walking down from the highest weight by
+positive roots through dominant weights only, with multiplicities from
+Freudenthal's recursion.  Full weight multisets are the Weyl orbits of
+those weights; they are built only where an operation is not
+Weyl-invariant (the pushforward of a restriction, the symmetric-power
+chain).  Decompositions are recovered by repeatedly stripping the
+dominant character of the top remaining dominant weight.  Every path is
+integer-only: doubled coordinates throughout, with no Fraction
+intermediates.  Every root system, the E series included, is in scope;
+QUATHETA_DIM_CAP bounds the dimension of each irreducible computed.
 
 Irreps of product groups are supported throughout: the group is a tuple
 of labels and the highest weight a matching tuple of Weights.  A weight
@@ -24,9 +28,6 @@ from .rootdata import Weight, _add, _dot, _sub, _sys
 
 DEFAULT_DIM_CAP = 20000
 
-# the stripping loop never enumerates E-series characters
-CHAR_EXCLUDED = ("E6", "E7", "E8")
-
 
 class OracleCapError(RuntimeError):
     """Raised when a character computation would exceed the dimension cap."""
@@ -37,10 +38,21 @@ def dim_cap() -> int:
     raw = os.environ.get("QUATHETA_DIM_CAP")
     if raw is None:
         return DEFAULT_DIM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError("QUATHETA_DIM_CAP must be positive")
+        raise ValueError(
+            f"QUATHETA_DIM_CAP must be a positive integer, not {raw!r}"
+        )
     return cap
+
+
+def _check_cap(r: Irrep) -> None:
+    cap, dim = dim_cap(), weyl_dim(r)
+    if dim > cap:
+        raise OracleCapError(f"dim {dim} exceeds oracle cap {cap}")
 
 
 def _as_tuple(x):
@@ -184,31 +196,24 @@ def weyl_dim(r: Irrep) -> int:
 
 
 @lru_cache(maxsize=None)
-def _char_single(label: str, thw: tuple) -> dict:
-    """Full weight multiset {doubled coords: mult} of one irreducible."""
+def _dominant_char(label: str, thw: tuple) -> dict:
+    """Dominant part {doubled coords: mult} of one irreducible's character."""
     d = _sys(label)
-    if d.rank == 0:
-        return {thw: 1}
-    # enumerate the weight diagram: BFS downward by simple roots, keeping
-    # exactly the vectors whose dominant representative lies under thw
-    # (thw - dominant is a Z>=0 combination of simple roots)
-    weights = {thw}
+    # the dominant weights under thw: any two dominant mu <= lambda are
+    # joined by a chain of dominant weights whose steps are positive roots
+    # (Stembridge, Adv. Math. 136 (1998), Cor. 2.7)
+    found = {thw}
     frontier = [thw]
     while frontier:
         nxt = []
         for t in frontier:
-            for a in d.simple:
+            for a in d.pos:
                 v = _sub(t, a)
-                if v in weights:
-                    continue
-                if d.in_root_cone(_sub(thw, d.dominant_twice(v))):
-                    weights.add(v)
+                if v not in found and d.is_dominant(v):
+                    found.add(v)
                     nxt.append(v)
         frontier = nxt
-    dom = sorted(
-        (t for t in weights if d.is_dominant(t)),
-        key=lambda t: -_dot(t, d.rho2),
-    )
+    dom = sorted(found, key=lambda t: -_dot(t, d.rho2))
     lam_rho = _add(thw, d.rho2)
     lam_norm = _dot(thw, thw)
     top_norm = _dot(lam_rho, lam_rho)
@@ -231,32 +236,44 @@ def _char_single(label: str, thw: tuple) -> dict:
         if denom <= 0 or (2 * total) % denom:
             raise AssertionError("Freudenthal recursion failed")
         mult[mu] = (2 * total) // denom
-    out = {t: mult[d.dominant_twice(t)] for t in weights}
-    if sum(out.values()) != _dim_single(label, thw):
+    return mult
+
+
+@lru_cache(maxsize=None)
+def _char_single(label: str, thw: tuple) -> dict:
+    """Full weight multiset {doubled coords: mult} of one irreducible:
+    the Weyl orbits of its dominant weights."""
+    d = _sys(label)
+    dim = _dim_single(label, thw)
+    out = {
+        u: m
+        for mu, m in _dominant_char(label, thw).items()
+        for u in d.orbit(mu, dim)
+    }
+    if sum(out.values()) != dim:
         raise AssertionError("character mass != Weyl dimension")
     return out
 
 
-def char_weights(r: Irrep) -> CharMultiset:
-    """Weight multiset of an irrep (or product irrep), refused above
-    dim_cap()."""
-    cap = dim_cap()
-    for lab in r.labels:
-        if lab in CHAR_EXCLUDED:
-            raise OracleCapError(f"{lab} characters are out of oracle scope")
-    if weyl_dim(r) > cap:
-        raise OracleCapError(
-            f"dim {weyl_dim(r)} exceeds oracle cap {cap}"
-        )
+def _product(factors) -> dict:
+    """Weight dict of a product irrep from its factors' weight dicts."""
     mults = {(): 1}
-    for lab, w in zip(r.labels, r.hws):
-        fac = _char_single(lab, w.twice())
+    for fac in factors:
         mults = {
             t1 + t2: m1 * m2
             for t1, m1 in mults.items()
             for t2, m2 in fac.items()
         }
-    return CharMultiset(r.labels, mults)
+    return mults
+
+
+def char_weights(r: Irrep) -> CharMultiset:
+    """Weight multiset of an irrep (or product irrep), refused above
+    dim_cap()."""
+    _check_cap(r)
+    return CharMultiset(r.labels, _product(
+        _char_single(lab, w.twice()) for lab, w in zip(r.labels, r.hws)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -274,35 +291,44 @@ def _strip_key(labels):
             i += nd
         return h
 
-    def dominant(t):
-        i = 0
+    def representative(t):
+        u, i = (), 0
         for d, nd in zip(systems, dims):
-            if not d.is_dominant(t[i:i + nd]):
-                return False
+            u += d.dominant_twice(t[i:i + nd])
             i += nd
-        return True
+        return u
 
-    return height, dominant
+    return height, representative
 
 
 def strip_dominant(c: CharMultiset) -> IsoDecomp:
     """Decompose a genuine character into irreducibles.
 
-    Repeatedly strips the character of the remaining dominant weight of
-    greatest rho-pairing (lexicographic tiebreak).  Negative residual
-    multiplicities mean the input was not a character; that raises.
+    A Weyl-invariant function is fixed by its dominant part, so only the
+    dominant keys are stripped: repeatedly subtract the dominant
+    character of the remaining dominant weight of greatest rho-pairing
+    (lexicographic tiebreak).  Input that is not a character raises:
+    a key whose multiplicity differs from its dominant representative's,
+    a negative residual multiplicity, or a mass that the stripped
+    irreducibles do not account for (an incomplete orbit).
 
     Stripping only removes keys (a key it would add goes negative and
     raises), so the dominant keys are found and ordered once; each step
     takes the first of them still present.
     """
-    height, dominant = _strip_key(c.labels)
-    rem = {t: m for t, m in c.mults.items() if m}
-    tops = sorted(
-        (t for t in rem if dominant(t)),
-        key=lambda t: (height(t), t),
-        reverse=True,
-    )
+    height, representative = _strip_key(c.labels)
+    rem = {}
+    moved = []
+    for t, m in c.mults.items():
+        if m:
+            u = representative(t)
+            if u == t:
+                rem[t] = m
+            else:
+                moved.append((u, m))
+    if any(rem.get(u) != m for u, m in moved):
+        raise AssertionError("character is not Weyl-invariant")
+    tops = sorted(rem, key=lambda t: (height(t), t), reverse=True)
     out = {}
     for top in tops:
         m = rem.get(top)
@@ -320,8 +346,12 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
             c.labels if len(c.labels) > 1 else c.labels[0],
             tuple(hws) if len(hws) > 1 else hws[0],
         )
+        _check_cap(r)
         out[r] = out.get(r, 0) + m
-        for t, fm in char_weights(r).mults.items():
+        dom = _product(
+            _dominant_char(lab, w.twice()) for lab, w in zip(r.labels, r.hws)
+        )
+        for t, fm in dom.items():
             nm = rem.get(t, 0) - m * fm
             if nm < 0:
                 raise AssertionError("negative multiplicity while stripping")
@@ -329,9 +359,10 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                 rem[t] = nm
             else:
                 rem.pop(t, None)
-    if rem:
-        raise AssertionError("stripping left a dominant-free residue")
-    return IsoDecomp(out)
+    dec = IsoDecomp(out)
+    if dec.dimension() != sum(c.mults.values()):
+        raise AssertionError("stripping left a residue with no dominant key")
+    return dec
 
 
 # ---------------------------------------------------------------------------

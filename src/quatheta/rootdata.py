@@ -21,10 +21,9 @@ the package rely on this realisation (rho = (2,1,-3)).
 
 The root-data kernels behind the character oracle are integer-only, on
 doubled coordinates: simple reflections divide with divmod, the weight
-lattice is "every simple-coroot pairing is an integer", and membership
-in the cone of nonnegative simple-root combinations uses each system's
-Gram determinant and integer adjugate, computed once.  Fraction appears
-only at the API edge (HalfInt accepts and produces it).
+lattice is "every simple-coroot pairing is an integer", and a Weyl orbit
+is walked down from its dominant representative.  Fraction appears only
+at the API edge (HalfInt accepts and produces it).
 """
 
 from __future__ import annotations
@@ -370,39 +369,13 @@ _BUILDERS = {
 SUPPORTED_SYSTEMS = tuple(sorted(_BUILDERS))
 
 
-def _det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if m[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * prev
-
-
 class _SysData:
-    """Interned per-label root data in doubled coordinates.
-
-    Every kernel is integer-only.  The Gram matrix G of the simple roots
-    is inverted once, on first use, as its determinant and integer
-    adjugate folded into the simple roots: row i is
-    sum_j adj(G)[i][j] * alpha_j, so that det(G) * c_i = <v, row i>
-    whenever v = sum c_i alpha_i.
-    """
+    """Interned per-label root data in doubled coordinates; every kernel
+    is integer-only."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "weyl_order",
-        "simple_norm", "_cone",
+        "simple_norm",
     )
 
     def __init__(self, label):
@@ -422,29 +395,6 @@ class _SysData:
         self.rho2 = tuple(t // 2 for t in rho2_doubled)  # doubled rho
         self.weyl_order = order
         self.simple_norm = tuple(_dot(a, a) for a in self.simple)
-        self._cone = None
-
-    def cone_data(self):
-        """(det G, adjugate rows, columns of the simple-root matrix)."""
-        if self._cone is None:
-            n, simple = self.rank, self.simple
-            gram = [[_dot(a, b) for b in simple] for a in simple]
-            rows = []
-            for i in range(n):
-                row = [0] * self.dim
-                for j in range(n):
-                    minor = [
-                        [gram[r][c] for c in range(n) if c != i]
-                        for r in range(n) if r != j
-                    ]
-                    cof = (-1) ** (i + j) * _det(minor)
-                    row = [x + cof * y for x, y in zip(row, simple[j])]
-                rows.append(tuple(row))
-            cols = tuple(
-                tuple(a[k] for a in simple) for k in range(self.dim)
-            )
-            self._cone = (_det(gram), tuple(rows), cols)
-        return self._cone
 
     def is_dominant(self, tvec) -> bool:
         return all(_dot(tvec, a) >= 0 for a in self.simple)
@@ -463,27 +413,6 @@ class _SysData:
         if r:
             raise ValueError("vector not in the weight lattice")
         return tuple(x - p * y for x, y in zip(tvec, a))
-
-    def simple_coefficients(self, tvec):
-        """Integers c with tvec = sum c_i alpha_i (doubled on both sides),
-        or None when tvec is not an integral combination of the simple
-        roots."""
-        det, rows, cols = self.cone_data()
-        coeffs = []
-        for row in rows:
-            c, r = divmod(_dot(row, tvec), det)
-            if r:
-                return None
-            coeffs.append(c)
-        for col, x in zip(cols, tvec):
-            if _dot(coeffs, col) != x:
-                return None
-        return tuple(coeffs)
-
-    def in_root_cone(self, tvec) -> bool:
-        """True iff tvec is a Z>=0 combination of the simple roots."""
-        c = self.simple_coefficients(tvec)
-        return c is not None and min(c, default=0) >= 0
 
     def dominant_twice(self, t):
         """Dominant Weyl representative of a doubled coordinate vector."""
@@ -511,6 +440,28 @@ class _SysData:
             guard -= 1
             if guard < 0:
                 raise AssertionError("reflection descent failed to terminate")
+
+    def orbit(self, dom, max_size: int) -> list:
+        """Weyl orbit of a dominant doubled vector (in the weight lattice),
+        refused once it grows past max_size.
+
+        Walks down from dom, applying s_i only where <u, alpha_i> > 0:
+        each such step lengthens the shortest Weyl element reaching u by
+        one, so the layers are disjoint and each is built once.
+        """
+        out = [dom]
+        layer = {dom}
+        while layer:
+            nxt = set()
+            for u in layer:
+                for i, a in enumerate(self.simple):
+                    if _dot(u, a) > 0:
+                        nxt.add(self.reflect_simple(u, i))
+            out.extend(nxt)
+            if len(out) > max_size:
+                raise ValueError("orbit too large")
+            layer = nxt
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -567,10 +518,16 @@ def highest_root_coefficients(label: str) -> tuple:
     """Expansion of the highest root in the simple roots, as integers in
     the simple-root order of build_root_system."""
     d = _sys(label)
-    coeffs = d.simple_coefficients(highest_root(label).twice())
-    if coeffs is None:
-        raise AssertionError("highest root not an integral combination")
-    return coeffs
+    coeffs = [0] * d.rank
+    t = highest_root(label).twice()
+    # a positive root beta that is not simple pairs positively with some
+    # simple root alpha, and beta - alpha is again a positive root
+    while t not in d.simple:
+        i = next(i for i, a in enumerate(d.simple) if _dot(t, a) > 0)
+        coeffs[i] += 1
+        t = _sub(t, d.simple[i])
+    coeffs[d.simple.index(t)] += 1
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -593,25 +550,13 @@ def is_dominant(w: Weight) -> bool:
 
 
 def weyl_orbit(w: Weight, max_size: int = 100000) -> set:
-    """Full Weyl orbit of w (exceptional systems need lattice weights).
-
-    Exponential in rank; intended as a test oracle for small systems.
-    """
+    """Full Weyl orbit of w (exceptional systems need lattice weights),
+    walked down from its dominant representative."""
     d = _sys(w.system)
-    seen = {w.twice()}
-    frontier = [w.twice()]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for i in range(d.rank):
-                r = d.reflect_simple(t, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        if len(seen) > max_size:
-            raise ValueError("orbit too large")
-        frontier = nxt
-    return {Weight.from_twice(t, w.system) for t in seen}
+    return {
+        Weight.from_twice(t, w.system)
+        for t in d.orbit(d.dominant_twice(w.twice()), max_size)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 
 import quatheta
 from quatheta.charoracle import irrep, weyl_dim
-from quatheta.quaternionic import check_lemma_surjectivity
+from quatheta.quaternionic import QuatModule, check_lemma_surjectivity, ktypes
 from quatheta.branchrules import restrict_e7_to_su2_spin12
 from quatheta.rootdata import HalfInt, highest_root_coefficients
 from quatheta.verify import run_suite
@@ -127,3 +128,16 @@ def test_criterion_10_verify_all_is_deterministic():
     _report(10, "verify --suite all twice produces byte-identical passing "
                 "reports",
             ok, time.perf_counter() - t0)
+
+
+def test_criterion_11_e8_4_ledger():
+    t0 = time.perf_counter()
+    m = QuatModule("E8_4", ((0,) * 8,), 4, "A")
+    ledger = ktypes(m, 2)
+    ok = all(
+        dec.dimension() == comb(k + 55, k) and su0 == 4 + k - 2
+        for k, (su0, dec) in enumerate(ledger)
+    )
+    _report(11, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 2 at the "
+                "default cap, level k of dimension C(k+55, k)",
+            ok, time.perf_counter() - t0, budget=5.0)

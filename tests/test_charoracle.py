@@ -150,6 +150,37 @@ def test_strip_dominant_random_sums():
         assert got.mults == want
 
 
+def _moved_b3_adjoint():
+    # the adjoint of B3 with its weight (-1,-1,0) moved onto (-1,0,-1)
+    acc = dict(char_weights(irrep("B3", (1, 1, 0))).mults)
+    acc[(-2, 0, -2)] += acc.pop((-2, -2, 0))
+    return acc
+
+
+@pytest.mark.parametrize("labels,mults", [
+    # the dominant half of the SU(2) character (1)
+    (("C1",), {(2,): 1}),
+    (("B3",), _moved_b3_adjoint()),
+    # (1) (x) (1) of SU(2) x SU(2) with the second factor's weight -1 dropped
+    (("C1", "C1"), {(2, 2): 1, (-2, 2): 1}),
+], ids=["c1-half-orbit", "b3-moved-weight", "c1xc1-asymmetric-factor"])
+def test_strip_dominant_refuses_non_invariant_input(labels, mults):
+    with pytest.raises(AssertionError):
+        strip_dominant(CharMultiset(labels, mults))
+
+
+@pytest.mark.parametrize("k,dim", [(1, 56), (2, 1463), (3, 24320)])
+def test_e7_cartan_powers(monkeypatch, k, dim):
+    # k times the highest weight of the 56 of E7, at a cap exactly dim
+    monkeypatch.setenv("QUATHETA_DIM_CAP", str(dim))
+    r = irrep("E7", (0, 0, 0, 0, 0, k, h(-k), h(k)))
+    cw = char_weights(r)
+    assert weyl_dim(r) == dim
+    assert cw.mass() == dim
+    if k < 3:
+        assert strip_dominant(cw).mults == {r: 1}
+
+
 def test_tensor_decompose_su2():
     """(1) (x) (1) = (0) + (2) for SU(2): strip the product of two characters."""
     a = char_weights(irrep("C1", (1,)))

@@ -260,6 +260,32 @@ class TestKtypesCommand:
         assert out == ""
         assert "exceeds oracle cap 5" in err
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_env_cap_names_the_setting(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("QUATHETA_DIM_CAP", raw)
+        code, out, err = run(capsys, "ktypes", "--g", "Spin(4,3)", "--wm",
+                             "0;0", "--s", "4", "--kmax", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: QUATHETA_DIM_CAP must be a positive integer, "
+                       f"not {raw!r}\n")
+
+    def test_e8_4_ledger_reaches_level_two(self, capsys):
+        # M = E7 and V_M = 56: level k holds S^k(56), of dimension C(k+55, k)
+        code, out, _ = run(capsys, "ktypes", "--g", "E8_4", "--wm",
+                           "0,0,0,0,0,0,0,0", "--s", "4", "--kmax", "2")
+        assert code == 0
+        ledger = KTypeLedger.from_json(json.loads(out))
+        assert [dec.dimension() for _, dec in ledger] == [1, 56, 1596]
+
+    def test_e8_4_ledger_level_three_hits_the_cap(self, capsys):
+        # S^3(56) holds the 24320-dimensional irrep of E7
+        code, out, err = run(capsys, "ktypes", "--g", "E8_4", "--wm",
+                             "0,0,0,0,0,0,0,0", "--s", "4", "--kmax", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: dim 24320 exceeds oracle cap 20000\n"
+
     def test_cap_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ktypes", "--g", "Spin(4,3)", "--wm", "0;0", "--s", "4",

@@ -73,10 +73,10 @@ def test_minimal_type():
     assert minimal_type(m) == (4, ((0,), (1,)))
 
 
-# V_M of five quaternionic groups, and the vector representation of B3
+# V_M of six quaternionic groups, and the vector representation of B3
 CHAIN_CASES = {
     g: _vm_irrep(quaternionic_structure(g))
-    for g in ("G2_2", "Spin(4,3)", "Spin(4,4)", "F4_4", "E6_4")
+    for g in ("G2_2", "Spin(4,3)", "Spin(4,4)", "F4_4", "E6_4", "E8_4")
 }
 CHAIN_CASES["B3"] = irrep("B3", (1, 0, 0))
 

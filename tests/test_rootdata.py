@@ -2,8 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
+from quatheta.charoracle import _dominant_char
 from quatheta.rootdata import (
     HalfInt,
     Weight,
@@ -184,49 +184,66 @@ ORACLE_SYSTEMS = ("A1", "A2", "A3", "A5", "B1", "B2", "B3", "B4", "C1",
                   "C2", "C3", "D2", "D3", "D4", "G2", "F4")
 
 
-def _in_cone_by_search(d, t):
-    """Brute force: walk down from t by simple roots looking for 0.  Every
-    simple root pairs positively with rho, so a vector of nonpositive
-    rho-pairing other than 0 is no N-combination and the search ends."""
-    zero = (0,) * d.dim
-    seen = set()
-    stack = [tuple(t)]
+def _dominant_by_search(d, thw):
+    """Brute force: walk down from thw by simple roots while the
+    rho-pairing stays >= 0 and collect the dominant vectors.  A dominant
+    mu <= thw has rho-pairing >= 0, and so has every vector met on the
+    way from thw to mu, so the walk reaches all of them."""
+    steps = [(a, sum(x * y for x, y in zip(a, d.rho2))) for a in d.simple]
+    seen = {thw}
+    stack = [(thw, sum(x * y for x, y in zip(thw, d.rho2)))]
     while stack:
-        v = stack.pop()
-        if v == zero:
-            return True
-        if v in seen or sum(x * y for x, y in zip(v, d.rho2)) <= 0:
-            continue
-        seen.add(v)
-        for a in d.simple:
-            stack.append(tuple(x - y for x, y in zip(v, a)))
-    return False
+        v, height = stack.pop()
+        for a, drop in steps:
+            if height >= drop:
+                u = tuple(x - y for x, y in zip(v, a))
+                if u not in seen:
+                    seen.add(u)
+                    stack.append((u, height - drop))
+    return {v for v in seen if d.is_dominant(v)}
 
 
-@st.composite
-def _system_and_vector(draw):
-    """A doubled vector near the root lattice: a small integer combination
-    of simple roots, sometimes moved off the lattice or out of the span."""
-    d = _sys(draw(st.sampled_from(ORACLE_SYSTEMS)))
-    coeffs = draw(st.lists(st.integers(-1, 3), min_size=d.rank,
-                           max_size=d.rank))
-    noise = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -2)),
-                          min_size=d.dim, max_size=d.dim))
-    t = [sum(c * a[k] for c, a in zip(coeffs, d.simple)) + n
-         for k, n in enumerate(noise)]
-    return d, tuple(t)
+def h(p):
+    return HalfInt(p)
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
-@given(_system_and_vector())
-def test_integer_cone_test_matches_search(case):
-    d, t = case
-    assert d.in_root_cone(t) == _in_cone_by_search(d, t)
-    coeffs = d.simple_coefficients(t)
-    if coeffs is not None:
-        recon = [sum(c * a[k] for c, a in zip(coeffs, d.simple))
-                 for k in range(d.dim)]
-        assert tuple(recon) == t
+# two small highest weights for each oracle system, half-integral ones
+# where the lattice allows; the adjoint of E6 and the 56 of E7
+SMALL_WEIGHTS = {
+    "A1": [(1, 0), (3, 0)],
+    "A2": [(2, 1, 0), (h(1), h(1), h(-1))],
+    "A3": [(1, 1, 0, 0), (2, 0, 0, -1)],
+    "A5": [(1, 1, 1, 0, 0, 0), (2, 1, 0, 0, 0, -1)],
+    "B1": [(2,), (h(3),)],
+    "B2": [(1, 1), (h(3), h(1))],
+    "B3": [(1, 1, 0), (h(3), h(1), h(1))],
+    "B4": [(1, 1, 0, 0), (h(1), h(1), h(1), h(1))],
+    "C1": [(1,), (4,)],
+    "C2": [(2, 1), (1, 1)],
+    "C3": [(1, 1, 1), (2, 1, 0)],
+    "D2": [(2, -1), (h(3), h(1))],
+    "D3": [(1, 1, -1), (h(3), h(1), h(-1))],
+    "D4": [(1, 1, 0, 0), (h(3), h(1), h(1), h(-1))],
+    "G2": [(1, 1, -2), (2, 1, -3)],
+    "F4": [(1, 1, 0, 0), (h(3), h(1), h(1), h(1))],
+    "E6": [(h(1), h(1), h(1), h(1), h(1), h(-1), h(-1), h(1))],
+    # the 56; the walk under the adjoint of E7 already meets 346104 vectors
+    "E7": [(0, 0, 0, 0, 0, 1, h(-1), h(1))],
+}
+
+
+@pytest.mark.parametrize("label,hw", [
+    pytest.param(label, hw, id=f"{label}-{i}")
+    for label in ORACLE_SYSTEMS + ("E6", "E7")
+    for i, hw in enumerate(SMALL_WEIGHTS[label])
+])
+def test_dominant_char_matches_search(label, hw):
+    d = _sys(label)
+    thw = Weight(hw, label).twice()
+    assert d.is_dominant(thw) and d.is_integral(thw)
+    got = _dominant_char(label, thw)
+    assert set(got) == _dominant_by_search(d, thw)
+    assert min(got.values()) >= 1
 
 
 def _reflect_rational(t, a):
@@ -266,6 +283,8 @@ def test_weyl_orbit_sizes():
     assert len(weyl_orbit(Weight((1, 0, 0), "B3"))) == 6
     assert len(weyl_orbit(Weight((0, 0, 0), "B3"))) == 1
     assert len(weyl_orbit(Weight((1, 0, -1), "G2"))) == 6
+    with pytest.raises(ValueError, match="orbit too large"):
+        weyl_orbit(Weight((1, 0, 0), "B3"), max_size=5)
 
 
 def test_is_dominant():
