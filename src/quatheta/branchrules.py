@@ -9,7 +9,9 @@ restriction of F4 irreps to Spin(9).
 
 Conventions: SU(2) representations are labeled by their integer highest
 weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
-keys are epsilon-coordinate tuples of HalfInt.
+keys are epsilon-coordinate tuples of HalfInt.  The rules compute on
+doubled integer coordinates: input is parsed once by _twice, and HalfInt
+is built only for the keys they return.
 """
 
 from __future__ import annotations
@@ -17,11 +19,24 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .charoracle import Irrep
 from .rootdata import HalfInt, Weight
 
 
-def _coords(seq) -> tuple:
-    return tuple(map(HalfInt.of, seq))
+def _twice(seq) -> tuple:
+    """Doubled coordinates of a weight given as ints, Fractions, strings
+    or HalfInts."""
+    return tuple(HalfInt.of(c).twice for c in seq)
+
+
+def _keys(tvec) -> tuple:
+    return tuple(map(HalfInt, tvec))
+
+
+def _steps(lo: int, hi: int, parity: int) -> range:
+    """Doubled values in [lo, hi] of the given parity, integer steps.
+    The bounds need not have that parity themselves."""
+    return range(lo + (lo - parity) % 2, hi + 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -65,36 +80,21 @@ class Spin2Module:
     entries: tuple  # sorted tuple of (doubled weight, positive mult)
 
     @staticmethod
-    def from_dict(d: dict) -> "Spin2Module":
-        ent = tuple(sorted(
-            (HalfInt.of(w).twice, m) for w, m in d.items() if m
-        ))
-        if any(m < 0 for _, m in ent):
-            raise ValueError("negative multiplicity")
-        return Spin2Module(ent)
-
-    @staticmethod
-    def single(w) -> "Spin2Module":
-        return Spin2Module.from_dict({HalfInt.of(w): 1})
-
-    @staticmethod
-    def A(a) -> "Spin2Module":
-        """Weights a, a-1, ..., -a (integer steps)."""
-        ta = HalfInt.of(a).twice
+    def A(ta: int) -> "Spin2Module":
+        """Weights a, a-1, ..., -a (integer steps); ta is 2a."""
         if ta < 0:
             raise ValueError("A(a) needs a >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-ta, ta + 1, 2)))
 
     @staticmethod
-    def B(b) -> "Spin2Module":
-        """Weights b, b-2, ..., -b (steps of two)."""
-        tb = HalfInt.of(b).twice
+    def B(tb: int) -> "Spin2Module":
+        """Weights b, b-2, ..., -b (steps of two); tb is 2b."""
         if tb < 0:
             raise ValueError("B(b) needs b >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-tb, tb + 1, 4)))
 
-    def shift(self, c) -> "Spin2Module":
-        tc = HalfInt.of(c).twice
+    def shift(self, tc: int) -> "Spin2Module":
+        """Every weight moved by c; tc is 2c."""
         return Spin2Module(tuple((t + tc, m) for t, m in self.entries))
 
     def negate(self) -> "Spin2Module":
@@ -112,49 +112,18 @@ class Spin2Module:
 # interlacing helpers
 
 
-@dataclass(frozen=True)
-class InterlacingCert:
-    """Witness that mu two-step interlaces lam, with the merged chain."""
-
-    lam: tuple
-    mu: tuple
-    z: tuple  # descending merge of lam and |mu| entries
-
-    @staticmethod
-    def build(lam, mu, use_abs_mu: bool) -> "InterlacingCert | None":
-        lam = _coords(lam)
-        mu = _coords(mu)
-        vals = [abs(y) for y in mu] if use_abs_mu else list(mu)
-        n = len(lam)
-        if len(mu) != n - 1:
-            return None
-        if any(vals[i] < vals[i + 1] for i in range(n - 2)):
-            return None
-        # two-step condition x_i >= y_i >= x_{i+2} (x beyond the end is 0)
-        for i in range(n - 1):
-            upper = lam[i]
-            lower = lam[i + 2] if i + 2 < n else HalfInt(0)
-            if not (upper >= vals[i] >= lower):
-                return None
-        z = sorted(list(lam) + vals, key=lambda v: -v.twice)
-        return InterlacingCert(lam, tuple(mu), tuple(z))
-
-
-def _half_range(lo: HalfInt, hi: HalfInt):
-    """Values lo, lo+1, ..., hi (integer steps on half-integers)."""
-    t = lo.twice
-    while t <= hi.twice:
-        yield HalfInt(t)
-        t += 2
-
-
-def _parity_range(lo: HalfInt, hi: HalfInt, parity: int):
-    """Values in [lo, hi] with the given doubled parity, integer steps.
-    The bounds need not lie in the congruence class themselves."""
-    t = lo.twice + (parity - lo.twice) % 2
-    while t <= hi.twice:
-        yield HalfInt(t)
-        t += 2
+def _two_step(lam: tuple, parity: int):
+    """The mu that two-step interlace lam (x_i >= y_i >= x_{i+2}, x past
+    the end is 0, y descending), each with the descending merge z of lam
+    and mu; doubled coordinates of the given parity."""
+    n = len(lam)
+    ranges = [
+        _steps(lam[i + 2] if i + 2 < n else 0, lam[i], parity)
+        for i in range(n - 1)
+    ]
+    for mu in itertools.product(*ranges):
+        if all(mu[i] >= mu[i + 1] for i in range(n - 2)):
+            yield mu, sorted(lam + mu, reverse=True)
 
 
 def _dominant_tuples(bound: HalfInt, length: int, parity: int, signed_last: bool):
@@ -163,22 +132,16 @@ def _dominant_tuples(bound: HalfInt, length: int, parity: int, signed_last: bool
 
     def rec(prefix, hi):
         if len(prefix) == length:
-            yield tuple(prefix)
+            yield prefix
             return
         last = len(prefix) == length - 1
-        t = hi.twice
-        while t >= parity:
-            prefix.append(HalfInt(t))
-            yield from rec(prefix, HalfInt(t))
-            prefix.pop()
+        for t in range(hi, parity - 1, -2):
+            yield from rec(prefix + (t,), t)
             if last and signed_last and t > 0:
-                prefix.append(HalfInt(-t))
-                yield from rec(prefix, HalfInt(0))
-                prefix.pop()
-            t -= 2
+                yield prefix + (-t,)
 
-    hi0 = HalfInt(bound.twice - (bound.twice - parity) % 2)
-    yield from rec([], hi0)
+    for t in rec((), bound.twice - (bound.twice - parity) % 2):
+        yield _keys(t)
 
 
 # ---------------------------------------------------------------------------
@@ -192,27 +155,26 @@ def branch_sp(lam) -> dict:
     lam; the value is the iterated Clebsch-Gordan product of the
     difference chain of the merged sequence.
     """
-    lam = _coords(lam)
+    lam = _twice(lam)
     n = len(lam)
     if n < 2:
         raise ValueError("need rank >= 2")
-    if any(x.twice % 2 for x in lam) or any(
+    if any(t % 2 for t in lam) or any(
         lam[i] < lam[i + 1] for i in range(n - 1)
     ) or lam[-1] < 0:
         raise ValueError("lam must be a dominant integer Sp(n) weight")
     out = {}
-    for mu in itertools.product(
-        *[list(_half_range(lam[i + 2] if i + 2 < n else HalfInt(0), lam[i]))
-          for i in range(n - 1)]
-    ):
-        cert = InterlacingCert.build(lam, mu, use_abs_mu=False)
-        if cert is None:
-            continue
-        z = cert.z
-        factors = [int(z[2 * i] - z[2 * i + 1]) for i in range(n - 1)]
-        factors.append(int(z[2 * n - 2]))
-        out[cert.mu] = cg_product(factors)
+    for mu, z in _two_step(lam, 0):
+        factors = [(z[2 * i] - z[2 * i + 1]) // 2 for i in range(n - 1)]
+        factors.append(z[2 * n - 2] // 2)
+        out[_keys(mu)] = cg_product(factors)
     return out
+
+
+def _spin_parity(lam: tuple) -> int:
+    if len({t % 2 for t in lam}) > 1:
+        raise ValueError("Spin weight entries must be congruent mod 1")
+    return lam[0] % 2
 
 
 def branch_spin_odd(lam) -> dict:
@@ -221,32 +183,18 @@ def branch_spin_odd(lam) -> dict:
     Returns {mu: Spin2Module}; the module is
     B(z1-z2) x B(z3-z4) x ... x A(z_{2n-1}) for the merged chain z.
     """
-    lam = _coords(lam)
+    lam = _twice(lam)
     n = len(lam)
     if n < 2:
         raise ValueError("need rank >= 2")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 0:
         raise ValueError("lam must be dominant")
-    if len({x.twice % 2 for x in lam}) > 1:
-        raise ValueError("Spin weight entries must be congruent mod 1")
-    parity = lam[0].twice % 2
     out = {}
-    for mu in itertools.product(
-        *[
-            list(_parity_range(
-                lam[i + 2] if i + 2 < n else HalfInt(0), lam[i], parity
-            ))
-            for i in range(n - 1)
-        ]
-    ):
-        cert = InterlacingCert.build(lam, mu, use_abs_mu=False)
-        if cert is None:
-            continue
-        z = cert.z
+    for mu, z in _two_step(lam, _spin_parity(lam)):
         mod = Spin2Module.A(z[2 * n - 2])
         for i in range(n - 1):
             mod = mod * Spin2Module.B(z[2 * i] - z[2 * i + 1])
-        out[cert.mu] = mod
+        out[_keys(mu)] = mod
     return out
 
 
@@ -266,35 +214,29 @@ def branch_spin_even(lam) -> dict:
     conjugations by a disconnected orthogonal-group element normalizing
     the subgroup, so the two rules are forced by each other.
     """
-    lam = _coords(lam)
+    lam = _twice(lam)
     n = len(lam)
     if n < 3:
         raise ValueError("need rank >= 3")
     if any(lam[i] < lam[i + 1] for i in range(n - 2)) or lam[-2] < abs(lam[-1]):
         raise ValueError("lam must be dominant")
-    if len({x.twice % 2 for x in lam}) > 1:
-        raise ValueError("Spin weight entries must be congruent mod 1")
-    if lam[-1] < 0:
-        flipped = lam[:-1] + (-lam[-1],)
-        return {
-            mu: mod.negate() for mu, mod in branch_spin_even(flipped).items()
-        }
-    parity = lam[0].twice % 2
-    out = {}
-    ranges = []
-    for i in range(n - 2):
-        ranges.append(list(_parity_range(
-            lam[i + 2] if i + 2 < n else HalfInt(0), lam[i], parity
-        )))
+    parity = _spin_parity(lam)
+    flip = lam[-1] < 0
+    if flip:
+        lam = lam[:-1] + (-lam[-1],)
+    ranges = [_steps(lam[i + 2], lam[i], parity) for i in range(n - 2)]
     # last coordinate of mu enumerated nonnegative; signs by symmetry
-    ranges.append(list(_parity_range(HalfInt(0), lam[n - 2], parity)))
+    ranges.append(_steps(0, lam[n - 2], parity))
+    out = {}
     for mu in itertools.product(*ranges):
         mod = _even_hom(lam, mu)
         if mod is None:
             continue
-        out[tuple(mu)] = mod
+        out[_keys(mu)] = mod
         if mu[-1] > 0:
-            out[mu[:-1] + (-mu[-1],)] = mod.negate()
+            out[_keys(mu[:-1] + (-mu[-1],))] = mod.negate()
+    if flip:
+        return {mu: mod.negate() for mu, mod in out.items()}
     return out
 
 
@@ -309,68 +251,55 @@ def _even_hom(lam, mu):
             lo = max(abs(lam[n - 1]), abs(mu[n - 2]))
         if lo > hi:
             return None
-        lo_sum += lo.twice
-        hi_sum += hi.twice
+        lo_sum += lo
+        hi_sum += hi
         diffs.append(hi - lo)
-    center = HalfInt(
-        sum(x.twice for x in lam) + sum(y.twice for y in mu) - lo_sum - hi_sum
-    )
-    mod = Spin2Module.single(0)
+    mod = Spin2Module(((0, 1),))
     for d in diffs:
         mod = mod * Spin2Module.B(d)
-    return mod.shift(center)
+    return mod.shift(sum(lam) + sum(mu) - lo_sum - hi_sum)
 
 
 # ---------------------------------------------------------------------------
 # Gelfand-Zetlin chains
 
 
-def _interlace_down(m: int, lam):
-    """One-step branching Spin(m) -> Spin(m-1): yields the next weights."""
-    lam = _coords(lam)
+def _interlace_down(m: int, lam: tuple):
+    """One-step branching Spin(m) -> Spin(m-1) on doubled coordinates:
+    yields the next weights."""
+    r = len(lam)
+    parity = lam[0] % 2
     if m % 2 == 0:
         # so(2r) -> so(2r-1): drop to r-1 coords, last bound |x_r|
-        r = len(lam)
         ranges = [
-            _half_range(lam[i + 1] if i + 1 < r - 1 else abs(lam[r - 1]), lam[i])
+            _steps(lam[i + 1] if i + 1 < r - 1 else abs(lam[r - 1]), lam[i],
+                   parity)
             for i in range(r - 1)
         ]
-        parity = lam[0].twice % 2
-        for nu in itertools.product(*[list(g) for g in ranges]):
-            if all(v.twice % 2 == parity for v in nu):
-                yield tuple(nu)
     else:
         # so(2r+1) -> so(2r): same length, signed last coordinate
-        r = len(lam)
-        parity = lam[0].twice % 2
-        heads = [
-            [v for v in _half_range(lam[i + 1], lam[i]) if v.twice % 2 == parity]
-            for i in range(r - 1)
-        ]
-        tails = [
-            v for v in _half_range(-lam[r - 1], lam[r - 1])
-            if v.twice % 2 == parity
-        ]
-        for nu in itertools.product(*(heads + [tails])):
-            yield tuple(nu)
+        ranges = [_steps(lam[i + 1], lam[i], parity) for i in range(r - 1)]
+        ranges.append(_steps(-lam[r - 1], lam[r - 1], parity))
+    return itertools.product(*ranges)
 
 
 def gz_chain(m: int, lam, target_m: int) -> dict:
     """Multiplicities of Spin(target_m) irreps in a Spin(m) irrep,
     counted as Gelfand-Zetlin interlacing chains."""
-    lam = _coords(lam)
+    lam = _twice(lam)
     if len(lam) != m // 2:
         raise ValueError(f"Spin({m}) weights have {m // 2} coordinates")
     if not (3 <= target_m <= m):
         raise ValueError("target out of range")
-    level = {tuple(lam): 1}
+    _spin_parity(lam)
+    level = {lam: 1}
     for k in range(m, target_m, -1):
         nxt = {}
         for nu, c in level.items():
             for down in _interlace_down(k, nu):
                 nxt[down] = nxt.get(down, 0) + c
         level = nxt
-    return level
+    return {_keys(nu): c for nu, c in level.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +314,13 @@ def restrict_e7_to_su2_spin12(k) -> list:
     if k < 0:
         raise ValueError("need k >= 0")
     out = []
-    for tx in range(2 * k, k - 1, -1):  # doubled x in [k, 2k] covers x >= y
+    for tx in range(2 * k, k - 1, -1):  # doubled x in [k, 2k] is x >= y
         ty = 2 * k - tx
-        if tx < ty:
-            continue
-        x, y = HalfInt(tx), HalfInt(ty)
-        tz = ty % 2
-        while tz <= ty:
-            z = HalfInt(tz)
+        for tz in range(ty % 2, ty + 1, 2):
             out.append((
-                int(x - y),
-                Weight((x, y, z, z, z, z), "D6"),
+                (tx - ty) // 2,
+                Weight.from_twice((tx, ty, tz, tz, tz, tz), "D6"),
             ))
-            tz += 2
     return sorted(out, key=lambda p: (p[0], p[1].twice()))
 
 
@@ -405,37 +328,34 @@ def restrict_e7_to_su2_spin12(k) -> list:
 # F4 to Spin(9)
 
 
+def _check_ab(a: int, b: int) -> None:
+    if not (a >= b >= 0):
+        raise ValueError("need a >= b >= 0")
+
+
+def _f4_mult(a: int, b: int, w: tuple) -> int:
+    """f4_to_spin9 on a dominant Spin(9) weight in doubled coordinates."""
+    s12 = w[0] + w[1]
+    if s12 > 2 * (a + b):
+        return 0
+    return cg_mult([a + b - s12 // 2, (w[0] - w[1]) // 2, w[3]], a - b)
+
+
 def f4_to_spin9(a: int, b: int, w) -> int:
     """Multiplicity of the Spin(9) irrep (w) in the F4 irrep with
     highest weight (a-b) w4 + b w3, for integers a >= b >= 0."""
-    if not (a >= b >= 0):
-        raise ValueError("need a >= b >= 0")
-    w = _coords(w)
-    if len(w) != 4:
-        raise ValueError("Spin(9) weights have 4 coordinates")
-    if any(w[i] < w[i + 1] for i in range(3)) or w[3] < 0:
-        raise ValueError("w must be dominant")
-    if len({x.twice % 2 for x in w}) > 1:
-        raise ValueError("w entries must be congruent mod 1")
-    s12 = w[0] + w[1]
-    if s12 > a + b:
-        return 0
-    f1 = int(HalfInt.of(a + b) - s12)
-    f2 = int(w[0] - w[1])
-    f3 = int(w[3] * 2)
-    return cg_mult([f1, f2, f3], a - b)
+    _check_ab(a, b)
+    return _f4_mult(a, b, Irrep("B4", tuple(w)).hw.twice())
 
 
 def f4_to_spin9_table(a: int, b: int) -> dict:
     """All Spin(9) constituents {w: mult} of the F4 irrep for (a, b),
     enumerating dominant w with w1 <= a+b in both congruence classes."""
-    if not (a >= b >= 0):
-        raise ValueError("need a >= b >= 0")
+    _check_ab(a, b)
     out = {}
-    bound = HalfInt.of(a + b)
     for parity in (0, 1):
-        for w in _dominant_tuples(bound, 4, parity, signed_last=False):
-            m = f4_to_spin9(a, b, w)
+        for w in _dominant_tuples(HalfInt(2 * (a + b)), 4, parity, False):
+            m = _f4_mult(a, b, tuple(c.twice for c in w))
             if m:
                 out[w] = m
     return out

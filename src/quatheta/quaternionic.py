@@ -30,6 +30,7 @@ from .charoracle import (
     CharMultiset,
     Irrep,
     IsoDecomp,
+    _check_cap,
     char_weights,
     strip_dominant,
 )
@@ -208,12 +209,32 @@ class KTypeLedger:
         return KTypeLedger(mod, tuple(levels))
 
 
+def _cartan_component(vm: Irrep, w: Irrep, k: int) -> Irrep:
+    """The irreducible of highest weight k vm + w: it occurs once in
+    S^k(V_M) (x) W."""
+    hws = tuple(
+        Weight.from_twice(
+            tuple(k * a + b for a, b in zip(v.twice(), x.twice())), v.system
+        )
+        for v, x in zip(vm.hws, w.hws)
+    )
+    return Irrep(vm.group, hws if len(hws) > 1 else hws[0])
+
+
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:
-    """K-type ledger of A(G, W[s]) up to level kmax."""
+    """K-type ledger of A(G, W[s]) up to level kmax.
+
+    Each level's Cartan component is checked against dim_cap() before
+    the chain is built; stripping would refuse it anyway, after the
+    whole chain had been computed.
+    """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
-    base = char_weights(_vm_irrep(m.structure()))
-    chain = _sym_char_chain(base, kmax, seed=char_weights(m.m_irrep()))
+    vm, w = _vm_irrep(m.structure()), m.m_irrep()
+    base, seed = char_weights(vm), char_weights(w)
+    for k in range(1, kmax + 1):
+        _check_cap(_cartan_component(vm, w, k))
+    chain = _sym_char_chain(base, kmax, seed=seed)
     return KTypeLedger(m, tuple(
         (m.s + k - 2, strip_dominant(tau)) for k, tau in enumerate(chain)
     ))

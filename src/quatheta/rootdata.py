@@ -108,6 +108,10 @@ class HalfInt:
     __rmul__ = __mul__
 
     def _cmp_twice(self, other) -> int:
+        # only the numeric types the hash agrees with: a string equal to
+        # a HalfInt would have to hash like it too
+        if not isinstance(other, (HalfInt, int, Fraction)):
+            raise TypeError(f"cannot compare a half-integer with {other!r}")
         return HalfInt.of(other).twice
 
     def __eq__(self, other):
@@ -130,7 +134,8 @@ class HalfInt:
 
     def __hash__(self):
         # agree with int/Fraction hashing so mixed-type dict keys work
-        return hash(self.as_fraction())
+        q, r = divmod(self.twice, 2)
+        return hash(self.as_fraction()) if r else hash(q)
 
     def __str__(self):
         if self.twice % 2 == 0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rootdata import HalfInt, Weight, build_root_system, dominant_representative
+from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
 
@@ -242,14 +243,10 @@ def theta_e7(a: int, b: int, c: int) -> ThetaLift:
 def theta_e8_spin8(a, b, c, d) -> ThetaLift:
     """Lift of the Spin(8) type (a, b, c, d) to Spin(4,4):
     (b-c+1) copies of A(Spin(4,4), (a-b, c+d, c-d)[10+a+b])."""
-    a, b, c, d = map(HalfInt.of, (a, b, c, d))
-    if not (a >= b >= c >= abs(d)):
-        raise ValueError("weight must be dominant for Spin(8)")
-    if len({x.twice % 2 for x in (a, b, c, d)}) > 1:
-        raise ValueError("weight entries must be congruent mod 1")
-    wm = (int(a - b), int(c + d), int(c - d))
-    mult = int(b - c) + 1
-    s = 10 + int(a + b)
+    a, b, c, d = Irrep("D4", (a, b, c, d)).hw.twice()
+    wm = ((a - b) // 2, (c + d) // 2, (c - d) // 2)
+    mult = (b - c) // 2 + 1
+    s = 10 + (a + b) // 2
     return ThetaLift(((_full("Spin(4,4)", wm, s), mult),))
 
 
@@ -257,16 +254,10 @@ def theta_e8_spin9(a, b, c, d) -> ThetaLift:
     """Lift of the Spin(9) type (a, b, c, d) to Spin(4,3):
     A(Spin(4,3), (a-b, 2d)[10+a+b]), independently of c, with
     infinitesimal character (a+7/2, b+5/2, d+1/2)."""
-    a, b, c, d = map(HalfInt.of, (a, b, c, d))
-    if not (a >= b >= c >= d >= 0):
-        raise ValueError("weight must be dominant for Spin(9)")
-    if len({x.twice % 2 for x in (a, b, c, d)}) > 1:
-        raise ValueError("weight entries must be congruent mod 1")
-    wm = (int(a - b), int(2 * d))
-    s = 10 + int(a + b)
-    stated = Weight.from_twice(
-        (a.twice + 7, b.twice + 5, d.twice + 1), "B3"
-    )
+    a, b, c, d = Irrep("B4", (a, b, c, d)).hw.twice()
+    wm = ((a - b) // 2, d)
+    s = 10 + (a + b) // 2
+    stated = Weight.from_twice((a + 7, b + 5, d + 1), "B3")
     return ThetaLift(
         ((_full("Spin(4,3)", wm, s), 1),), stated_inf_char=stated
     )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quatheta.branchrules import (
@@ -238,6 +240,30 @@ class TestF4ToSpin9:
             assert f4_to_spin9(2, 1, w) == m
         assert f4_to_spin9(2, 1, (9, 9, 9, 9)) == 0
 
+    @pytest.mark.parametrize("a", range(5))
+    def test_table_equals_scalar_rule(self, a):
+        # the scalar rule is evaluated one step past the table's bound,
+        # so a constituent the table's enumeration missed would show
+        for b in range(a + 1):
+            want = {}
+            for parity in (0, 1):
+                for w in _dominant_tuples(h(2 * (a + b) + 2), 4, parity,
+                                          False):
+                    m = f4_to_spin9(a, b, w)
+                    if m:
+                        want[w] = m
+            assert f4_to_spin9_table(a, b) == want, (a, b)
+
+    @pytest.mark.parametrize("w", [
+        (1, 2, 0, 0),           # not descending
+        (1, 1, 1, -1),          # negative last entry
+        (1, h(1), 0, 0),        # entries not congruent mod 1
+        (1, 0, 0),              # wrong length
+    ])
+    def test_scalar_refuses_weights_outside_the_dominant_lattice(self, w):
+        with pytest.raises(ValueError):
+            f4_to_spin9(2, 1, w)
+
 
 class TestE7Family:
     def test_k1_golden(self):
@@ -271,3 +297,54 @@ def test_spin2_module_entries_are_sorted_pairs():
     assert isinstance(mod, Spin2Module)
     ts = [t for t, _ in mod.entries]
     assert ts == sorted(ts)
+
+
+# every coordinate form the rules accept, as functions of the doubled
+# value; int only where the value is an integer
+_FORMS = {
+    "int": lambda t: t // 2,
+    "Fraction": lambda t: Fraction(t, 2),
+    "str": lambda t: str(HalfInt(t)),
+    "HalfInt": HalfInt,
+}
+
+
+@pytest.mark.parametrize("rule, twice", [
+    (branch_sp, (4, 2)),
+    (branch_sp, (4, 2, 2)),
+    (branch_spin_odd, (4, 2)),
+    (branch_spin_odd, (5, 3, 1)),
+    (branch_spin_even, (4, 2, -2)),
+    (branch_spin_even, (3, 1, -1)),
+    (lambda lam: gz_chain(7, lam, 3), (4, 2, 0)),
+    (lambda lam: gz_chain(8, lam, 4), (3, 3, 1, -1)),
+    (lambda w: f4_to_spin9(2, 1, w), (4, 2, 2, 0)),
+    (lambda w: f4_to_spin9(2, 1, w), (3, 1, 1, 1)),
+])
+def test_coordinate_forms_give_the_same_table(rule, twice):
+    ref = rule(tuple(map(HalfInt, twice)))
+    assert ref
+    forms = _FORMS if all(t % 2 == 0 for t in twice) else (
+        {k: f for k, f in _FORMS.items() if k != "int"}
+    )
+    for name, form in forms.items():
+        got = rule(tuple(map(form, twice)))
+        assert got == ref, name
+        if isinstance(got, dict):
+            assert all(isinstance(c, HalfInt) for mu in got for c in mu)
+
+
+@pytest.mark.parametrize("rule, lam", [
+    (branch_spin_odd, (1, 2)),              # not descending
+    (branch_spin_odd, (1, -1)),             # negative last entry
+    (branch_spin_odd, (1, h(1))),           # not congruent mod 1
+    (branch_spin_even, (1, 2, 0)),          # not descending
+    (branch_spin_even, (1, 0, 1)),          # |x_n| > x_{n-1}
+    (branch_spin_even, (1, 1, h(1))),       # not congruent mod 1
+    (branch_sp, (1, 2)),                    # not descending
+    (branch_sp, (h(1), h(1))),              # not integral
+    (lambda lam: gz_chain(5, lam, 3), (1, h(1))),  # not congruent mod 1
+])
+def test_rules_refuse_weights_outside_the_dominant_lattice(rule, lam):
+    with pytest.raises(ValueError):
+        rule(lam)

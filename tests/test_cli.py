@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quatheta
+from quatheta import quaternionic
 from quatheta.aqmodules import AqData
 from quatheta.cli import emit_svg, main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
@@ -286,6 +292,19 @@ class TestKtypesCommand:
         assert out == ""
         assert err == "error: dim 24320 exceeds oracle cap 20000\n"
 
+    def test_cap_is_checked_before_the_chain(self, capsys, monkeypatch):
+        # level 3's Cartan component is refused before any symmetric
+        # power is built
+        def no_chain(*args, **kwargs):
+            raise AssertionError("chain built before the cap check")
+
+        monkeypatch.setattr(quaternionic, "_sym_char_chain", no_chain)
+        code, out, err = run(capsys, "ktypes", "--g", "E8_4", "--wm",
+                             "0,0,0,0,0,0,0,0", "--s", "4", "--kmax", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: dim 24320 exceeds oracle cap 20000\n"
+
     def test_cap_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["ktypes", "--g", "Spin(4,3)", "--wm", "0;0", "--s", "4",
@@ -386,3 +405,108 @@ class TestVerifyCounts:
         lines = out.splitlines()
         assert [line[:4] for line in lines] == ["PASS"] * 4 + ["FAIL"]
         assert "cyclic torus lifts" in lines[-1]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed argv: the exit-code contract holds for any command line
+
+_NUM = st.sampled_from(
+    ["0", "0", "0", "1", "1", "2", "3", "-1", "1/2", "3/2", "5/2", "-1/2"]
+)
+_JUNK = st.sampled_from(["x", "", " ", "1/3", "1/0", "1.5", "+", "1,,2"])
+_MOSTLY = st.sampled_from([True] * 7 + [False])
+
+
+def _csv(n: int):
+    return st.lists(_NUM, min_size=n, max_size=n).map(",".join)
+
+
+def _ints(n: int, lo: int, hi: int):
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n).map(
+        lambda xs: ",".join(map(str, xs))
+    )
+
+
+def _int(lo: int, hi: int):
+    return st.sampled_from([str(i) for i in range(hi, lo - 1, -1)])
+
+
+# M-type shape per group: coordinates per factor
+_WM_SHAPES = {
+    "Spin(4,3)": (1, 1), "Spin(4,4)": (1, 1, 1), "G2_2": (1,),
+    "F4_4": (3,), "E6_4": (6,), "E7_4": (6,), "E8_4": (8,),
+}
+_THETA_SOURCES = {
+    "--torus": _ints(3, -3, 3), "--u2": _ints(2, -3, 3),
+    "--type": _ints(3, -1, 4), "--spin8": _csv(4), "--spin9": _csv(4),
+    "--su2": _int(-1, 6),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command line of one of the fuzzed subcommands: mostly well-formed
+    flags with values near the valid range, sometimes a flag left out,
+    a junk value or an extra theta source.  Ledgers stay at kmax <= 2."""
+    sub = draw(st.sampled_from(["aq", "branch", "infchar", "ktypes", "theta"]))
+    if sub == "branch":
+        opts = {
+            "--rule": st.sampled_from(
+                ["sp", "spin-odd", "spin-even", "f4-spin9", "e7-su2spin12"]
+            ),
+            "--lam": st.integers(1, 4).flatmap(_csv),
+            "--ab": _ints(2, -1, 4), "--k": _int(-1, 5), "--json": None,
+        }
+    elif sub == "theta":
+        sources = draw(st.lists(
+            st.sampled_from(sorted(_THETA_SOURCES)), min_size=1, max_size=2
+        ))
+        opts = {
+            "--ambient": st.sampled_from(["E6", "E7", "E8", "F4"]),
+            **{f: _THETA_SOURCES[f] for f in sources},
+            "--sign": st.sampled_from(["+", "-"]),
+        }
+    elif sub == "aq":
+        opts = {
+            "--group": st.sampled_from(["g2", "pu21"]),
+            "--case": st.sampled_from([
+                "I", "II", "III", "Ia.1", "Ia.2", "Ia.3", "Ib", "IIa.1",
+                "IIa.2", "IIa.3", "IIb",
+            ]),
+            "--lambda": _ints(3, -4, 4),
+        }
+    else:
+        g = draw(st.sampled_from(sorted(_WM_SHAPES)))
+        opts = {
+            "--g": st.just(g),
+            "--wm": st.tuples(*map(_csv, _WM_SHAPES[g])).map(";".join),
+            "--s": _int(1, 8), "--sigma": None,
+        }
+        if sub == "ktypes":
+            opts["--kmax"] = _int(-1, 2)
+    argv = [sub]
+    for flag, values in opts.items():
+        if values is None or flag == "--sign":  # optional flags
+            if draw(st.booleans()):
+                argv.append(flag if values is None else
+                            f"{flag}={draw(values)}")
+            continue
+        if not draw(_MOSTLY):
+            continue
+        junk = flag != "--kmax" and not draw(_MOSTLY)
+        argv.append(f"{flag}={draw(_JUNK if junk else values)}")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"QUATHETA_DIM_CAP": "2000"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 64), argv
+    assert "Traceback" not in err.getvalue()

@@ -64,6 +64,21 @@ class TestHalfInt:
         assert hash(HalfInt(3)) == hash(Fraction(3, 2))
         assert len({half(2), 2, Fraction(2)}) == 1
 
+    def test_equality_agrees_with_hash(self):
+        # strings are read by of/parse, not by comparisons: a HalfInt
+        # equal to "1/2" would have to hash like it
+        assert HalfInt(1) != "1/2"
+        assert HalfInt(1) not in {"1/2"}
+        assert "4" != HalfInt(8)
+        for other in (Fraction(1, 2), Fraction(2), 2, HalfInt(1), HalfInt(4)):
+            for x in (HalfInt(1), HalfInt(4)):
+                if x == other:
+                    assert hash(x) == hash(other)
+                    assert other in {x} and x in {other}
+        assert HalfInt.of("1/2") == HalfInt.parse("1/2") == HalfInt(1)
+        with pytest.raises(TypeError):
+            HalfInt(1) < "1"
+
     def test_is_integer(self):
         assert half(2).is_integer()
         assert not HalfInt(3).is_integer()

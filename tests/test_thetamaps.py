@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quatheta.quaternionic import QuatModule
@@ -143,6 +145,30 @@ class TestE8:
         mod, _ = _single(lift)
         assert mod.wm == ((1,), (1,))
         assert mod.s == 12
+
+    @pytest.mark.parametrize("rule, w", [
+        (theta_e8_spin8, (1, 2, 1, 0)),         # not descending
+        (theta_e8_spin8, (1, 1, 0, 1)),         # |d| > c
+        (theta_e8_spin8, (2, h(1), 0, 0)),      # not congruent mod 1
+        (theta_e8_spin9, (1, 2, 1, 0)),         # not descending
+        (theta_e8_spin9, (2, 1, 1, -1)),        # d < 0
+        (theta_e8_spin9, (h(3), h(1), h(1), 0)),  # not congruent mod 1
+    ])
+    def test_refuses_weights_outside_the_dominant_lattice(self, rule, w):
+        with pytest.raises(ValueError):
+            rule(*w)
+
+    @pytest.mark.parametrize("rule", [theta_e8_spin8, theta_e8_spin9])
+    def test_coordinate_forms_agree(self, rule):
+        for w in ((3, 2, 1, 1), (h(5), h(3), h(1), h(1))):
+            ref = rule(*w).to_json()
+            twice = [HalfInt.of(c).twice for c in w]
+            for form in (
+                lambda t: Fraction(t, 2),
+                lambda t: str(HalfInt(t)),
+                HalfInt,
+            ):
+                assert rule(*map(form, twice)).to_json() == ref
 
 
 class TestF4:
