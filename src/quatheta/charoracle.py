@@ -7,10 +7,12 @@ Freudenthal's recursion.  Full weight multisets are the Weyl orbits of
 those weights; they are built only where an operation is not
 Weyl-invariant (the pushforward of a restriction, the symmetric-power
 chain).  Decompositions are recovered by repeatedly stripping the
-dominant character of the top remaining dominant weight.  Every path is
-integer-only: doubled coordinates throughout, with no Fraction
-intermediates.  Every root system, the E series included, is in scope;
-QUATHETA_DIM_CAP bounds the dimension of each irreducible computed.
+dominant character of the top remaining dominant weight; an IsoDecomp
+keeps each highest weight as a doubled tuple and builds Irreps only when
+a caller reads .mults or .items().  Every path is integer-only: doubled
+coordinates throughout, with no Fraction intermediates.  Every root
+system, the E series included, is in scope; QUATHETA_DIM_CAP bounds the
+dimension of each irreducible computed.
 
 Irreps of product groups are supported throughout: the group is a tuple
 of labels and the highest weight a matching tuple of Weights.  A weight
@@ -24,7 +26,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootdata import Weight, _add, _dot, _sub, _sys
+from .rootdata import Weight, _add, _dot, _sub, _sys, _twice_json
 
 DEFAULT_DIM_CAP = 20000
 
@@ -110,11 +112,6 @@ class Irrep:
             out.extend(w.twice())
         return tuple(out)
 
-    def hw_json(self):
-        if isinstance(self.group, str):
-            return self.hws[0].to_json()
-        return [w.to_json() for w in self.hws]
-
     def __repr__(self):
         parts = [f"({', '.join(str(c) for c in w.coords)})" for w in self.hws]
         return f"Irrep[{'x'.join(self.labels)}]{' x '.join(parts)}"
@@ -145,23 +142,79 @@ class CharMultiset:
         return sum(self.mults.values())
 
 
-@dataclass(frozen=True)
 class IsoDecomp:
-    """Multiplicities of irreducibles in a completely reducible module."""
+    """Multiplicities of irreducibles in a completely reducible module.
 
-    mults: dict  # Irrep -> positive int
+    Held as the factor labels and {concatenated doubled highest weight:
+    mult}; .mults and .items() build the Irreps each time they are read.
+    """
 
-    def dimension(self) -> int:
-        return sum(m * weyl_dim(r) for r, m in self.mults.items())
+    __slots__ = ("labels", "twice_mults")
+
+    def __init__(self, mults: dict):
+        """From an {Irrep: mult} dict whose irreps share one group."""
+        groups = {r.labels for r in mults}
+        if len(groups) > 1:
+            raise ValueError("the irreps of a decomposition need one group")
+        self.labels = groups.pop() if groups else ()
+        self.twice_mults = {r.twice_concat(): m for r, m in mults.items()}
+
+    @classmethod
+    def _of_twice(cls, labels: tuple, twice_mults: dict) -> IsoDecomp:
+        dec = cls.__new__(cls)
+        dec.labels, dec.twice_mults = labels, twice_mults
+        return dec
+
+    @property
+    def mults(self) -> dict:
+        spans = _spans(self.labels)
+        return {_irrep_twice(spans, t): m for t, m in self.twice_mults.items()}
 
     def items(self):
-        return sorted(self.mults.items(), key=lambda kv: kv[0].twice_concat())
+        spans = _spans(self.labels)
+        return [(_irrep_twice(spans, t), m)
+                for t, m in sorted(self.twice_mults.items())]
+
+    def dimension(self) -> int:
+        spans = _spans(self.labels)
+        return sum(m * _dim_twice(spans, t) for t, m in self.twice_mults.items())
 
     def to_json(self):
-        return [
-            {"hw": r.hw_json(), "mult": m}
-            for r, m in self.items()
-        ]
+        spans = _spans(self.labels)
+        out = []
+        for t, m in sorted(self.twice_mults.items()):
+            hw = [_twice_json(t[a:b]) for _, a, b in spans]
+            out.append({"hw": hw[0] if len(hw) == 1 else hw, "mult": m})
+        return out
+
+    def __eq__(self, other):
+        if not isinstance(other, IsoDecomp):
+            return NotImplemented
+        return self.twice_mults == other.twice_mults and (
+            self.labels == other.labels or not self.twice_mults
+        )
+
+    def __repr__(self):
+        return f"IsoDecomp({self.mults!r})"
+
+
+def _spans(labels: tuple) -> tuple:
+    """(label, start, stop) of each factor's slice of a concatenated
+    doubled weight."""
+    out, i = [], 0
+    for lab in labels:
+        n = _sys(lab).dim
+        out.append((lab, i, i + n))
+        i += n
+    return tuple(out)
+
+
+def _irrep_twice(spans: tuple, t: tuple) -> Irrep:
+    """The (validated) Irrep of a concatenated doubled highest weight."""
+    hws = tuple(Weight.from_twice(t[a:b], lab) for lab, a, b in spans)
+    if len(hws) == 1:
+        return Irrep(spans[0][0], hws[0])
+    return Irrep(tuple(lab for lab, _, _ in spans), hws)
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +237,15 @@ def _dim_single(label: str, thw: tuple) -> int:
     return q
 
 
-def weyl_dim(r: Irrep) -> int:
+def _dim_twice(spans: tuple, t: tuple) -> int:
     n = 1
-    for lab, w in zip(r.labels, r.hws):
-        n *= _dim_single(lab, w.twice())
+    for lab, a, b in spans:
+        n *= _dim_single(lab, t[a:b])
     return n
+
+
+def weyl_dim(r: Irrep) -> int:
+    return _dim_twice(_spans(r.labels), r.twice_concat())
 
 
 # ---------------------------------------------------------------------------
@@ -280,27 +337,6 @@ def char_weights(r: Irrep) -> CharMultiset:
 # dominant stripping
 
 
-def _strip_key(labels):
-    systems = [_sys(lab) for lab in labels]
-    dims = [d.dim for d in systems]
-
-    def height(t):
-        h, i = 0, 0
-        for d, nd in zip(systems, dims):
-            h += _dot(t[i:i + nd], d.rho2)
-            i += nd
-        return h
-
-    def representative(t):
-        u, i = (), 0
-        for d, nd in zip(systems, dims):
-            u += d.dominant_twice(t[i:i + nd])
-            i += nd
-        return u
-
-    return height, representative
-
-
 def strip_dominant(c: CharMultiset) -> IsoDecomp:
     """Decompose a genuine character into irreducibles.
 
@@ -310,13 +346,30 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
     (lexicographic tiebreak).  Input that is not a character raises:
     a key whose multiplicity differs from its dominant representative's,
     a negative residual multiplicity, or a mass that the stripped
-    irreducibles do not account for (an incomplete orbit).
+    irreducibles do not account for (an incomplete orbit).  A top off
+    the weight lattice raises Irrep's error; one above dim_cap() raises
+    OracleCapError.
 
     Stripping only removes keys (a key it would add goes negative and
     raises), so the dominant keys are found and ordered once; each step
-    takes the first of them still present.
+    takes the first of them still present.  Tops stay doubled tuples;
+    no Irrep is built.
     """
-    height, representative = _strip_key(c.labels)
+    spans = _spans(c.labels)
+    systems = [_sys(lab) for lab in c.labels]
+    rho2 = sum((d.rho2 for d in systems), ())
+    reps = [{} for _ in spans]  # per factor: slice -> dominant slice
+
+    def representative(t):
+        u = ()
+        for (_, a, b), d, seen in zip(spans, systems, reps):
+            s = t[a:b]
+            r = seen.get(s)
+            if r is None:
+                r = seen[s] = d.dominant_twice(s)
+            u += r
+        return u
+
     rem = {}
     moved = []
     for t, m in c.mults.items():
@@ -328,29 +381,25 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                 moved.append((u, m))
     if any(rem.get(u) != m for u, m in moved):
         raise AssertionError("character is not Weyl-invariant")
-    tops = sorted(rem, key=lambda t: (height(t), t), reverse=True)
+    tops = sorted(rem, key=lambda t: (_dot(t, rho2), t), reverse=True)
+    cap = dim_cap()
     out = {}
+    total = 0
     for top in tops:
         m = rem.get(top)
         if m is None:
             continue
         if m < 0:
             raise AssertionError("negative multiplicity while stripping")
-        i = 0
-        hws = []
-        for lab in c.labels:
-            nd = _sys(lab).dim
-            hws.append(Weight.from_twice(top[i:i + nd], lab))
-            i += nd
-        r = Irrep(
-            c.labels if len(c.labels) > 1 else c.labels[0],
-            tuple(hws) if len(hws) > 1 else hws[0],
-        )
-        _check_cap(r)
-        out[r] = out.get(r, 0) + m
-        dom = _product(
-            _dominant_char(lab, w.twice()) for lab, w in zip(r.labels, r.hws)
-        )
+        if not all(d.is_integral(top[a:b])
+                   for (_, a, b), d in zip(spans, systems)):
+            _irrep_twice(spans, top)  # raises Irrep's lattice error
+        dim = _dim_twice(spans, top)
+        if dim > cap:
+            raise OracleCapError(f"dim {dim} exceeds oracle cap {cap}")
+        out[top] = m
+        total += m * dim
+        dom = _product(_dominant_char(lab, top[a:b]) for lab, a, b in spans)
         for t, fm in dom.items():
             nm = rem.get(t, 0) - m * fm
             if nm < 0:
@@ -359,10 +408,9 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                 rem[t] = nm
             else:
                 rem.pop(t, None)
-    dec = IsoDecomp(out)
-    if dec.dimension() != sum(c.mults.values()):
+    if total != sum(c.mults.values()):
         raise AssertionError("stripping left a residue with no dominant key")
-    return dec
+    return IsoDecomp._of_twice(c.labels, out)
 
 
 # ---------------------------------------------------------------------------

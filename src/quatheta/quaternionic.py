@@ -31,6 +31,8 @@ from .charoracle import (
     Irrep,
     IsoDecomp,
     _check_cap,
+    _irrep_twice,
+    _spans,
     char_weights,
     strip_dominant,
 )
@@ -212,13 +214,8 @@ class KTypeLedger:
 def _cartan_component(vm: Irrep, w: Irrep, k: int) -> Irrep:
     """The irreducible of highest weight k vm + w: it occurs once in
     S^k(V_M) (x) W."""
-    hws = tuple(
-        Weight.from_twice(
-            tuple(k * a + b for a, b in zip(v.twice(), x.twice())), v.system
-        )
-        for v, x in zip(vm.hws, w.hws)
-    )
-    return Irrep(vm.group, hws if len(hws) > 1 else hws[0])
+    t = tuple(k * a + b for a, b in zip(vm.twice_concat(), w.twice_concat()))
+    return _irrep_twice(_spans(vm.labels), t)
 
 
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:

@@ -150,6 +150,11 @@ def half(x) -> HalfInt:
     return HalfInt.of(x)
 
 
+def _twice_json(tvec) -> list:
+    """JSON coordinates of a doubled vector: ints, or "n/2" strings."""
+    return [t // 2 if t % 2 == 0 else f"{t}/2" for t in tvec]
+
+
 # ---------------------------------------------------------------------------
 # weights
 
@@ -174,10 +179,7 @@ class Weight:
         return Weight(tuple(HalfInt(t) for t in tvec), system)
 
     def to_json(self) -> list:
-        out = []
-        for c in self.coords:
-            out.append(c.twice // 2 if c.twice % 2 == 0 else str(c))
-        return out
+        return _twice_json(self.twice())
 
     @staticmethod
     def from_json(data, system: str) -> "Weight":

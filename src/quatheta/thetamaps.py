@@ -391,8 +391,7 @@ def _ktype_multiset(module: QuatModule, nmax: int, acc: dict, mult: int = 1):
     ledger = ktypes(module, kmax)
     for su0, dec in ledger:
         bucket = acc.setdefault(su0, {})
-        for r, m in dec.items():
-            key = r.twice_concat()
+        for key, m in dec.twice_mults.items():
             bucket[key] = bucket.get(key, 0) + m * mult
 
 

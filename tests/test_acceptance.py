@@ -7,6 +7,9 @@ enforces the stated runtime budget, and prints a single PASS/FAIL line
 verdict through the test names).
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -15,7 +18,13 @@ from math import comb
 
 import quatheta
 from quatheta.charoracle import irrep, weyl_dim
-from quatheta.quaternionic import QuatModule, check_lemma_surjectivity, ktypes
+from quatheta.cli import main
+from quatheta.quaternionic import (
+    KTypeLedger,
+    QuatModule,
+    check_lemma_surjectivity,
+    ktypes,
+)
 from quatheta.branchrules import restrict_e7_to_su2_spin12
 from quatheta.rootdata import HalfInt, highest_root_coefficients
 from quatheta.verify import run_suite
@@ -140,4 +149,22 @@ def test_criterion_11_e8_4_ledger():
     )
     _report(11, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 2 at the "
                 "default cap, level k of dimension C(k+55, k)",
+            ok, time.perf_counter() - t0, budget=5.0)
+
+
+def test_criterion_12_spin44_deep_ledger():
+    t0 = time.perf_counter()
+    s, kmax = 4, 20
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ktypes", "--g", "Spin(4,4)", "--wm", "0;0;0",
+                     "--s", str(s), "--kmax", str(kmax)])
+    ledger = KTypeLedger.from_json(json.loads(out.getvalue()))
+    ok = code == 0 and ledger.kmax == kmax and all(
+        sum(m * weyl_dim(r) for r, m in dec.items()) == comb(k + 7, k)
+        and su0 == s + k - 2
+        for k, (su0, dec) in enumerate(ledger)
+    )
+    _report(12, "the Spin(4,4) ledger of A(Spin(4,4), 0[4]) through the CLI "
+                "reaches level 20, level k of dimension C(k+7, k)",
             ok, time.perf_counter() - t0, budget=5.0)

@@ -6,6 +6,7 @@ from quatheta.charoracle import (
     CharMultiset,
     EmbeddingMap,
     Irrep,
+    IsoDecomp,
     OracleCapError,
     char_weights,
     dim_cap,
@@ -27,18 +28,18 @@ class TestIrrep:
         r = irrep("B3", (1, 1, 0))
         assert r.labels == ("B3",)
         assert r.twice_concat() == (2, 2, 0)
-        assert r.hw_json() == [1, 1, 0]
+        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == [1, 1, 0]
 
     def test_spinor_coordinates(self):
         r = irrep("B3", (h(1), h(1), h(1)))
         assert r.twice_concat() == (1, 1, 1)
-        assert r.hw_json() == ["1/2", "1/2", "1/2"]
+        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == ["1/2"] * 3
 
     def test_product_group(self):
         r = irrep(("C1", "C1"), (1,), (2,))
         assert r.labels == ("C1", "C1")
         assert r.twice_concat() == (2, 4)
-        assert r.hw_json() == [[1], [2]]
+        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == [[1], [2]]
         assert weyl_dim(r) == 6
 
     def test_single_tuple_convenience(self):
@@ -201,6 +202,74 @@ def test_iso_decomp_json_and_order():
     assert data == [{"hw": [0], "mult": 1}, {"hw": [2], "mult": 1}]
     keys = [r.twice_concat() for r, _ in td.items()]
     assert keys == sorted(keys)
+
+
+def _assert_same_decomposition(a, b):
+    assert a == b and b == a
+    assert a.mults == b.mults
+    assert a.items() == b.items()
+    assert a.to_json() == b.to_json()
+    assert a.dimension() == b.dimension()
+
+
+@pytest.mark.parametrize("want", [
+    {irrep("C1", (0,)): 1, irrep("C1", (2,)): 1},
+    {irrep("B3", (h(1), h(1), h(1))): 2, irrep("B3", (1, 0, 0)): 1},
+    {irrep(("C1", "C2"), (1,), (1, 0)): 3, irrep(("C1", "C2"), (0,), (1, 1)): 1},
+], ids=["c1", "b3-spinor", "c1xc2"])
+def test_iso_decomp_constructions_agree(want):
+    # from an Irrep-keyed dict (as KTypeLedger.from_json builds one) and
+    # from stripping the matching character
+    acc = {}
+    for r, m in want.items():
+        for t, v in char_weights(r).mults.items():
+            acc[t] = acc.get(t, 0) + m * v
+    labels = next(iter(want)).labels
+    stripped = strip_dominant(CharMultiset(labels, acc))
+    _assert_same_decomposition(IsoDecomp(want), stripped)
+    assert stripped.mults == want
+    assert stripped.dimension() == sum(m * weyl_dim(r) for r, m in want.items())
+    assert IsoDecomp({}) == strip_dominant(CharMultiset(labels, {}))
+
+
+def test_iso_decomp_inequality():
+    a = IsoDecomp({irrep("C1", (1,)): 1})
+    assert a != IsoDecomp({irrep("C1", (1,)): 2})
+    assert a != IsoDecomp({irrep("C1", (2,)): 1})
+    assert a != IsoDecomp({irrep("B1", (1,)): 1})  # same doubled tuple
+    assert a != {irrep("C1", (1,)): 1}
+
+
+def test_iso_decomp_refuses_mixed_groups():
+    with pytest.raises(ValueError):
+        IsoDecomp({irrep("C1", (1,)): 1, irrep("B1", (1,)): 1})
+
+
+@pytest.mark.parametrize("mults,message", [
+    ({(0,): -1}, "negative multiplicity while stripping"),
+    # (3) without its middle weights: subtracting it drives (1) below 0
+    ({(6,): 1, (-6,): 1}, "negative multiplicity while stripping"),
+    # the orbit of (1) without (-1): stripping (1) overshoots the mass
+    ({(2,): 1}, "stripping left a residue with no dominant key"),
+], ids=["negative-top", "negative-residual", "incomplete-orbit"])
+def test_strip_dominant_refuses_non_characters(mults, message):
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        strip_dominant(CharMultiset(("C1",), mults))
+
+
+def test_strip_dominant_refuses_off_lattice_tops():
+    # Weyl-invariant, but (1/2) is no weight of Sp(1)
+    with pytest.raises(ValueError, match="not in the weight lattice of C1"):
+        strip_dominant(CharMultiset(("C1",), {(1,): 1, (-1,): 1}))
+
+
+def test_strip_dominant_caps_each_top(monkeypatch):
+    cw = char_weights(irrep("B3", (1, 1, 0)))  # the 21-dim adjoint
+    monkeypatch.setenv("QUATHETA_DIM_CAP", "20")
+    with pytest.raises(OracleCapError, match=r"^dim 21 exceeds oracle cap 20$"):
+        strip_dominant(cw)
+    monkeypatch.setenv("QUATHETA_DIM_CAP", "21")
+    assert strip_dominant(cw).dimension() == 21
 
 
 class TestRestrict:

@@ -175,6 +175,26 @@ class TestKTypes:
         assert back.module == led.module
         assert list(back) == list(led)
 
+    @pytest.mark.parametrize("g,wm,s,kmax", [
+        ("Spin(4,3)", ((1,), (2,)), 5, 3),
+        ("G2_2", ((3,),), 5, 3),
+        ("E7_4", ((0,) * 6,), 4, 2),  # odd levels hold "1/2" coordinates
+    ], ids=["spin43", "g2", "e7"])
+    def test_from_json_rebuilds_the_stripped_ledger(self, g, wm, s, kmax):
+        # from_json builds each level from Irreps; ktypes strips tuples
+        led = ktypes(QuatModule(g, wm, s, "A"), kmax)
+        data = led.to_json()
+        back = KTypeLedger.from_json(data)
+        assert back == led
+        assert back.to_json() == data
+        for (su0, dec), (back_su0, back_dec) in zip(led, back):
+            assert back_su0 == su0
+            assert back_dec.mults == dec.mults
+            assert back_dec.items() == dec.items()
+            assert back_dec.dimension() == dec.dimension()
+        if g == "E7_4":
+            assert data["levels"][1]["mtypes"][0]["hw"] == ["1/2"] * 6
+
     def test_rejects_negative_kmax(self):
         m = QuatModule("Spin(4,3)", ((0,), (1,)), 6, "A")
         with pytest.raises(ValueError):
