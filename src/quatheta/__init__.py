@@ -4,14 +4,10 @@ for quaternionic real forms of the exceptional groups."""
 from .rootdata import (
     HalfInt,
     QuaternionicStructure,
-    RootSystem,
     Weight,
-    build_root_system,
     dominant_representative,
-    half,
     highest_root,
     highest_root_coefficients,
-    is_dominant,
     quaternionic_structure,
     weyl_orbit,
 )
@@ -80,9 +76,8 @@ from .aqmodules import (
 from .verify import run_suite
 
 __all__ = [
-    "HalfInt", "QuaternionicStructure", "RootSystem", "Weight",
-    "build_root_system", "dominant_representative", "half", "highest_root",
-    "highest_root_coefficients", "is_dominant", "quaternionic_structure",
+    "HalfInt", "QuaternionicStructure", "Weight", "dominant_representative",
+    "highest_root", "highest_root_coefficients", "quaternionic_structure",
     "weyl_orbit",
     "CharMultiset", "EmbeddingMap", "Irrep", "IsoDecomp", "OracleCapError",
     "char_weights", "dim_cap", "embedding", "irrep", "restrict",

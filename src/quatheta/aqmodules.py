@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .rootdata import _add, _dot, _neg
+from .rootdata import _add, _dot, _neg, _sub
 from .branchrules import clebsch_gordan
 from .thetamaps import theta_e6_u2
 
@@ -29,15 +29,11 @@ CASE_IDS = (
     "IIa.1", "IIa.2", "IIa.3", "IIb",
 )
 
-# noncompact root pairs are listed by a representative; compact roots
-# determine the K-chamber
+# noncompact root pairs are listed by a representative; a regular
+# lambda picks the sign of each that lies in u cap p
 NONCOMPACT = {
     "G2": ((1, -1, 0), (-1, 2, -1), (1, 0, -1), (1, 1, -2)),
     "PU21": ((1, -1, 0), (0, 1, -1)),
-}
-COMPACT = {
-    "G2": ((0, 1, -1), (2, -1, -1)),
-    "PU21": ((1, 0, -1),),
 }
 
 # rho of the chamber attached to each case family
@@ -235,7 +231,7 @@ def cone_contains(case: AqCase, query_xy) -> bool:
         q = xy_to_abc(*query_xy)
     except ValueError:
         return False
-    delta = tuple(a - b for a, b in zip(q, data.minimal_type_abc))
+    delta = _sub(q, data.minimal_type_abc)
     if sum(delta) != 0:
         return False
     gens = data.u_cap_p_weights
@@ -252,7 +248,7 @@ def cone_contains(case: AqCase, query_xy) -> bool:
         for n in range(bound + 1):
             if search(i + 1, cur):
                 return True
-            cur = tuple(r - x for r, x in zip(cur, w))
+            cur = _sub(cur, w)
             if _dot(phi, cur) < 0:
                 break
         return False

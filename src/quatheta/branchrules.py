@@ -11,7 +11,8 @@ Conventions: SU(2) representations are labeled by their integer highest
 weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
 keys are epsilon-coordinate tuples of HalfInt.  The rules compute on
 doubled integer coordinates: input is parsed once by _twice, and HalfInt
-is built only for the keys they return.
+is built only for the keys they return (for F4 -> Spin(9), only for the
+constituents that occur).
 """
 
 from __future__ import annotations
@@ -126,9 +127,9 @@ def _two_step(lam: tuple, parity: int):
             yield mu, sorted(lam + mu, reverse=True)
 
 
-def _dominant_tuples(bound: HalfInt, length: int, parity: int, signed_last: bool):
-    """Descending tuples with entries of the given doubled parity in
-    [0, bound] (last entry in [-bound, bound] when signed_last)."""
+def _dominant_tuples(tbound: int, length: int, parity: int, signed_last: bool):
+    """Descending doubled tuples with entries of the given parity in
+    [0, tbound] (last entry in [-tbound, tbound] when signed_last)."""
 
     def rec(prefix, hi):
         if len(prefix) == length:
@@ -140,8 +141,7 @@ def _dominant_tuples(bound: HalfInt, length: int, parity: int, signed_last: bool
             if last and signed_last and t > 0:
                 yield prefix + (-t,)
 
-    for t in rec((), bound.twice - (bound.twice - parity) % 2):
-        yield _keys(t)
+    yield from rec((), tbound - (tbound - parity) % 2)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +354,8 @@ def f4_to_spin9_table(a: int, b: int) -> dict:
     _check_ab(a, b)
     out = {}
     for parity in (0, 1):
-        for w in _dominant_tuples(HalfInt(2 * (a + b)), 4, parity, False):
-            m = _f4_mult(a, b, tuple(c.twice for c in w))
+        for w in _dominant_tuples(2 * (a + b), 4, parity, False):
+            m = _f4_mult(a, b, w)
             if m:
-                out[w] = m
+                out[_keys(w)] = m
     return out

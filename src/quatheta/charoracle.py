@@ -87,7 +87,7 @@ class Irrep:
             d = _sys(lab)
             if len(w.coords) != d.dim:
                 raise ValueError(f"{lab} weight needs {d.dim} coordinates")
-            if not d.is_dominant(w.twice()):
+            if not d.in_chamber(w.twice()):
                 raise ValueError(f"{w!r} is not dominant for {lab}")
             if not d.is_integral(w.twice()):
                 raise ValueError(
@@ -266,7 +266,7 @@ def _dominant_char(label: str, thw: tuple) -> dict:
         for t in frontier:
             for a in d.pos:
                 v = _sub(t, a)
-                if v not in found and d.is_dominant(v):
+                if v not in found and d.in_chamber(v):
                     found.add(v)
                     nxt.append(v)
         frontier = nxt

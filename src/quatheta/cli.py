@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .rootdata import HalfInt, Weight
+from .rootdata import HalfInt, _twice_json
 from .charoracle import OracleCapError
 from .branchrules import (
     branch_sp,
@@ -79,8 +79,8 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True, ensure_ascii=False))
 
 
-def _coord_json(c: HalfInt):
-    return int(c) if c.is_integer() else str(c)
+def _coords_json(w) -> list:
+    return _twice_json(c.twice for c in w)
 
 
 def _fmt_tuple(t) -> str:
@@ -99,7 +99,7 @@ def _cmd_branch(args) -> int:
         a, b = args.ab
         rows = sorted(f4_to_spin9_table(a, b).items(), reverse=True)
         comps = [
-            {"w": [_coord_json(c) for c in w], "mult": m,
+            {"w": _coords_json(w), "mult": m,
              "dim": weyl_dim(irrep("B4", w))}
             for w, m in rows
         ]
@@ -128,14 +128,14 @@ def _cmd_branch(args) -> int:
     if rule == "sp":
         table = branch_sp(lam)
         comps = [
-            {"mu": [_coord_json(c) for c in mu],
+            {"mu": _coords_json(mu),
              "su2": {str(k): m for k, m in sorted(cg.items()) if m}}
             for mu, cg in sorted(table.items())
         ]
         comps = [c for c in comps if c["su2"]]
         if args.json:
             _print_json({
-                "rule": rule, "lam": [_coord_json(c) for c in lam],
+                "rule": rule, "lam": _coords_json(lam),
                 "components": comps,
             })
         else:
@@ -149,15 +149,15 @@ def _cmd_branch(args) -> int:
         comps = []
         for mu, mod in sorted(table.items()):
             entries = [
-                [_coord_json(HalfInt(t)), m] for t, m in mod.entries if m
+                [*_twice_json((t,)), m] for t, m in mod.entries if m
             ]
             if entries:
                 comps.append({
-                    "mu": [_coord_json(c) for c in mu], "spin2": entries,
+                    "mu": _coords_json(mu), "spin2": entries,
                 })
         if args.json:
             _print_json({
-                "rule": rule, "lam": [_coord_json(c) for c in lam],
+                "rule": rule, "lam": _coords_json(lam),
                 "components": comps,
             })
         else:

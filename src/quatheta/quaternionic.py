@@ -22,7 +22,8 @@ from .rootdata import (
     HalfInt,
     Weight,
     _add,
-    build_root_system,
+    _sys,
+    _twice_json,
     dominant_representative,
     quaternionic_structure,
 )
@@ -82,10 +83,7 @@ class QuatModule:
         return replace(self, kind="sigma")
 
     def wm_json(self) -> list:
-        return [
-            [int(c) if c.is_integer() else str(c) for c in f]
-            for f in self.wm
-        ]
+        return [_twice_json(c.twice for c in f) for f in self.wm]
 
     def to_json(self) -> dict:
         return {
@@ -249,8 +247,7 @@ def _mu_ambient(m: QuatModule) -> tuple:
         raise ValueError(
             f"no torus embedding data for M of {m.g_label}"
         )
-    sys = build_root_system(qs.system)
-    acc = [0] * sys.dim
+    acc = [0] * _sys(qs.system).dim
     for root2, fac in zip(qs.m_simple_coords, m.wm):
         (c,) = fac
         # label c contributes (c/2) * root; root2 and acc are doubled
@@ -266,10 +263,9 @@ def inf_char(m: QuatModule) -> Weight:
     """Infinitesimal character of A(G, W[s]) as the dominant
     representative of mu + (s/2) alpha0 + rho in the ambient system."""
     qs = m.structure()
-    sys = build_root_system(qs.system)
     mu2 = _mu_ambient(m)
     a02 = qs.alpha0.twice()
-    rho2 = sys.rho.twice()
+    rho2 = _sys(qs.system).rho2
     tot = []
     for x, a, r in zip(mu2, a02, rho2):
         num = 2 * x + m.s * a + 2 * r

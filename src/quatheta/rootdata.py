@@ -1,9 +1,12 @@
-"""Root systems and exact weight arithmetic in epsilon coordinates.
+"""Root systems and exact weights in epsilon coordinates.
 
 Weights live in an ambient coordinate space per system (Bourbaki
-conventions), with every coordinate a half-integer.  HalfInt stores the
-doubled value, so all arithmetic and comparisons are exact integer
-arithmetic; nothing in this package touches floating point.
+conventions), with every coordinate a half-integer.  Root data has one
+representation, _SysData (interned by _sys): ambient dimension, simple
+roots, positive roots and rho, all as doubled integer tuples.  HalfInt
+and Weight exist for input and output only: a HalfInt stores the doubled
+value and is parsed, compared, hashed and printed, with no arithmetic.
+Nothing in this package touches floating point.
 
 Supported system labels:
 
@@ -29,8 +32,7 @@ at the API edge (HalfInt accepts and produces it).
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
@@ -83,30 +85,6 @@ class HalfInt:
             raise ValueError(f"{self} is not an integer")
         return self.twice // 2
 
-    def __add__(self, other):
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __rsub__(self, other):
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
-    def __neg__(self):
-        return HalfInt(-self.twice)
-
-    def __abs__(self):
-        return HalfInt(abs(self.twice))
-
-    def __mul__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return HalfInt(self.twice * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def _cmp_twice(self, other) -> int:
         # only the numeric types the hash agrees with: a string equal to
         # a HalfInt would have to hash like it too
@@ -143,11 +121,6 @@ class HalfInt:
         return f"{self.twice}/2"
 
     __repr__ = __str__
-
-
-def half(x) -> HalfInt:
-    """Convenience constructor accepting int, Fraction, str, or HalfInt."""
-    return HalfInt.of(x)
 
 
 def _twice_json(tvec) -> list:
@@ -219,7 +192,7 @@ def _type_a(n: int):
     dim = n + 1
     simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n)]
     pos = [_sub(_e(i, dim), _e(j, dim)) for i in range(dim) for j in range(dim) if i < j]
-    return dim, simple, pos, math.factorial(n + 1)
+    return dim, simple, pos
 
 
 def _type_b(n: int):
@@ -229,7 +202,7 @@ def _type_b(n: int):
         for j in range(i + 1, n):
             pos.append(_sub(_e(i, n), _e(j, n)))
             pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos, (2 ** n) * math.factorial(n)
+    return n, simple, pos
 
 
 def _type_c(n: int):
@@ -239,7 +212,7 @@ def _type_c(n: int):
         for j in range(i + 1, n):
             pos.append(_sub(_e(i, n), _e(j, n)))
             pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos, (2 ** n) * math.factorial(n)
+    return n, simple, pos
 
 
 def _type_d(n: int):
@@ -250,7 +223,7 @@ def _type_d(n: int):
         for j in range(i + 1, n):
             pos.append(_sub(_e(i, n), _e(j, n)))
             pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos, (2 ** (n - 1)) * math.factorial(n)
+    return n, simple, pos
 
 
 def _type_g2():
@@ -263,7 +236,7 @@ def _type_g2():
         (-2, 4, -2),
         (2, 2, -4),
     ]
-    return 3, simple, pos, 12
+    return 3, simple, pos
 
 
 def _type_f4():
@@ -280,7 +253,7 @@ def _type_f4():
             pos.append(_add(_e(i, 4), _e(j, 4)))
     for signs in itertools.product((1, -1), repeat=3):
         pos.append((1, signs[0], signs[1], signs[2]))
-    return 4, simple, pos, 1152
+    return 4, simple, pos
 
 
 def _type_e6():
@@ -302,7 +275,7 @@ def _type_e6():
         (0, 0, -2, 2, 0, 0, 0, 0),
         (0, 0, 0, -2, 2, 0, 0, 0),
     ]
-    return 8, simple, pos, 51840
+    return 8, simple, pos
 
 
 def _type_e7():
@@ -324,7 +297,7 @@ def _type_e7():
         (0, 0, 0, -2, 2, 0, 0, 0),
         (0, 0, 0, 0, -2, 2, 0, 0),
     ]
-    return 8, simple, pos, 2903040
+    return 8, simple, pos
 
 
 def _type_e8():
@@ -346,7 +319,7 @@ def _type_e8():
         (0, 0, 0, 0, -2, 2, 0, 0),
         (0, 0, 0, 0, 0, -2, 2, 0),
     ]
-    return 8, simple, pos, 696729600
+    return 8, simple, pos
 
 
 _BUILDERS = {
@@ -354,11 +327,11 @@ _BUILDERS = {
     "A2": lambda: _type_a(2),
     "A3": lambda: _type_a(3),
     "A5": lambda: _type_a(5),
-    "B1": lambda: (1, [(2,)], [(2,)], 2),
+    "B1": lambda: (1, [(2,)], [(2,)]),
     "B2": lambda: _type_b(2),
     "B3": lambda: _type_b(3),
     "B4": lambda: _type_b(4),
-    "C1": lambda: (1, [(4,)], [(4,)], 2),
+    "C1": lambda: (1, [(4,)], [(4,)]),
     "C2": lambda: _type_c(2),
     "C3": lambda: _type_c(3),
     "D2": lambda: _type_d(2),
@@ -370,10 +343,8 @@ _BUILDERS = {
     "E6": _type_e6,
     "E7": _type_e7,
     "E8": _type_e8,
-    "Spin2": lambda: (1, [], [], 1),
+    "Spin2": lambda: (1, [], []),
 }
-
-SUPPORTED_SYSTEMS = tuple(sorted(_BUILDERS))
 
 
 class _SysData:
@@ -381,14 +352,13 @@ class _SysData:
     is integer-only."""
 
     __slots__ = (
-        "label", "dim", "rank", "simple", "pos", "rho2", "weyl_order",
-        "simple_norm",
+        "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
     )
 
     def __init__(self, label):
         if label not in _BUILDERS:
             raise ValueError(f"unsupported root system label {label!r}")
-        dim, simple, pos, order = _BUILDERS[label]()
+        dim, simple, pos = _BUILDERS[label]()
         self.label = label
         self.dim = dim
         self.rank = len(simple)
@@ -400,10 +370,10 @@ class _SysData:
         if any(t % 2 for t in rho2_doubled):
             raise AssertionError(f"rho of {label} not a half-integer vector")
         self.rho2 = tuple(t // 2 for t in rho2_doubled)  # doubled rho
-        self.weyl_order = order
         self.simple_norm = tuple(_dot(a, a) for a in self.simple)
 
-    def is_dominant(self, tvec) -> bool:
+    def in_chamber(self, tvec) -> bool:
+        """True iff the vector lies in the closed dominant chamber."""
         return all(_dot(tvec, a) >= 0 for a in self.simple)
 
     def is_integral(self, tvec) -> bool:
@@ -436,7 +406,10 @@ class _SysData:
                 mags[-1] = -mags[-1]
             return tuple(mags)
         t = tuple(t)
-        guard = 10 * self.weyl_order
+        # each step s_i (taken where <t, alpha_i> < 0) removes alpha_i from
+        # the positive roots pairing negatively with t and permutes the
+        # rest, so the walk ends within l(w0) = |positive roots| steps
+        guard = len(self.pos)
         while True:
             for i, a in enumerate(self.simple):
                 if _dot(t, a) < 0:
@@ -476,42 +449,11 @@ def _sys(label: str) -> _SysData:
     return _SysData(label)
 
 
-# ---------------------------------------------------------------------------
-# public root-system container
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    label: str
-    dim: int
-    rank: int
-    simple_roots: tuple
-    positive_roots: tuple
-    rho: Weight
-    weyl_order: int
-
-
-@lru_cache(maxsize=None)
-def build_root_system(label: str) -> RootSystem:
-    """Root data for a supported label, positive roots in lexicographic
-    order of their coordinate vectors."""
-    d = _sys(label)
-    return RootSystem(
-        label=label,
-        dim=d.dim,
-        rank=d.rank,
-        simple_roots=tuple(Weight.from_twice(a, label) for a in d.simple),
-        positive_roots=tuple(Weight.from_twice(a, label) for a in d.pos),
-        rho=Weight.from_twice(d.rho2, label),
-        weyl_order=d.weyl_order,
-    )
-
-
 def highest_root(label: str) -> Weight:
     """The highest root: the dominant root of maximal length (the short
     dominant root is a second dominant root in B/C/F4/G2)."""
     d = _sys(label)
-    dom = [a for a in d.pos if d.is_dominant(a)]
+    dom = [a for a in d.pos if d.in_chamber(a)]
     if not dom:
         raise ValueError(f"{label} has no roots")
     top_norm = max(_dot(a, a) for a in dom)
@@ -523,7 +465,7 @@ def highest_root(label: str) -> Weight:
 
 def highest_root_coefficients(label: str) -> tuple:
     """Expansion of the highest root in the simple roots, as integers in
-    the simple-root order of build_root_system."""
+    the order of _sys(label).simple."""
     d = _sys(label)
     coeffs = [0] * d.rank
     t = highest_root(label).twice()
@@ -550,10 +492,6 @@ def dominant_representative(w: Weight) -> Weight:
     """
     d = _sys(w.system)
     return Weight.from_twice(d.dominant_twice(w.twice()), w.system)
-
-
-def is_dominant(w: Weight) -> bool:
-    return _sys(w.system).is_dominant(w.twice())
 
 
 def weyl_orbit(w: Weight, max_size: int = 100000) -> set:
@@ -639,12 +577,12 @@ def _init_quat_table():
     )
     _register_quat(
         "E7_4", "E7", "Spin(12)", ("D6",),
-        ((half("1/2"),) * 6,), 32, "SU_0(2) x Spin(12)",
+        ((HalfInt(1),) * 6,), 32, "SU_0(2) x Spin(12)",
         (None,),
     )
     _register_quat(
         "E8_4", "E8", "E7", ("E7",),
-        ((0, 0, 0, 0, 0, 1, half("-1/2"), half("1/2")),), 56, "SU_0(2) x E7",
+        ((0, 0, 0, 0, 0, 1, HalfInt(-1), HalfInt(1)),), 56, "SU_0(2) x E7",
         (None,),
     )
     _register_quat(
@@ -661,8 +599,6 @@ def _init_quat_table():
 
 
 _init_quat_table()
-
-QUATERNIONIC_GROUPS = tuple(_QUAT_TABLE)
 
 
 def quaternionic_structure(g_label: str) -> QuaternionicStructure:

@@ -14,9 +14,10 @@ is verified here as a truncated K-type multiset equality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .rootdata import HalfInt, Weight, build_root_system, dominant_representative
+from .rootdata import HalfInt, Weight, _add, _sys, dominant_representative
 from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
@@ -355,9 +356,8 @@ def infchar_crosscheck(which: str, params) -> bool:
     if which == "e8_spin8":
         a, b, c, d = map(HalfInt.of, params)
         lift = theta_e8_spin8(a, b, c, d)
-        rho2 = build_root_system("D4").rho.twice()
         lam2 = tuple(x.twice for x in (a, b, c, d))
-        want = _dom("D4", tuple(x + r for x, r in zip(lam2, rho2)))
+        want = _dom("D4", _add(lam2, _sys("D4").rho2))
         return all(inf_char(m) == want for m in lift.modules())
     if which == "f4":
         n = int(params[0]) if isinstance(params, (tuple, list)) else int(params)
@@ -406,29 +406,26 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     distinct K-types compared); a truncation too low to reach any
     K-type compares none.
     """
-    b, d = HalfInt.of(b), HalfInt.of(d)
-    if not b >= d >= 0:
+    tb, td = HalfInt.of(b).twice, HalfInt.of(d).twice
+    if not tb >= td >= 0:
         raise ValueError("need b >= d >= 0")
-    if (b.twice - d.twice) % 2:
+    if (tb - td) % 2:
         raise ValueError("b and d must be congruent mod 1")
-    copies = int(b - d) + 1
+    copies = (tb - td) // 2 + 1
     lhs: dict = {}
     rhs: dict = {}
-    a = b
-    while True:
-        s = 10 + int(a + b)
+    for ta in itertools.count(tb, 2):
+        s = 10 + (ta + tb) // 2
         if s - 2 > nmax:
             break
-        cs = [HalfInt(t) for t in range(d.twice, b.twice + 1, 2)]
-        for c in cs:
-            lift = theta_e8_spin9(a, b, c, d)
+        for tc in range(td, tb + 1, 2):
+            lift = theta_e8_spin9(*map(HalfInt, (ta, tb, tc, td)))
             for mod, mult in lift.lifts:
                 _ktype_multiset(mod, nmax, lhs, mult)
         rhs_mod = QuatModule(
-            "Spin(4,3)", ((int(a - b),), (int(2 * d),)), s, "A"
+            "Spin(4,3)", (((ta - tb) // 2,), (td,)), s, "A"
         )
         _ktype_multiset(rhs_mod, nmax, rhs, copies)
-        a = a + 1
     compared = {
         (su0, key)
         for side in (lhs, rhs)

@@ -13,6 +13,8 @@ from math import comb
 
 from .rootdata import (
     HalfInt,
+    _add,
+    _sub,
     highest_root,
     highest_root_coefficients,
     quaternionic_structure,
@@ -20,6 +22,7 @@ from .rootdata import (
 from .charoracle import char_weights, embedding, irrep, restrict, weyl_dim
 from .branchrules import (
     _dominant_tuples,
+    _keys,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
@@ -186,8 +189,8 @@ def _suite_appendix(max_entry=None):
         count = 0
         ok = True
         for parity in parities:
-            for lam in _dominant_tuples(HalfInt(2 * bound), rank, parity,
-                                        signed):
+            for t in _dominant_tuples(2 * bound, rank, parity, signed):
+                lam = _keys(t)
                 if conv(rule(lam)) != _oracle_table(label, lam, emb):
                     ok = False
                 count += 1
@@ -424,14 +427,14 @@ def _suite_infchar(max_entry=None):
          if c <= a - b or (c <= a + b and (a + b - c) % 2 == 0)),
     )
     spin8 = [
-        infchar_crosscheck("e8_spin8", w)
+        infchar_crosscheck("e8_spin8", _keys(t))
         for parity in (0, 1)
-        for w in _dominant_tuples(HalfInt(2 * 4), 4, parity, True)
+        for t in _dominant_tuples(2 * 4, 4, parity, True)
     ]
     spin9 = [
-        infchar_crosscheck("e8_spin9", w)
+        infchar_crosscheck("e8_spin9", _keys(t))
         for parity in (0, 1)
-        for w in _dominant_tuples(HalfInt(2 * bound), 4, parity, False)
+        for t in _dominant_tuples(2 * bound, 4, parity, False)
     ]
     # the Spin(8) range is fixed, so the line counts as empty when the
     # bounded Spin(9) range is
@@ -552,8 +555,7 @@ def _suite_aq(max_entry=None):
                 tot = tuple(
                     sum(w[i] for w in d.u_cap_p_weights) for i in range(3)
                 )
-                if tuple(m - l for m, l in zip(d.minimal_type_abc, lam)) \
-                        != tot:
+                if _sub(d.minimal_type_abc, lam) != tot:
                     ok = False
                 if xy_to_abc(*d.minimal_type_xy) != d.minimal_type_abc:
                     ok = False
@@ -637,8 +639,8 @@ def _suite_aq(max_entry=None):
     cs = AqCase("G2", "I", (2, 1, -3))
     d = aq_data(cs)
     gen = d.u_cap_p_weights[0]
-    inside = tuple(m + g for m, g in zip(d.minimal_type_abc, gen))
-    outside = tuple(m - g for m, g in zip(d.minimal_type_abc, gen))
+    inside = _add(d.minimal_type_abc, gen)
+    outside = _sub(d.minimal_type_abc, gen)
     checks.append((
         "cone membership holds at the apex and apex+generator and fails "
         "at apex-generator",

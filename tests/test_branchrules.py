@@ -5,6 +5,7 @@ import pytest
 from quatheta.branchrules import (
     Spin2Module,
     _dominant_tuples,
+    _keys,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
@@ -201,7 +202,8 @@ class TestGzChain:
         e = embedding(f"Spin{m}>Spin{m - 1}")
         cases = 0
         for parity in (0, 1):
-            for lam in _dominant_tuples(h(3), m // 2, parity, m % 2 == 0):
+            for t in _dominant_tuples(3, m // 2, parity, m % 2 == 0):
+                lam = _keys(t)
                 want = {r.twice_concat(): c
                         for r, c in restrict(irrep(label, lam), e).items()}
                 got = {tuple(x.twice for x in mu): c
@@ -247,11 +249,10 @@ class TestF4ToSpin9:
         for b in range(a + 1):
             want = {}
             for parity in (0, 1):
-                for w in _dominant_tuples(h(2 * (a + b) + 2), 4, parity,
-                                          False):
-                    m = f4_to_spin9(a, b, w)
+                for t in _dominant_tuples(2 * (a + b) + 2, 4, parity, False):
+                    m = f4_to_spin9(a, b, _keys(t))
                     if m:
-                        want[w] = m
+                        want[_keys(t)] = m
             assert f4_to_spin9_table(a, b) == want, (a, b)
 
     @pytest.mark.parametrize("w", [

@@ -7,13 +7,11 @@ from quatheta.charoracle import _dominant_char
 from quatheta.rootdata import (
     HalfInt,
     Weight,
+    _neg,
     _sys,
-    build_root_system,
     dominant_representative,
-    half,
     highest_root,
     highest_root_coefficients,
-    is_dominant,
     quaternionic_structure,
     weyl_orbit,
 )
@@ -28,7 +26,7 @@ class TestHalfInt:
     def test_of_takes_actual_value(self):
         assert HalfInt.of(4) == 4
         assert HalfInt.of(Fraction(3, 2)).twice == 3
-        assert half(3) == 3
+        assert HalfInt.of(HalfInt(3)) == HalfInt(3)
         with pytest.raises(ValueError):
             HalfInt.of(Fraction(1, 3))
 
@@ -40,19 +38,17 @@ class TestHalfInt:
             HalfInt.parse("1/3")
 
     def test_str(self):
-        assert str(half(3)) == "3"
+        assert str(HalfInt.of(3)) == "3"
         assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(-1)) == "-1/2"
 
-    def test_arithmetic(self):
-        a = HalfInt(3)
-        b = HalfInt(1)
-        assert (a + b) == 2
-        assert (a - b) == 1
-        assert -a == HalfInt(-3)
-        assert abs(HalfInt(-3)) == a
-        assert 2 * a == 3
-        assert a * 2 == 3
+    def test_no_arithmetic(self):
+        # HalfInt is parsed, compared, hashed and printed; sums and
+        # multiples are computed on the doubled integers
+        for op in (lambda a: a + 1, lambda a: 1 + a, lambda a: a - a,
+                   lambda a: -a, lambda a: abs(a), lambda a: 2 * a):
+            with pytest.raises(TypeError):
+                op(HalfInt(3))
 
     def test_no_halfint_product(self):
         with pytest.raises(TypeError):
@@ -60,9 +56,9 @@ class TestHalfInt:
 
     def test_comparisons_and_hash(self):
         assert HalfInt(1) < 1 < HalfInt(3)
-        assert hash(half(2)) == hash(2)
+        assert hash(HalfInt.of(2)) == hash(2)
         assert hash(HalfInt(3)) == hash(Fraction(3, 2))
-        assert len({half(2), 2, Fraction(2)}) == 1
+        assert len({HalfInt.of(2), 2, Fraction(2)}) == 1
 
     def test_equality_agrees_with_hash(self):
         # strings are read by of/parse, not by comparisons: a HalfInt
@@ -80,7 +76,7 @@ class TestHalfInt:
             HalfInt(1) < "1"
 
     def test_is_integer(self):
-        assert half(2).is_integer()
+        assert HalfInt.of(2).is_integer()
         assert not HalfInt(3).is_integer()
 
 
@@ -123,24 +119,35 @@ ROOT_SYSTEM_TABLE = {
 @pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
 def test_root_system_shape(label):
     dim, rank, npos, worder, rho2 = ROOT_SYSTEM_TABLE[label]
-    rs = build_root_system(label)
-    assert rs.dim == dim
-    assert rs.rank == rank
-    assert len(rs.simple_roots) == rank
-    assert len(rs.positive_roots) == npos
-    assert rs.weyl_order == worder
-    assert rs.rho.twice() == rho2
+    d = _sys(label)
+    assert d.dim == dim
+    assert d.rank == rank
+    assert len(d.simple) == rank
+    assert len(d.pos) == npos
+    if worder <= 1152:
+        # rho is regular: W acts simply transitively on its orbit
+        assert len(d.orbit(d.rho2, worder)) == worder
+    assert d.rho2 == rho2
 
 
 @pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
 def test_rho_is_half_sum_of_positive_roots(label):
-    rs = build_root_system(label)
-    total = [0] * rs.dim
-    for r in rs.positive_roots:
-        for i, c in enumerate(r.twice()):
+    d = _sys(label)
+    total = [0] * d.dim
+    for r in d.pos:
+        for i, c in enumerate(r):
             total[i] += c
-    assert tuple(c // 2 for c in total) == rs.rho.twice()
+    assert tuple(c // 2 for c in total) == d.rho2
     assert all(c % 2 == 0 for c in total)
+
+
+@pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8"])
+def test_descent_from_minus_rho_takes_every_step(label):
+    # w0 rho = -rho and rho is regular, so the reflection descent from
+    # -rho is a reduced word for w0: exactly l(w0) = |positive roots|
+    # steps, the most the guard allows
+    d = _sys(label)
+    assert d.dominant_twice(_neg(d.rho2)) == d.rho2
 
 
 @pytest.mark.parametrize("label,coeffs", [
@@ -156,14 +163,14 @@ def test_highest_root_coefficients(label, coeffs):
 
 @pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
 def test_highest_root_reconstruction(label):
-    rs = build_root_system(label)
+    d = _sys(label)
     coeffs = highest_root_coefficients(label)
-    total = [0] * rs.dim
-    for c, a in zip(coeffs, rs.simple_roots):
-        for i, x in enumerate(a.twice()):
+    total = [0] * d.dim
+    for c, a in zip(coeffs, d.simple):
+        for i, x in enumerate(a):
             total[i] += c * x
     assert tuple(total) == highest_root(label).twice()
-    assert highest_root(label) in [r for r in rs.positive_roots]
+    assert highest_root(label).twice() in d.pos
 
 
 def test_highest_root_values():
@@ -178,10 +185,10 @@ def test_dominant_representative_golden():
 
 @pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2", "F4"])
 def test_dominant_representative_properties(label):
-    rs = build_root_system(label)
+    sd = _sys(label)
     rng = random.Random(7)
-    rho2 = rs.rho.twice()
-    simple2 = [a.twice() for a in rs.simple_roots]
+    rho2 = sd.rho2
+    simple2 = sd.simple
     for _ in range(10):
         t = list(rho2)
         for a2 in simple2:
@@ -190,7 +197,7 @@ def test_dominant_representative_properties(label):
                 t[i] += c * x
         w = Weight.from_twice(tuple(t), label)
         d = dominant_representative(w)
-        assert is_dominant(d)
+        assert sd.in_chamber(d.twice())
         assert dominant_representative(d) == d
         assert w in weyl_orbit(d)
 
@@ -215,7 +222,7 @@ def _dominant_by_search(d, thw):
                 if u not in seen:
                     seen.add(u)
                     stack.append((u, height - drop))
-    return {v for v in seen if d.is_dominant(v)}
+    return {v for v in seen if d.in_chamber(v)}
 
 
 def h(p):
@@ -255,7 +262,7 @@ SMALL_WEIGHTS = {
 def test_dominant_char_matches_search(label, hw):
     d = _sys(label)
     thw = Weight(hw, label).twice()
-    assert d.is_dominant(thw) and d.is_integral(thw)
+    assert d.in_chamber(thw) and d.is_integral(thw)
     got = _dominant_char(label, thw)
     assert set(got) == _dominant_by_search(d, thw)
     assert min(got.values()) >= 1
@@ -303,8 +310,8 @@ def test_weyl_orbit_sizes():
 
 
 def test_is_dominant():
-    assert is_dominant(Weight((2, 1, 0), "B3"))
-    assert not is_dominant(Weight((1, 2, 0), "B3"))
+    assert _sys("B3").in_chamber((4, 2, 0))
+    assert not _sys("B3").in_chamber((2, 4, 0))
 
 
 QUAT_TABLE = {
