@@ -74,10 +74,7 @@ class QuatModule:
         return quaternionic_structure(self.g_label)
 
     def m_irrep(self) -> Irrep:
-        qs = quaternionic_structure(self.g_label)
-        if len(qs.m_factors) == 1:
-            return Irrep(qs.m_factors[0], self.wm[0])
-        return Irrep(qs.m_factors, self.wm)
+        return Irrep(quaternionic_structure(self.g_label).m_factors, self.wm)
 
     def quotient(self) -> "QuatModule":
         return replace(self, kind="sigma")
@@ -95,12 +92,8 @@ class QuatModule:
 
     @staticmethod
     def from_json(d: dict) -> "QuatModule":
-        wm = tuple(
-            tuple(HalfInt.parse(c) if isinstance(c, str) else c for c in f)
-            for f in d["wm"]
-        )
         kind = "sigma" if d.get("quotient") else "A"
-        return QuatModule(d["G"], wm, d["s"], kind)
+        return QuatModule(d["G"], d["wm"], d["s"], kind)
 
 
 def minimal_type(m: QuatModule) -> tuple:
@@ -113,8 +106,6 @@ def minimal_type(m: QuatModule) -> tuple:
 
 
 def _vm_irrep(qs) -> Irrep:
-    if len(qs.m_factors) == 1:
-        return Irrep(qs.m_factors[0], qs.vm_hw[0])
     return Irrep(qs.m_factors, qs.vm_hw)
 
 
@@ -197,14 +188,9 @@ class KTypeLedger:
         for lv in d["levels"]:
             mults = {}
             for entry in lv["mtypes"]:
-                hw = entry["hw"]
-                if len(labels) == 1:
-                    r = Irrep(labels[0], tuple(HalfInt.of(c) for c in hw))
-                else:
-                    r = Irrep(labels, tuple(
-                        tuple(HalfInt.of(c) for c in f) for f in hw
-                    ))
-                mults[r] = entry["mult"]
+                # one-factor hws are written flat
+                hws = [entry["hw"]] if len(labels) == 1 else entry["hw"]
+                mults[Irrep(labels, tuple(map(tuple, hws)))] = entry["mult"]
             levels.append((lv["su0"], IsoDecomp(mults)))
         return KTypeLedger(mod, tuple(levels))
 

@@ -18,6 +18,13 @@ Supported system labels:
     F4 E6 E7 E8          ambient dimensions 4, 8, 8, 8
     Spin2                one-dimensional torus, no roots
 
+Only the simple roots are written down (_SIMPLE, in the coordinates of
+Bourbaki's Plates I-IX): e_i - e_(i+1) plus one end root for the
+classical families, Bourbaki's E8 simple roots (the first six and seven
+for E6 and E7), F4 from Plate VIII, and G2 in the realisation below.
+The positive roots are their closure under root strings, built height
+by height.
+
 G2 is realised inside the sum-zero plane of Z^3 with simple roots
 (1,-1,0) and (-1,2,-1); the compact dual pair computations elsewhere in
 the package rely on this realisation (rho = (2,1,-3)).
@@ -31,7 +38,6 @@ at the API edge (HalfInt accepts and produces it).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -188,163 +194,78 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
-def _type_a(n: int):
-    dim = n + 1
-    simple = [_sub(_e(i, dim), _e(i + 1, dim)) for i in range(n)]
-    pos = [_sub(_e(i, dim), _e(j, dim)) for i in range(dim) for j in range(dim) if i < j]
-    return dim, simple, pos
+def _chain(dim: int, *end) -> tuple:
+    """e_1 - e_2, ..., e_(dim-1) - e_dim, then the end roots (doubled)."""
+    return tuple(_sub(_e(i, dim), _e(i + 1, dim)) for i in range(dim - 1)) + end
 
 
-def _type_b(n: int):
-    simple = [_sub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [_e(n - 1, n)]
-    pos = [_e(i, n) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos.append(_sub(_e(i, n), _e(j, n)))
-            pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos
+# Bourbaki's E8 simple roots (Plate VII); E6 and E7 are the first six
+# and seven, so all three share the ambient space R^8
+_E8 = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
 
-
-def _type_c(n: int):
-    simple = [_sub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)] + [_e(n - 1, n, 4)]
-    pos = [_e(i, n, 4) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos.append(_sub(_e(i, n), _e(j, n)))
-            pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos
-
-
-def _type_d(n: int):
-    simple = [_sub(_e(i, n), _e(i + 1, n)) for i in range(n - 1)]
-    simple.append(_add(_e(n - 2, n), _e(n - 1, n)))
-    pos = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pos.append(_sub(_e(i, n), _e(j, n)))
-            pos.append(_add(_e(i, n), _e(j, n)))
-    return n, simple, pos
-
-
-def _type_g2():
-    simple = [(2, -2, 0), (-2, 4, -2)]
-    pos = [
-        (2, -2, 0),
-        (0, 2, -2),
-        (2, 0, -2),
-        (4, -2, -2),
-        (-2, 4, -2),
-        (2, 2, -4),
-    ]
-    return 3, simple, pos
-
-
-def _type_f4():
-    simple = [
-        (0, 2, -2, 0),
-        (0, 0, 2, -2),
-        (0, 0, 0, 2),
-        (1, -1, -1, -1),
-    ]
-    pos = [_e(i, 4) for i in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pos.append(_sub(_e(i, 4), _e(j, 4)))
-            pos.append(_add(_e(i, 4), _e(j, 4)))
-    for signs in itertools.product((1, -1), repeat=3):
-        pos.append((1, signs[0], signs[1], signs[2]))
-    return 4, simple, pos
-
-
-def _type_e6():
-    # positive roots: +-e_i + e_j (1 <= i < j <= 5) and
-    # (e_8 - e_7 - e_6 + sum of +-e_i)/2 with an even number of minus signs
-    pos = []
-    for j in range(1, 5):
-        for i in range(j):
-            pos.append(_sub(_e(j, 8), _e(i, 8)))
-            pos.append(_add(_e(j, 8), _e(i, 8)))
-    for signs in itertools.product((1, -1), repeat=5):
-        if signs.count(-1) % 2 == 0:
-            pos.append(tuple(signs) + (-1, -1, 1))
-    simple = [
-        (1, -1, -1, -1, -1, -1, -1, 1),
-        (2, 2, 0, 0, 0, 0, 0, 0),
-        (-2, 2, 0, 0, 0, 0, 0, 0),
-        (0, -2, 2, 0, 0, 0, 0, 0),
-        (0, 0, -2, 2, 0, 0, 0, 0),
-        (0, 0, 0, -2, 2, 0, 0, 0),
-    ]
-    return 8, simple, pos
-
-
-def _type_e7():
-    pos = []
-    for j in range(1, 6):
-        for i in range(j):
-            pos.append(_sub(_e(j, 8), _e(i, 8)))
-            pos.append(_add(_e(j, 8), _e(i, 8)))
-    pos.append((0, 0, 0, 0, 0, 0, -2, 2))
-    for signs in itertools.product((1, -1), repeat=6):
-        if signs.count(-1) % 2 == 1:
-            pos.append(tuple(signs) + (-1, 1))
-    simple = [
-        (1, -1, -1, -1, -1, -1, -1, 1),
-        (2, 2, 0, 0, 0, 0, 0, 0),
-        (-2, 2, 0, 0, 0, 0, 0, 0),
-        (0, -2, 2, 0, 0, 0, 0, 0),
-        (0, 0, -2, 2, 0, 0, 0, 0),
-        (0, 0, 0, -2, 2, 0, 0, 0),
-        (0, 0, 0, 0, -2, 2, 0, 0),
-    ]
-    return 8, simple, pos
-
-
-def _type_e8():
-    pos = []
-    for j in range(1, 8):
-        for i in range(j):
-            pos.append(_sub(_e(j, 8), _e(i, 8)))
-            pos.append(_add(_e(j, 8), _e(i, 8)))
-    for signs in itertools.product((1, -1), repeat=7):
-        if signs.count(-1) % 2 == 0:
-            pos.append(tuple(signs) + (1,))
-    simple = [
-        (1, -1, -1, -1, -1, -1, -1, 1),
-        (2, 2, 0, 0, 0, 0, 0, 0),
-        (-2, 2, 0, 0, 0, 0, 0, 0),
-        (0, -2, 2, 0, 0, 0, 0, 0),
-        (0, 0, -2, 2, 0, 0, 0, 0),
-        (0, 0, 0, -2, 2, 0, 0, 0),
-        (0, 0, 0, 0, -2, 2, 0, 0),
-        (0, 0, 0, 0, 0, -2, 2, 0),
-    ]
-    return 8, simple, pos
-
-
-_BUILDERS = {
-    "A1": lambda: _type_a(1),
-    "A2": lambda: _type_a(2),
-    "A3": lambda: _type_a(3),
-    "A5": lambda: _type_a(5),
-    "B1": lambda: (1, [(2,)], [(2,)]),
-    "B2": lambda: _type_b(2),
-    "B3": lambda: _type_b(3),
-    "B4": lambda: _type_b(4),
-    "C1": lambda: (1, [(4,)], [(4,)]),
-    "C2": lambda: _type_c(2),
-    "C3": lambda: _type_c(3),
-    "D2": lambda: _type_d(2),
-    "D3": lambda: _type_d(3),
-    "D4": lambda: _type_d(4),
-    "D6": lambda: _type_d(6),
-    "G2": _type_g2,
-    "F4": _type_f4,
-    "E6": _type_e6,
-    "E7": _type_e7,
-    "E8": _type_e8,
-    "Spin2": lambda: (1, [], []),
+# label -> (ambient dimension, simple roots), doubled
+_SIMPLE = {
+    **{f"A{n}": (n + 1, _chain(n + 1)) for n in (1, 2, 3, 5)},
+    **{f"B{n}": (n, _chain(n, _e(n - 1, n))) for n in (1, 2, 3, 4)},
+    **{f"C{n}": (n, _chain(n, _e(n - 1, n, 4))) for n in (1, 2, 3)},
+    **{
+        f"D{n}": (n, _chain(n, _add(_e(n - 2, n), _e(n - 1, n))))
+        for n in (2, 3, 4, 6)
+    },
+    "G2": (3, ((2, -2, 0), (-2, 4, -2))),
+    "F4": (4, ((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1))),
+    "E6": (8, _E8[:6]),
+    "E7": (8, _E8[:7]),
+    "E8": (8, _E8),
+    "Spin2": (1, ()),
 }
+
+
+def _positive_roots(simple, norms) -> list:
+    """Positive roots, height by height, from the simple roots.
+
+    For a positive root beta and a simple root alpha, the alpha-string
+    through beta runs from beta - p alpha to beta + q alpha with
+    p - q = <beta, alpha^vee>; the roots below beta are already known, so
+    beta + alpha is a root iff p > <beta, alpha^vee>.  Every root of
+    height h + 1 is such a beta + alpha with beta of height h.
+
+    A root is keyed by its simple-root coefficients, the digits of a
+    base-16 integer.  No coefficient exceeds 6 (E8), so a step below zero
+    leaves a digit 15 that no root has, and the string walk stops there.
+    """
+    cartan = [
+        tuple(2 * _dot(b, a) // n for a, n in zip(simple, norms))
+        for b in simple
+    ]
+    steps = [16 ** i for i in range(len(simple))]
+    # key -> (root, its simple-coroot pairings)
+    roots = {s: (a, c) for s, a, c in zip(steps, simple, cartan)}
+    layer = list(roots)
+    while layer:
+        nxt = []
+        for k in layer:
+            b, pairing = roots[k]
+            for i, s in enumerate(steps):
+                p = 0
+                while k - (p + 1) * s in roots:
+                    p += 1
+                if p > pairing[i] and k + s not in roots:
+                    roots[k + s] = (
+                        _add(b, simple[i]), tuple(map(add, pairing, cartan[i]))
+                    )
+                    nxt.append(k + s)
+        layer = nxt
+    return [b for b, _ in roots.values()]
 
 
 class _SysData:
@@ -356,13 +277,15 @@ class _SysData:
     )
 
     def __init__(self, label):
-        if label not in _BUILDERS:
+        if label not in _SIMPLE:
             raise ValueError(f"unsupported root system label {label!r}")
-        dim, simple, pos = _BUILDERS[label]()
+        dim, simple = _SIMPLE[label]
         self.label = label
         self.dim = dim
         self.rank = len(simple)
-        self.simple = tuple(simple)
+        self.simple = simple
+        self.simple_norm = tuple(_dot(a, a) for a in simple)
+        pos = _positive_roots(simple, self.simple_norm)
         self.pos = tuple(sorted(pos))
         rho2_doubled = [0] * dim  # 2*rho, doubled
         for a in pos:
@@ -370,7 +293,6 @@ class _SysData:
         if any(t % 2 for t in rho2_doubled):
             raise AssertionError(f"rho of {label} not a half-integer vector")
         self.rho2 = tuple(t // 2 for t in rho2_doubled)  # doubled rho
-        self.simple_norm = tuple(_dot(a, a) for a in self.simple)
 
     def in_chamber(self, tvec) -> bool:
         """True iff the vector lies in the closed dominant chamber."""
@@ -405,6 +327,13 @@ class _SysData:
             if sum(1 for x in t if x < 0) % 2:
                 mags[-1] = -mags[-1]
             return tuple(mags)
+        if fam == "G":
+            # W(G2) acts on the sum-zero plane by permutations and -1;
+            # the chamber is t1 >= t2 >= 0 >= t3
+            desc = sorted(t, reverse=True)
+            if desc[1] < 0:
+                desc = sorted(_neg(t), reverse=True)
+            return tuple(desc)
         t = tuple(t)
         # each step s_i (taken where <t, alpha_i> < 0) removes alpha_i from
         # the positive roots pairing negatively with t and permutes the
@@ -486,9 +415,10 @@ def highest_root_coefficients(label: str) -> tuple:
 def dominant_representative(w: Weight) -> Weight:
     """The dominant Weyl-chamber representative of the orbit of w.
 
-    Classical families use the signed-permutation normal form; the
-    exceptional systems walk simple reflections (which requires w to be
-    in the weight lattice, i.e. have integral simple pairings).
+    Classical families use the signed-permutation normal form and G2
+    sorts up to sign; F4 and the E series walk simple reflections (which
+    requires w to be in the weight lattice, i.e. have integral simple
+    pairings).
     """
     d = _sys(w.system)
     return Weight.from_twice(d.dominant_twice(w.twice()), w.system)
@@ -530,79 +460,70 @@ class QuaternionicStructure:
     m_simple_coords: tuple
 
 
-_QUAT_TABLE = {}
-
-
-def _register_quat(
-    g_label, system, m_label, m_factors, vm_hw, vm_dim, k_label,
-    m_simple_coords,
-):
-    theta = highest_root(system)
-    alpha0 = Weight.from_twice(_neg(theta.twice()), system)
-    _QUAT_TABLE[g_label] = QuaternionicStructure(
-        g_label=g_label,
-        system=system,
-        m_label=m_label,
-        m_factors=m_factors,
-        vm_hw=vm_hw,
-        vm_dim=vm_dim,
-        alpha0=alpha0,
-        k_label=k_label,
-        m_simple_coords=m_simple_coords,
-    )
-
-
-def _init_quat_table():
+# g_label -> (system, m_label, m_factors, vm_hw, vm_dim, k_label,
+# m_simple_coords); alpha0 comes from the system's highest root when a row
+# is first read, so importing the package builds no root system for it
+_QUAT_ROWS = {
     # Spin(4,3): M = SU(2) x Spin(3); both factors carry integer SU(2)
     # weights (m), (n); V_M = (1) (x) (2).  The split G2 sits inside via
     # SU_s(2) diagonal in SU_0(2) x Spin(3) and SU_l(2) equal to the
     # SU(2) factor; under K2 the tangent space is (3) (x) (1).
-    _register_quat(
-        "Spin(4,3)", "B3", "SU(2)xSpin(3)", ("C1", "C1"),
+    "Spin(4,3)": (
+        "B3", "SU(2)xSpin(3)", ("C1", "C1"),
         ((1,), (2,)), 6, "SU_0(2) x SU(2) x Spin(3)",
         ((2, -2, 0), (0, 0, 2)),
-    )
+    ),
     # Spin(4,4): M = SU(2)^3.  Factor order (alpha, beta, gamma) pinned to
     # the simple roots e1-e2, e3+e4, e3-e4 so that the Spin(8) lift table
     # reproduces inf chars equal to lambda + rho.
-    _register_quat(
-        "Spin(4,4)", "D4", "SU(2)^3", ("C1", "C1", "C1"),
+    "Spin(4,4)": (
+        "D4", "SU(2)^3", ("C1", "C1", "C1"),
         ((1,), (1,), (1,)), 8, "SU_0(2) x SU(2)^3",
         ((2, -2, 0, 0), (0, 0, 2, 2), (0, 0, 2, -2)),
-    )
-    _register_quat(
-        "E6_4", "E6", "SU(6)", ("A5",),
+    ),
+    "E6_4": (
+        "E6", "SU(6)", ("A5",),
         ((1, 1, 1, 0, 0, 0),), 20, "SU_0(2) x SU(6)",
         (None,),
-    )
-    _register_quat(
-        "E7_4", "E7", "Spin(12)", ("D6",),
+    ),
+    "E7_4": (
+        "E7", "Spin(12)", ("D6",),
         ((HalfInt(1),) * 6,), 32, "SU_0(2) x Spin(12)",
         (None,),
-    )
-    _register_quat(
-        "E8_4", "E8", "E7", ("E7",),
+    ),
+    "E8_4": (
+        "E8", "E7", ("E7",),
         ((0, 0, 0, 0, 0, 1, HalfInt(-1), HalfInt(1)),), 56, "SU_0(2) x E7",
         (None,),
-    )
-    _register_quat(
-        "F4_4", "F4", "Sp(3)", ("C3",),
+    ),
+    "F4_4": (
+        "F4", "Sp(3)", ("C3",),
         ((1, 1, 1),), 14, "SU_0(2) x Sp(3)",
         (None,),
-    )
+    ),
     # split G2: M is the SU(2) on the short simple root; V_M = (3)
-    _register_quat(
-        "G2_2", "G2", "SU(2)", ("C1",),
+    "G2_2": (
+        "G2", "SU(2)", ("C1",),
         ((3,),), 4, "SU_0(2) x SU(2)",
         ((2, -2, 0),),
+    ),
+}
+
+
+@lru_cache(maxsize=None)
+def _quat_structure(g_label: str) -> QuaternionicStructure:
+    system, m_label, m_factors, vm_hw, vm_dim, k_label, m_simple_coords = (
+        _QUAT_ROWS[g_label]
     )
-
-
-_init_quat_table()
+    alpha0 = Weight.from_twice(_neg(highest_root(system).twice()), system)
+    return QuaternionicStructure(
+        g_label, system, m_label, m_factors, vm_hw, vm_dim, alpha0, k_label,
+        m_simple_coords,
+    )
 
 
 def quaternionic_structure(g_label: str) -> QuaternionicStructure:
     try:
-        return _QUAT_TABLE[g_label]
+        return _quat_structure(g_label)
     except KeyError:
         raise ValueError(f"no quaternionic structure for {g_label!r}") from None

@@ -405,6 +405,11 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     exact multisets level by level.  Returns (sides equal, number of
     distinct K-types compared); a truncation too low to reach any
     K-type compares none.
+
+    theta_e8_spin9 ignores c, so both sides sum ledgers of the same
+    modules, b-d+1 times each: the check restates the lift formula and
+    holds whatever ktypes returns (doubling every multiplicity keeps it
+    passing).  It is not an independent check of the ledgers.
     """
     tb, td = HalfInt.of(b).twice, HalfInt.of(d).twice
     if not tb >= td >= 0:

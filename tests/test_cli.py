@@ -136,6 +136,18 @@ class TestJsonContracts:
         assert json.dumps(back.to_json(), sort_keys=True) == \
             json.dumps(data["data"], sort_keys=True)
 
+    @pytest.mark.parametrize("wm,s,expected", [
+        ("3", 4, ["3/2", 1, "-5/2"]),
+        ("1", 4, [1, "1/2", "-3/2"]),
+        ("0", 5, ["3/2", "1/2", -2]),
+    ])
+    def test_g2_infchar_off_the_weight_lattice(self, capsys, wm, s, expected):
+        # wm + s odd puts mu + (s/2) alpha0 + rho off the G2 weight lattice
+        code, out, err = run(capsys, "infchar", "--g", "G2_2",
+                             "--wm", wm, "--s", str(s))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inf_char"] == expected
+
 
 class TestDeterminism:
     def test_theta_byte_identical(self, capsys):

@@ -101,11 +101,17 @@ class TestWeight:
 ROOT_SYSTEM_TABLE = {
     "A1": (2, 1, 1, 2, (1, -1)),
     "A2": (3, 2, 3, 6, (2, 0, -2)),
+    "A3": (4, 3, 6, 24, (3, 1, -1, -3)),
     "A5": (6, 5, 15, 720, (5, 3, 1, -1, -3, -5)),
+    "B1": (1, 1, 1, 2, (1,)),
+    "B2": (2, 2, 4, 8, (3, 1)),
     "B3": (3, 3, 9, 48, (5, 3, 1)),
     "B4": (4, 4, 16, 384, (7, 5, 3, 1)),
     "C1": (1, 1, 1, 2, (2,)),
+    "C2": (2, 2, 4, 8, (4, 2)),
     "C3": (3, 3, 9, 48, (6, 4, 2)),
+    "D2": (2, 2, 2, 4, (2, 0)),
+    "D3": (3, 3, 6, 24, (4, 2, 0)),
     "D4": (4, 4, 12, 192, (6, 4, 2, 0)),
     "D6": (6, 6, 30, 23040, (10, 8, 6, 4, 2, 0)),
     "E6": (8, 6, 36, 51840, (0, 2, 4, 6, 8, -8, -8, 8)),
@@ -141,6 +147,52 @@ def test_rho_is_half_sum_of_positive_roots(label):
     assert all(c % 2 == 0 for c in total)
 
 
+def _standard_npos(label):
+    """|positive roots| of a simple type, from the type alone."""
+    exceptional = {"G2": 6, "F4": 24, "E6": 36, "E7": 63, "E8": 120}
+    if label in exceptional:
+        return exceptional[label]
+    fam, n = label[0], int(label[1:])
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}[fam]
+
+
+@pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
+def test_positive_root_closure(label):
+    # as in any positive system: every simple root is positive, s_i
+    # permutes the other positive roots, and the count fits the type
+    d = _sys(label)
+    pos = set(d.pos)
+    assert len(pos) == len(d.pos) == _standard_npos(label)
+    for i, a in enumerate(d.simple):
+        assert a in pos
+        rest = pos - {a}
+        assert {d.reflect_simple(b, i) for b in rest} == rest
+
+
+def _descend(d, t):
+    """Dominant representative by the simple-reflection walk."""
+    while True:
+        i = next((i for i, a in enumerate(d.simple)
+                  if sum(x * y for x, y in zip(t, a)) < 0), None)
+        if i is None:
+            return t
+        t = d.reflect_simple(t, i)
+
+
+def test_g2_closed_form_matches_walk():
+    d = _sys("G2")
+    for x in range(-4, 5):
+        for y in range(-4, 5):
+            t = (2 * x, 2 * y, -2 * x - 2 * y)
+            assert d.dominant_twice(t) == _descend(d, t)
+
+
+def test_g2_closed_form_off_lattice():
+    # (3/2, -5/2, 1): the walk would reject it, the closed form sorts it
+    assert _sys("G2").dominant_twice((3, -5, 2)) == (3, 2, -5)
+    assert _sys("G2").dominant_twice((-3, 5, -2)) == (3, 2, -5)
+
+
 @pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8"])
 def test_descent_from_minus_rho_takes_every_step(label):
     # w0 rho = -rho and rho is regular, so the reflection descent from
@@ -161,7 +213,8 @@ def test_highest_root_coefficients(label, coeffs):
     assert highest_root_coefficients(label) == coeffs
 
 
-@pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
+# D2 = A1 x A1 is reducible: it has two highest roots
+@pytest.mark.parametrize("label", sorted(set(ROOT_SYSTEM_TABLE) - {"D2"}))
 def test_highest_root_reconstruction(label):
     d = _sys(label)
     coeffs = highest_root_coefficients(label)
