@@ -9,7 +9,6 @@ from .rootdata import (
     highest_root,
     highest_root_coefficients,
     quaternionic_structure,
-    weyl_orbit,
 )
 from .charoracle import (
     CharMultiset,
@@ -78,7 +77,6 @@ from .verify import run_suite
 __all__ = [
     "HalfInt", "QuaternionicStructure", "Weight", "dominant_representative",
     "highest_root", "highest_root_coefficients", "quaternionic_structure",
-    "weyl_orbit",
     "CharMultiset", "EmbeddingMap", "Irrep", "IsoDecomp", "OracleCapError",
     "char_weights", "dim_cap", "embedding", "irrep", "restrict",
     "strip_dominant", "weyl_dim",

@@ -3,13 +3,19 @@
 Subcommands: branch, theta, ktypes, infchar, aq, verify, plot.  JSON
 output is UTF-8 with sorted keys; identical argv produces byte-identical
 output.  Exit codes: 0 success, 1 domain error, 2 verification failure,
-64 usage error.  The environment variable QUATHETA_DIM_CAP bounds the
-dimension the character oracle is willing to expand (default 20000).
+64 usage error, 70 internal failure (one line on stderr, no traceback).
+The environment variable QUATHETA_DIM_CAP bounds the dimension the
+character oracle is willing to expand (default 20000).
+
+main(argv) may be called repeatedly in one process: the parser is built
+on the first call and reused, since argparse keeps no state between
+parses (each returns a fresh Namespace; help is formatted at print time).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -304,6 +310,7 @@ def _add_module_flags(p, required=True):
                    help="take the irreducible quotient")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="quatheta",
@@ -393,6 +400,9 @@ def main(argv=None) -> int:
     except (ValueError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # EX_SOFTWARE: a fault of quatheta, not the input
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -424,16 +424,6 @@ def dominant_representative(w: Weight) -> Weight:
     return Weight.from_twice(d.dominant_twice(w.twice()), w.system)
 
 
-def weyl_orbit(w: Weight, max_size: int = 100000) -> set:
-    """Full Weyl orbit of w (exceptional systems need lattice weights),
-    walked down from its dominant representative."""
-    d = _sys(w.system)
-    return {
-        Weight.from_twice(t, w.system)
-        for t in d.orbit(d.dominant_twice(w.twice()), max_size)
-    }
-
-
 # ---------------------------------------------------------------------------
 # quaternionic structure table
 

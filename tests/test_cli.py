@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatheta
-from quatheta import quaternionic
+from quatheta import cli, quaternionic
 from quatheta.aqmodules import AqData
 from quatheta.cli import emit_svg, main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
@@ -44,9 +44,8 @@ class TestExitCodes:
         assert err.startswith("error:")
 
     def test_verification_failure_is_two(self, capsys, monkeypatch):
-        import quatheta.cli as cli_mod
         monkeypatch.setattr(
-            cli_mod, "run_suite", lambda *a, **k: (["FAIL x: y"], False)
+            cli, "run_suite", lambda *a, **k: (["FAIL x: y"], False)
         )
         code, out, _ = run(capsys, "verify", "--suite", "rootdata")
         assert code == 2
@@ -63,6 +62,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("exc", [
+        AssertionError("ledger levels out of step"),
+        TypeError("unhashable type: 'list'"),
+    ])
+    def test_internal_failure_is_70(self, capsys, monkeypatch, exc):
+        def broken(*args):
+            raise exc
+        monkeypatch.setattr(cli, "ktypes", broken)
+        code, out, err = run(capsys, "ktypes", "--g", "Spin(4,3)",
+                             "--wm", "0;1", "--s", "6", "--kmax", "1")
+        assert code == 70
+        assert out == ""
+        assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
 class TestReadmeExamples:
@@ -168,6 +181,47 @@ class TestDeterminism:
         _, a, _ = run(capsys, *args)
         _, b, _ = run(capsys, *args)
         assert a == b
+
+
+_KTYPES = ["ktypes", "--g", "Spin(4,3)", "--wm", "0;1", "--s", "6",
+           "--kmax", "2"]
+
+
+class TestOneParserPerProcess:
+    def test_calls_in_one_process_match_fresh_processes(self, capsys):
+        sequence = [
+            _KTYPES,
+            _KTYPES[:-2],  # no --kmax: usage error, 64
+            ["ktypes", "--help"],
+            ["ktypes", "--g", "Spin(4,4)", "--wm", "0;0", "--s", "4",
+             "--kmax", "1"],  # wrong factor count: domain error, 1
+            ["verify", "--suite", "e7d6"],
+            _KTYPES,
+        ]
+        # help is wrapped to the terminal width; fix it for both sides
+        env = {**ENV, "COLUMNS": "80"}
+        for argv in sequence:
+            with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "quatheta.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert (code, captured.out, captured.err) == \
+                (proc.returncode, proc.stdout, proc.stderr), argv
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_import_does_not_build_the_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import quatheta.cli as c; "
+             "print(c.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, env=ENV, check=True,
+        )
+        assert proc.stdout == "0\n"
 
 
 class TestBranchCommand:

@@ -13,7 +13,6 @@ from quatheta.rootdata import (
     highest_root,
     highest_root_coefficients,
     quaternionic_structure,
-    weyl_orbit,
 )
 
 
@@ -252,7 +251,7 @@ def test_dominant_representative_properties(label):
         d = dominant_representative(w)
         assert sd.in_chamber(d.twice())
         assert dominant_representative(d) == d
-        assert w in weyl_orbit(d)
+        assert w.twice() in sd.orbit(sd.dominant_twice(d.twice()), 100000)
 
 
 ORACLE_SYSTEMS = ("A1", "A2", "A3", "A5", "B1", "B2", "B3", "B4", "C1",
@@ -321,6 +320,11 @@ def test_dominant_char_matches_search(label, hw):
     assert min(got.values()) >= 1
 
 
+def _orbit(hw, label, max_size=100000):
+    d = _sys(label)
+    return d.orbit(d.dominant_twice(Weight(hw, label).twice()), max_size)
+
+
 def _reflect_rational(t, a):
     p = Fraction(2 * sum(x * y for x, y in zip(t, a)),
                  sum(x * x for x in a))
@@ -338,8 +342,7 @@ def _reflect_rational(t, a):
 ])
 def test_reflect_simple_matches_rational_formula(label, hw):
     d = _sys(label)
-    for w in weyl_orbit(Weight(hw, label)):
-        t = w.twice()
+    for t in _orbit(hw, label):
         for i, a in enumerate(d.simple):
             assert d.reflect_simple(t, i) == _reflect_rational(t, a)
 
@@ -355,11 +358,11 @@ def test_reflect_simple_rejects_off_lattice(label, t, i):
 
 
 def test_weyl_orbit_sizes():
-    assert len(weyl_orbit(Weight((1, 0, 0), "B3"))) == 6
-    assert len(weyl_orbit(Weight((0, 0, 0), "B3"))) == 1
-    assert len(weyl_orbit(Weight((1, 0, -1), "G2"))) == 6
+    assert len(_orbit((1, 0, 0), "B3")) == 6
+    assert len(_orbit((0, 0, 0), "B3")) == 1
+    assert len(_orbit((1, 0, -1), "G2")) == 6
     with pytest.raises(ValueError, match="orbit too large"):
-        weyl_orbit(Weight((1, 0, 0), "B3"), max_size=5)
+        _orbit((1, 0, 0), "B3", max_size=5)
 
 
 def test_is_dominant():
