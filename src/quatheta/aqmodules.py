@@ -16,6 +16,7 @@ highest weights (a, c).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
 
@@ -36,44 +37,81 @@ NONCOMPACT = {
     "PU21": ((1, -1, 0), (0, 1, -1)),
 }
 
-# rho of the chamber attached to each case family
-_RHO = {
-    ("G2", "I"): (2, 1, -3),
-    ("G2", "II"): (3, -1, -2),
-    ("G2", "III"): (1, 2, -3),
-    ("PU21", "I"): (1, 0, -1),
-    ("PU21", "II"): (1, -1, 0),
-    ("PU21", "III"): (0, 1, -1),
+# The case table: one row per (group, case id), the only place the cases
+# are written down.  lam is how lambda is built: for a regular case the
+# signed permutation taking a first-chamber point (a, b, c), with
+# a > b > 0 for G2 and a > b > c for PU21, to lambda (each is its own
+# inverse, so it also takes lambda back); for a wall case the vector v
+# with lambda = a * v for an integer a > 0.  rho is the chamber rho that
+# gives the infinitesimal character lambda + rho.  weights are the wall
+# u cap p weights; a regular case (weights None) derives its own.
+_Case = namedtuple("_Case", "lam rho weights")
+_FIRST_CHAMBER = {
+    "G2": lambda a, b, c: a > b > 0,
+    "PU21": lambda a, b, c: a > b > c,
 }
-
-_FAMILY = {
-    "I": "I", "II": "II", "III": "III",
-    "Ia.1": "I", "Ia.2": "I", "Ia.3": "I", "Ib": "II",
-    "IIa.1": "I", "IIa.2": "I", "IIa.3": "I", "IIb": "III",
-}
-
-# wall-case u cap p tables; regular cases derive theirs from lambda
 _G2_SET_I = ((1, -1, 0), (-1, 2, -1), (1, 0, -1), (1, 1, -2))
 _G2_SET_II = ((1, -1, 0), (1, -2, 1), (1, 0, -1), (1, 1, -2))
 _G2_SET_III = ((-1, 1, 0), (-1, 2, -1), (1, 0, -1), (1, 1, -2))
-_WALL_WEIGHTS = {
-    ("G2", "Ia.1"): _G2_SET_I,
-    ("G2", "Ia.2"): ((-1, 2, -1), (1, 0, -1), (1, 1, -2)),
-    ("G2", "Ia.3"): _G2_SET_III,
-    ("G2", "Ib"): _G2_SET_II,
-    ("G2", "IIa.1"): _G2_SET_II,
-    ("G2", "IIa.2"): ((1, -1, 0), (1, 0, -1), (1, 1, -2)),
-    ("G2", "IIa.3"): _G2_SET_I,
-    ("G2", "IIb"): _G2_SET_III,
-    ("PU21", "Ia.1"): ((0, 1, -1),),
-    ("PU21", "Ia.2"): ((-1, 1, 0), (0, 1, -1)),
-    ("PU21", "Ia.3"): ((1, -1, 0), (0, 1, -1)),
-    ("PU21", "Ib"): ((1, -1, 0), (0, -1, 1)),
-    ("PU21", "IIa.1"): ((1, -1, 0),),
-    ("PU21", "IIa.2"): ((1, -1, 0), (0, -1, 1)),
-    ("PU21", "IIa.3"): ((1, -1, 0), (0, 1, -1)),
-    ("PU21", "IIb"): ((-1, 1, 0), (0, 1, -1)),
+_CASES = {
+    ("G2", "I"): _Case(lambda a, b, c: (a, b, c), (2, 1, -3), None),
+    ("G2", "II"): _Case(lambda a, b, c: (-c, -b, -a), (3, -1, -2), None),
+    ("G2", "III"): _Case(lambda a, b, c: (b, a, c), (1, 2, -3), None),
+    ("G2", "Ia.1"): _Case((1, 1, -2), (2, 1, -3), _G2_SET_I),
+    ("G2", "Ia.2"): _Case((1, 1, -2), (2, 1, -3),
+                          ((-1, 2, -1), (1, 0, -1), (1, 1, -2))),
+    ("G2", "Ia.3"): _Case((1, 1, -2), (2, 1, -3), _G2_SET_III),
+    ("G2", "Ib"): _Case((2, -1, -1), (3, -1, -2), _G2_SET_II),
+    ("G2", "IIa.1"): _Case((1, 0, -1), (2, 1, -3), _G2_SET_II),
+    ("G2", "IIa.2"): _Case((1, 0, -1), (2, 1, -3),
+                           ((1, -1, 0), (1, 0, -1), (1, 1, -2))),
+    ("G2", "IIa.3"): _Case((1, 0, -1), (2, 1, -3), _G2_SET_I),
+    ("G2", "IIb"): _Case((0, 1, -1), (1, 2, -3), _G2_SET_III),
+    ("PU21", "I"): _Case(lambda a, b, c: (a, b, c), (1, 0, -1), None),
+    ("PU21", "II"): _Case(lambda a, b, c: (a, c, b), (1, -1, 0), None),
+    ("PU21", "III"): _Case(lambda a, b, c: (b, a, c), (0, 1, -1), None),
+    ("PU21", "Ia.1"): _Case((1, 1, -2), (1, 0, -1), ((0, 1, -1),)),
+    ("PU21", "Ia.2"): _Case((1, 1, -2), (1, 0, -1),
+                            ((-1, 1, 0), (0, 1, -1))),
+    ("PU21", "Ia.3"): _Case((1, 1, -2), (1, 0, -1),
+                            ((1, -1, 0), (0, 1, -1))),
+    ("PU21", "Ib"): _Case((1, -2, 1), (1, -1, 0), ((1, -1, 0), (0, -1, 1))),
+    ("PU21", "IIa.1"): _Case((2, -1, -1), (1, 0, -1), ((1, -1, 0),)),
+    ("PU21", "IIa.2"): _Case((2, -1, -1), (1, 0, -1),
+                             ((1, -1, 0), (0, -1, 1))),
+    ("PU21", "IIa.3"): _Case((2, -1, -1), (1, 0, -1),
+                             ((1, -1, 0), (0, 1, -1))),
+    ("PU21", "IIb"): _Case((-1, 2, -1), (0, 1, -1), ((-1, 1, 0), (0, 1, -1))),
 }
+
+
+def _case_lambda(group: str, case_id: str, a: int, b: int = 0) -> tuple:
+    """The lambda of a case at its parameters: first-chamber point
+    (a, b, -a-b) for a regular case, wall parameter a otherwise."""
+    row = _CASES[group, case_id]
+    if row.weights is None:
+        return row.lam(a, b, -a - b)
+    return tuple(a * x for x in row.lam)
+
+
+def _wall_parameter(v, lam: tuple) -> int:
+    """The a with lam == a * v for a wall case's v, or 0 when lam is off
+    that line."""
+    a = _dot(lam, v) // _dot(v, v)
+    return a if lam == (a * v[0], a * v[1], a * v[2]) else 0
+
+
+def _siblings(group: str, lam) -> list:
+    """The (case id, lambda) pairs drawn together with lam: the four
+    modules of the Ia or IIa wall family when lam is a positive multiple
+    of its v, else the three chambers with lam read as the first-chamber
+    point."""
+    lam = tuple(lam)
+    for ids in (CASE_IDS[3:7], CASE_IDS[7:]):
+        a = _wall_parameter(_CASES[group, ids[0]].lam, lam)
+        if a > 0:
+            return [(cid, _case_lambda(group, cid, a)) for cid in ids]
+    return [(cid, _CASES[group, cid].lam(*lam)) for cid in CASE_IDS[:3]]
 
 
 def abc_to_xy(t):
@@ -97,40 +135,11 @@ def _check_case(group: str, case_id: str, lam) -> None:
         raise ValueError("lambda must be an integer triple")
     if sum(lam) != 0:
         raise ValueError("lambda must sum to zero")
-    l1, l2, l3 = lam
-    fam = case_id.split(".")[0]
-    if group == "G2":
-        # regular parameters (a, b) with a > b > 0 enter the three
-        # chambers as (a,b,c), (-c,-b,-a), (b,a,c)
-        if case_id == "I":
-            ok = l1 > l2 > 0
-        elif case_id == "II":
-            ok = -l3 > -l2 > 0
-        elif case_id == "III":
-            ok = l2 > l1 > 0
-        elif fam == "Ia":
-            ok = l1 == l2 > 0
-        elif case_id == "Ib":
-            ok = l2 == l3 < 0
-        elif fam == "IIa":
-            ok = l2 == 0 and l1 > 0
-        else:  # IIb
-            ok = l1 == 0 and l2 > 0
+    row = _CASES[group, case_id]
+    if row.weights is None:
+        ok = _FIRST_CHAMBER[group](*row.lam(*lam))
     else:
-        if case_id == "I":
-            ok = l1 > l2 > l3
-        elif case_id == "II":
-            ok = l1 > l3 > l2
-        elif case_id == "III":
-            ok = l2 > l1 > l3
-        elif fam == "Ia":
-            ok = l1 == l2 > 0
-        elif case_id == "Ib":
-            ok = l1 == l3 > 0
-        elif fam == "IIa":
-            ok = l2 == l3 < 0
-        else:  # IIb
-            ok = l1 == l3 < 0
+        ok = _wall_parameter(row.lam, lam) > 0
     if not ok:
         raise ValueError(
             f"lambda {tuple(lam)} violates the constraints of "
@@ -190,9 +199,6 @@ class AqData:
 
 
 def _u_cap_p(case: AqCase):
-    key = (case.group, case.case_id)
-    if key in _WALL_WEIGHTS:
-        return _WALL_WEIGHTS[key]
     out = []
     for w in NONCOMPACT[case.group]:
         p = _dot(case.lam, w)
@@ -204,19 +210,19 @@ def _u_cap_p(case: AqCase):
 def aq_data(case: AqCase) -> AqData:
     """Infinitesimal character lambda + rho(case) and minimal K-type
     lambda + 2 rho(u cap p), in all coordinate systems."""
-    rho = _RHO[(case.group, _FAMILY[case.case_id])]
-    weights = _u_cap_p(case)
+    row = _CASES[case.group, case.case_id]
+    weights = row.weights or _u_cap_p(case)
     mu = case.lam
     for w in weights:
         mu = _add(mu, w)
-    inf = _add(case.lam, rho)
+    inf = _add(case.lam, row.rho)
     u2 = (mu[0], mu[2]) if case.group == "PU21" else None
     return AqData(inf, mu, abc_to_xy(mu), weights, u2)
 
 
 def _positive_functional(group: str, weights):
-    for fam in ("I", "II", "III"):
-        phi = _RHO[(group, fam)]
+    for cid in CASE_IDS[:3]:
+        phi = _CASES[group, cid].rho
         if all(_dot(phi, w) > 0 for w in weights):
             return phi
     raise AssertionError("no chamber functional dominates the weight set")
@@ -298,27 +304,18 @@ def g2_modules_with_infchar(target, amax: int):
     key = orbit_key(target)
     found = []
 
-    def consider(case_id, lam):
-        try:
-            case = AqCase("G2", case_id, lam)
-        except ValueError:
-            return
+    def consider(case_id, *params):
+        case = AqCase("G2", case_id, _case_lambda("G2", case_id, *params))
         data = aq_data(case)
         if orbit_key(data.inf_char) == key:
             found.append((case, data))
 
     for a in range(1, amax + 1):
         for b in range(1, a):
-            c = -a - b
-            consider("I", (a, b, c))
-            consider("II", (-c, -b, -a))
-            consider("III", (b, a, c))
-        for sub in ("Ia.1", "Ia.2", "Ia.3"):
-            consider(sub, (a, a, -2 * a))
-        consider("Ib", (2 * a, -a, -a))
-        for sub in ("IIa.1", "IIa.2", "IIa.3"):
-            consider(sub, (a, 0, -a))
-        consider("IIb", (0, a, -a))
+            for case_id in CASE_IDS[:3]:
+                consider(case_id, a, b)
+        for case_id in CASE_IDS[3:]:
+            consider(case_id, a)
     return found
 
 

@@ -178,39 +178,35 @@ def _cmd_branch(args) -> int:
 # theta
 
 
+# source flag -> (argparse dest, ambient, lift, takes --sign), in the order
+# the flags are looked for
+_THETA_SOURCES = {
+    "torus": ("torus", "E6", theta_e6_torus, True),
+    "u2": ("u2", "E6", theta_e6_u2, True),
+    "type": ("type_", "E7", theta_e7, False),
+    "spin8": ("spin8", "E8", theta_e8_spin8, False),
+    "spin9": ("spin9", "E8", theta_e8_spin9, False),
+    "su2": ("su2", "F4", theta_f4, True),
+}
+
+
 def _cmd_theta(args) -> int:
-    amb = args.ambient
-    given = [
-        name for name in ("torus", "u2", "type", "spin8", "spin9", "su2")
-        if getattr(args, "type_" if name == "type" else name) is not None
-    ]
+    given = [src for src, (dest, *_) in _THETA_SOURCES.items()
+             if getattr(args, dest) is not None]
     if len(given) != 1:
         raise ValueError("give exactly one source type for the ambient group")
     src = given[0]
-    allowed = {
-        "E6": ("torus", "u2"), "E7": ("type",),
-        "E8": ("spin8", "spin9"), "F4": ("su2",),
-    }
-    if src not in allowed[amb]:
-        raise ValueError(f"--{src} does not apply to ambient {amb}")
-    if src == "torus":
-        lift = theta_e6_torus(*args.torus, sign=args.sign)
-    elif src == "u2":
-        lift = theta_e6_u2(*args.u2, sign=args.sign)
-    elif src == "type":
-        if args.sign is not None:
-            raise ValueError("--sign does not apply to ambient E7")
-        lift = theta_e7(*args.type_)
-    elif src == "spin8":
-        if args.sign is not None:
-            raise ValueError("--sign does not apply to ambient E8")
-        lift = theta_e8_spin8(*args.spin8)
-    elif src == "spin9":
-        if args.sign is not None:
-            raise ValueError("--sign does not apply to ambient E8")
-        lift = theta_e8_spin9(*args.spin9)
+    dest, amb, lift_of, signed = _THETA_SOURCES[src]
+    if amb != args.ambient:
+        raise ValueError(f"--{src} does not apply to ambient {args.ambient}")
+    value = getattr(args, dest)
+    params = value if isinstance(value, tuple) else (value,)
+    if signed:
+        lift = lift_of(*params, sign=args.sign)
+    elif args.sign is not None:
+        raise ValueError(f"--sign does not apply to ambient {amb}")
     else:
-        lift = theta_f4(args.su2, sign=args.sign)
+        lift = lift_of(*params)
     _print_json(lift.to_json())
     return 0
 

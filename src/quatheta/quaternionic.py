@@ -161,9 +161,6 @@ class KTypeLedger:
     def kmax(self) -> int:
         return len(self.levels) - 1
 
-    def __getitem__(self, k: int):
-        return self.levels[k]
-
     def __iter__(self):
         return iter(self.levels)
 

@@ -83,9 +83,6 @@ class HalfInt:
     def as_fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __int__(self) -> int:
         if self.twice % 2:
             raise ValueError(f"{self} is not an integer")

@@ -1,14 +1,19 @@
 """Deterministic SVG figures for the plot subcommand.
 
 Coordinates are computed exactly (Fraction) and rounded only when
-written, so identical specs give byte-identical SVG text.
+written, so identical specs give byte-identical SVG text.  The cases
+drawn together in a cone figure, and their lambdas, come from the case
+table in aqmodules, the one source of lambda shapes, chamber rho, wall
+weights and sibling sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .aqmodules import AqCase, abc_to_xy, aq_data, cone_extreme_rays
+from .aqmodules import (
+    AqCase, _siblings, abc_to_xy, aq_data, cone_extreme_rays,
+)
 from .quaternionic import ktypes
 
 _PAD = 30
@@ -25,23 +30,6 @@ def _py(y, ymax) -> str:
 
 
 _PALETTE = ("#c0392b", "#27ae60", "#2980b9", "#e67e22")
-
-
-def _cone_cases(group: str, lam: tuple) -> list:
-    """The case/parameter pairs drawn together for one figure: the
-    regular chamber triple, or the four modules at a wall parameter."""
-    a, b, c = lam
-    if a == b > 0 and c == -2 * a:
-        ib = (2 * a, -a, -a) if group == "G2" else (a, -2 * a, a)
-        return [("Ia.1", lam), ("Ia.2", lam), ("Ia.3", lam), ("Ib", ib)]
-    if (group == "G2" and b == 0 and a > 0 and c == -a) or (
-        group == "PU21" and b == c < 0 and a == -2 * b
-    ):
-        iib = (0, a, -a) if group == "G2" else (c, -2 * c, c)
-        return [("IIa.1", lam), ("IIa.2", lam), ("IIa.3", lam), ("IIb", iib)]
-    if group == "G2":
-        return [("I", lam), ("II", (-c, -b, -a)), ("III", (b, a, c))]
-    return [("I", lam), ("II", (a, c, b)), ("III", (b, a, c))]
 
 
 def _ray_end(apex, d, xmin, xmax, ymin, ymax):
@@ -77,7 +65,7 @@ def emit_svg(spec: dict) -> str:
 def _svg_cones(group: str, lam) -> str:
     overlays = []
     if lam is not None:
-        for (cid, sub_lam), color in zip(_cone_cases(group, lam), _PALETTE):
+        for (cid, sub_lam), color in zip(_siblings(group, lam), _PALETTE):
             case = AqCase(group, cid, sub_lam)
             data = aq_data(case)
             overlays.append((

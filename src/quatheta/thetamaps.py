@@ -48,9 +48,6 @@ class ThetaLift:
     def modules(self) -> tuple:
         return tuple(m for m, _ in self.lifts)
 
-    def inf_chars(self) -> tuple:
-        return tuple(inf_char(m) for m, _ in self.lifts)
-
     def to_json(self) -> dict:
         if self.zero:
             out = {"zero": True}

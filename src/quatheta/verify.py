@@ -48,7 +48,9 @@ from .thetamaps import (
     theta_f4,
 )
 from .aqmodules import (
+    CASE_IDS,
     AqCase,
+    _case_lambda,
     abc_to_xy,
     aq_data,
     cone_contains,
@@ -545,12 +547,11 @@ def _suite_aq(max_entry=None):
     rng = random.Random(20240501)
     ok = True
     for group in ("G2", "PU21"):
-        for case_id in ("I", "II", "III", "Ia.1", "Ia.2", "Ia.3", "Ib",
-                        "IIa.1", "IIa.2", "IIa.3", "IIb"):
+        for case_id in CASE_IDS:
             for _ in range(40):
                 a = rng.randint(2, 60)
                 b = rng.randint(1, a - 1)
-                lam = _admissible_lambda(group, case_id, a, b)
+                lam = _case_lambda(group, case_id, a, b)
                 d = aq_data(AqCase(group, case_id, lam))
                 tot = tuple(
                     sum(w[i] for w in d.u_cap_p_weights) for i in range(3)
@@ -649,27 +650,6 @@ def _suite_aq(max_entry=None):
         and not cone_contains(cs, abc_to_xy(outside)),
     ))
     return checks
-
-
-def _admissible_lambda(group, case_id, a, b):
-    """A parameter in the domain of the given case, built from a > b > 0."""
-    fam = case_id.split(".")[0]
-    c = -a - b
-    if group == "G2":
-        table = {
-            "I": (a, b, c), "II": (-c, -b, -a), "III": (b, a, c),
-            "Ib": (2 * a, -a, -a), "IIb": (0, a, -a),
-        }
-        if case_id in table:
-            return table[case_id]
-        return (a, a, -2 * a) if fam == "Ia" else (a, 0, -a)
-    table = {
-        "I": (a, b, c), "II": (a, c, b), "III": (b, a, c),
-        "Ib": (a, -2 * a, a), "IIb": (-a, 2 * a, -a),
-    }
-    if case_id in table:
-        return table[case_id]
-    return (a, a, -2 * a) if fam == "Ia" else (2 * a, -a, -a)
 
 
 SUITES = {

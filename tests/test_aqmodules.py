@@ -15,6 +15,58 @@ from quatheta.aqmodules import (
 )
 
 
+# the case domains as displayed: AqCase accepts a sum-zero lambda for a
+# case exactly when its inequality holds
+_DOMAINS = {
+    ("G2", "I"): lambda l1, l2, l3: l1 > l2 > 0,
+    ("G2", "II"): lambda l1, l2, l3: -l3 > -l2 > 0,
+    ("G2", "III"): lambda l1, l2, l3: l2 > l1 > 0,
+    ("G2", "Ia.1"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("G2", "Ia.2"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("G2", "Ia.3"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("G2", "Ib"): lambda l1, l2, l3: l2 == l3 < 0,
+    ("G2", "IIa.1"): lambda l1, l2, l3: l2 == 0 and l1 > 0,
+    ("G2", "IIa.2"): lambda l1, l2, l3: l2 == 0 and l1 > 0,
+    ("G2", "IIa.3"): lambda l1, l2, l3: l2 == 0 and l1 > 0,
+    ("G2", "IIb"): lambda l1, l2, l3: l1 == 0 and l2 > 0,
+    ("PU21", "I"): lambda l1, l2, l3: l1 > l2 > l3,
+    ("PU21", "II"): lambda l1, l2, l3: l1 > l3 > l2,
+    ("PU21", "III"): lambda l1, l2, l3: l2 > l1 > l3,
+    ("PU21", "Ia.1"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("PU21", "Ia.2"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("PU21", "Ia.3"): lambda l1, l2, l3: l1 == l2 > 0,
+    ("PU21", "Ib"): lambda l1, l2, l3: l1 == l3 > 0,
+    ("PU21", "IIa.1"): lambda l1, l2, l3: l2 == l3 < 0,
+    ("PU21", "IIa.2"): lambda l1, l2, l3: l2 == l3 < 0,
+    ("PU21", "IIa.3"): lambda l1, l2, l3: l2 == l3 < 0,
+    ("PU21", "IIb"): lambda l1, l2, l3: l1 == l3 < 0,
+}
+
+
+class TestCaseDomains:
+    @pytest.mark.parametrize("group,case_id", list(_DOMAINS))
+    def test_accepts_exactly_the_displayed_domain(self, group, case_id):
+        inside = _DOMAINS[group, case_id]
+        accepted = refused = 0
+        for l1 in range(-12, 13):
+            for l2 in range(-12, 13):
+                lam = (l1, l2, -l1 - l2)
+                if abs(lam[2]) > 12:
+                    continue
+                if inside(*lam):
+                    assert AqCase(group, case_id, lam).lam == lam
+                    accepted += 1
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    AqCase(group, case_id, lam)
+                assert str(exc.value) == (
+                    f"lambda {lam} violates the constraints of "
+                    f"{group} case {case_id}"
+                )
+                refused += 1
+        assert accepted and refused
+
+
 class TestAqCase:
     def test_valid(self):
         case = AqCase("G2", "I", (2, 1, -3))
@@ -243,6 +295,10 @@ class TestFtauSegments:
         ]
         assert [len(seg) for seg in segs] == [a + 3, a + 2, a + 1]
 
+    def test_rejects_nonpositive_parameter(self):
+        with pytest.raises(ValueError, match="^need a > 0$"):
+            ftau_restriction_segments(0)
+
     @pytest.mark.parametrize("a", [1, 4])
     def test_segments_ascend_in_steps_of_two(self, a):
         for seg in ftau_restriction_segments(a):
@@ -295,6 +351,19 @@ class TestThetaUnitary:
         assert theta_unitary("regular", abc, (a + 1, b + 1)).zero
         r2 = theta_unitary("regular", abc, (b - 1, c - 1))
         assert r2.conditional and r2.minimal_type_xy == (5 + a - c, b - 1)
+
+    @pytest.mark.parametrize("regime,params,tau,message", [
+        ("wall", 0, (1, 1), "need a > 0"),
+        ("wall", 2, (0, 0), "(0, 0) is not a minimal type for wall parameter 2"),
+        ("regular", (3, 1, -4), (0, 0),
+         "(0, 0) is not a minimal type for (3, 1, -4)"),
+        ("regular", (1, 2, -3), (0, 0),
+         "need a > b > c with b > 0 summing to zero"),
+    ])
+    def test_refusals(self, regime, params, tau, message):
+        with pytest.raises(ValueError) as exc:
+            theta_unitary(regime, params, tau)
+        assert str(exc.value) == message
 
     def test_unknown_regime(self):
         with pytest.raises(ValueError):

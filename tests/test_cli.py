@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -42,6 +43,23 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["E7", "--type", "2,1,3", "--sign", "+"],
+         "--sign does not apply to ambient E7"),
+        (["E8", "--spin8", "2,1,1,1", "--sign", "-"],
+         "--sign does not apply to ambient E8"),
+        (["E8", "--spin9", "2,1,1,1", "--sign", "-"],
+         "--sign does not apply to ambient E8"),
+        (["E8", "--spin9", "2,1,1,1", "--type", "1,1,1"],
+         "give exactly one source type for the ambient group"),
+        (["E6", "--type", "1,1,1"], "--type does not apply to ambient E6"),
+    ])
+    def test_theta_source_refusals(self, capsys, argv, message):
+        code, out, err = run(capsys, "theta", "--ambient", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_verification_failure_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -308,6 +326,26 @@ class TestPlotCommand:
         _, out, _ = run(capsys, "plot", "--figure", "cones",
                         "--group", "pu21", "--lambda=1,1,-2")
         assert out.count("<line") == 7  # one cone degenerates to a ray
+
+    @pytest.mark.parametrize("group,lam,labels,lines,apexes", [
+        ("g2", "2,0,-2", ["IIa.1", "IIa.2", "IIa.3", "IIb"], 8,
+         [("110.00", "100.00"), ("230.00", "170.00"),
+          ("350.00", "240.00"), ("510.00", "520.00")]),
+        ("pu21", "3,1,-4", ["I", "II", "III"], 6,
+         [("630.00", "100.00"), ("70.00", "100.00"), ("790.00", "380.00")]),
+        ("pu21", "4,-2,-2", ["IIa.1", "IIa.2", "IIa.3", "IIb"], 7,
+         [("150.00", "100.00"), ("70.00", "100.00"),
+          ("230.00", "100.00"), ("550.00", "660.00")]),
+    ])
+    def test_sibling_sets(self, capsys, group, lam, labels, lines, apexes):
+        code, out, _ = run(capsys, "plot", "--figure", "cones",
+                           "--group", group, f"--lambda={lam}")
+        assert code == 0
+        assert re.findall(r'font-size="14">([^<]*)</text>', out) == labels
+        assert out.count("<line") == lines
+        assert re.findall(
+            r'<circle cx="([0-9.]+)" cy="([0-9.]+)" r="5" fill="#', out
+        ) == apexes
 
     def test_ledger_figure(self, capsys):
         code, out, _ = run(capsys, "plot", "--figure", "ledger",

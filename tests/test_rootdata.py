@@ -74,10 +74,6 @@ class TestHalfInt:
         with pytest.raises(TypeError):
             HalfInt(1) < "1"
 
-    def test_is_integer(self):
-        assert HalfInt.of(2).is_integer()
-        assert not HalfInt(3).is_integer()
-
 
 class TestWeight:
     def test_coercion_and_twice(self):

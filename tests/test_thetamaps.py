@@ -88,6 +88,18 @@ class TestE6U2:
         assert lift.zero
         assert lift.to_json() == {"zero": True, "sign": "-"}
 
+    @pytest.mark.parametrize("a,b,sign,data", [
+        (2, -2, "+", {"sigma": {"G": "Spin(4,3)", "wm": [[2], [0]], "s": 6},
+                      "sign": "+", "upper_bound": True}),
+        (2, -2, "-", {"sigma": {"G": "Spin(4,3)", "wm": [[1], [0]], "s": 7},
+                      "sign": "-", "upper_bound": True}),
+        (0, 0, "+", {"sigma": {"G": "Spin(4,3)", "wm": [[0], [0]], "s": 4},
+                     "sign": "+", "upper_bound": True}),
+        (0, 0, "-", {"zero": True, "sign": "-"}),
+    ])
+    def test_signed_boundary(self, a, b, sign, data):
+        assert theta_e6_u2(a, b, sign=sign).to_json() == data
+
     def test_negated_parameters_agree(self):
         assert theta_e6_u2(-1, -3).to_json() == theta_e6_u2(3, 1).to_json()
 
@@ -219,9 +231,6 @@ class TestThetaLiftJson:
         lift = theta_e6_torus(0, 0, 0)
         mods = lift.modules()
         assert len(mods) == 2
-        chars = lift.inf_chars()
-        assert len(chars) == 2
-        assert all(w.system == "D4" for w in chars)
 
 
 class TestInfcharCrosscheck:
