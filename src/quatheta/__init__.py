@@ -34,7 +34,6 @@ from .branchrules import (
     clebsch_gordan,
     f4_to_spin9,
     f4_to_spin9_table,
-    gz_chain,
     restrict_e7_to_su2_spin12,
 )
 from .quaternionic import (
@@ -82,8 +81,7 @@ __all__ = [
     "strip_dominant", "weyl_dim",
     "Spin2Module", "branch_sp", "branch_spin_even", "branch_spin_odd",
     "cg_mult", "cg_product", "clebsch_gordan", "f4_to_spin9",
-    "f4_to_spin9_table", "gz_chain",
-    "restrict_e7_to_su2_spin12",
+    "f4_to_spin9_table", "restrict_e7_to_su2_spin12",
     "KTypeLedger", "QuatModule", "check_lemma_surjectivity", "inf_char",
     "ktypes", "minimal_type", "restrict_filtration", "sym_power",
     "ThetaLift", "infchar_crosscheck", "seesaw_truncation_check",

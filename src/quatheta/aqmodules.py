@@ -105,12 +105,17 @@ def _siblings(group: str, lam) -> list:
     """The (case id, lambda) pairs drawn together with lam: the four
     modules of the Ia or IIa wall family when lam is a positive multiple
     of its v, else the three chambers with lam read as the first-chamber
-    point."""
+    point.  A sum-zero lam that is neither is refused."""
     lam = tuple(lam)
     for ids in (CASE_IDS[3:7], CASE_IDS[7:]):
         a = _wall_parameter(_CASES[group, ids[0]].lam, lam)
         if a > 0:
             return [(cid, _case_lambda(group, cid, a)) for cid in ids]
+    if sum(lam) == 0 and not _FIRST_CHAMBER[group](*lam):
+        raise ValueError(
+            f"lambda {lam} is neither a first-chamber point nor an "
+            f"Ia/IIa wall point of {group}"
+        )
     return [(cid, _CASES[group, cid].lam(*lam)) for cid in CASE_IDS[:3]]
 
 

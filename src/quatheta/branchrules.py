@@ -1,8 +1,7 @@
 """Closed-form branching rules.
 
 Two-step branching for Sp(n), Spin(2n+1), Spin(2n) down to the
-next-smaller group of the same family times Sp(1) resp. Spin(2);
-Gelfand-Zetlin interlacing chains for Spin(m) down arbitrary steps; the
+next-smaller group of the same family times Sp(1) resp. Spin(2); the
 restriction of E7 Cartan powers of the miniscule representation to
 SU(2) x Spin(12); and the closed form for multiplicities in the
 restriction of F4 irreps to Spin(9).
@@ -258,48 +257,6 @@ def _even_hom(lam, mu):
     for d in diffs:
         mod = mod * Spin2Module.B(d)
     return mod.shift(sum(lam) + sum(mu) - lo_sum - hi_sum)
-
-
-# ---------------------------------------------------------------------------
-# Gelfand-Zetlin chains
-
-
-def _interlace_down(m: int, lam: tuple):
-    """One-step branching Spin(m) -> Spin(m-1) on doubled coordinates:
-    yields the next weights."""
-    r = len(lam)
-    parity = lam[0] % 2
-    if m % 2 == 0:
-        # so(2r) -> so(2r-1): drop to r-1 coords, last bound |x_r|
-        ranges = [
-            _steps(lam[i + 1] if i + 1 < r - 1 else abs(lam[r - 1]), lam[i],
-                   parity)
-            for i in range(r - 1)
-        ]
-    else:
-        # so(2r+1) -> so(2r): same length, signed last coordinate
-        ranges = [_steps(lam[i + 1], lam[i], parity) for i in range(r - 1)]
-        ranges.append(_steps(-lam[r - 1], lam[r - 1], parity))
-    return itertools.product(*ranges)
-
-
-def gz_chain(m: int, lam, target_m: int) -> dict:
-    """Multiplicities of Spin(target_m) irreps in a Spin(m) irrep,
-    counted as Gelfand-Zetlin interlacing chains."""
-    lam = _twice(lam)
-    if len(lam) != m // 2:
-        raise ValueError(f"Spin({m}) weights have {m // 2} coordinates")
-    if not (3 <= target_m <= m):
-        raise ValueError("target out of range")
-    _spin_parity(lam)
-    level = {lam: 1}
-    for k in range(m, target_m, -1):
-        nxt = {}
-        for nu, c in level.items():
-            for down in _interlace_down(k, nu):
-                nxt[down] = nxt.get(down, 0) + c
-        level = nxt
-    return {_keys(nu): c for nu, c in level.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -458,13 +458,11 @@ def _mk_embeddings():
     add("Spin7>Spin5xSpin2", "B3", ("B2", "Spin2"), [0, 1, 2])
     add("Spin6>Spin4xSpin2", "D3", ("D2", "Spin2"), [0, 1, 2])
     add("Spin8>Spin6xSpin2", "D4", ("D3", "Spin2"), [0, 1, 2, 3])
-    # Gelfand-Zetlin one-step chain, the oracle for branchrules.gz_chain
+    # one-step restrictions: Spin(9) > Spin(8), the oracle the rank-8
+    # see-saw needs for [pi|Spin(8) : tau], and Spin(8) > Spin(7), which
+    # the oracle suite restricts along
     add("Spin9>Spin8", "B4", ("D4",), [0, 1, 2, 3])
     add("Spin8>Spin7", "D4", ("B3",), [0, 1, 2])
-    add("Spin7>Spin6", "B3", ("D3",), [0, 1, 2])
-    add("Spin6>Spin5", "D3", ("B2",), [0, 1])
-    add("Spin5>Spin4", "B2", ("D2",), [0, 1])
-    add("Spin4>Spin3", "D2", ("B1",), [0])
     # the oracle for the F4 -> Spin(9) closed form
     add("F4>B4", "F4", ("B4",), [0, 1, 2, 3])
     return table

@@ -39,7 +39,7 @@ from .thetamaps import (
     theta_f4,
 )
 from .aqmodules import AqCase, aq_data
-from .svg import emit_svg
+from .svg import _svg_cones, _svg_ledger
 from .verify import SUITE_ORDER, run_suite
 
 
@@ -149,29 +149,28 @@ def _cmd_branch(args) -> int:
                 body = ", ".join(f"({k}) x{m}" for k, m in c["su2"].items())
                 print(f"{_fmt_tuple(c['mu'])} : {body}")
         return 0
-    if rule in ("spin-odd", "spin-even"):
-        fn = branch_spin_odd if rule == "spin-odd" else branch_spin_even
-        table = fn(lam)
-        comps = []
-        for mu, mod in sorted(table.items()):
-            entries = [
-                [*_twice_json((t,)), m] for t, m in mod.entries if m
-            ]
-            if entries:
-                comps.append({
-                    "mu": _coords_json(mu), "spin2": entries,
-                })
-        if args.json:
-            _print_json({
-                "rule": rule, "lam": _coords_json(lam),
-                "components": comps,
+    # spin-odd, spin-even
+    fn = branch_spin_odd if rule == "spin-odd" else branch_spin_even
+    table = fn(lam)
+    comps = []
+    for mu, mod in sorted(table.items()):
+        entries = [
+            [*_twice_json((t,)), m] for t, m in mod.entries if m
+        ]
+        if entries:
+            comps.append({
+                "mu": _coords_json(mu), "spin2": entries,
             })
-        else:
-            for c in comps:
-                body = ", ".join(f"({w}) x{m}" for w, m in c["spin2"])
-                print(f"{_fmt_tuple(c['mu'])} : {body}")
-        return 0
-    raise ValueError(f"unknown branch rule {rule!r}")
+    if args.json:
+        _print_json({
+            "rule": rule, "lam": _coords_json(lam),
+            "components": comps,
+        })
+    else:
+        for c in comps:
+            body = ", ".join(f"({w}) x{m}" for w, m in c["spin2"])
+            print(f"{_fmt_tuple(c['mu'])} : {body}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -273,22 +272,14 @@ def _cmd_plot(args) -> int:
     if args.figure == "cones":
         if args.group is None:
             raise ValueError("--figure cones needs --group")
-        lam = args.lam
-        sys.stdout.write(emit_svg({
-            "figure": "cones", "group": _GROUPS[args.group],
-            "lam": tuple(lam) if lam is not None else None,
-        }))
+        sys.stdout.write(_svg_cones(_GROUPS[args.group], args.lam))
         return 0
-    if args.figure == "ledger":
-        for flag in ("g", "wm", "s", "kmax"):
-            if getattr(args, flag) is None:
-                raise ValueError(f"--figure ledger needs --{flag}")
-        mod = _module_from_args(args)
-        sys.stdout.write(emit_svg({
-            "figure": "ledger", "module": mod, "kmax": args.kmax,
-        }))
-        return 0
-    raise ValueError(f"unknown figure {args.figure!r}")
+    for flag in ("g", "wm", "s", "kmax"):  # --figure ledger
+        if getattr(args, flag) is None:
+            raise ValueError(f"--figure ledger needs --{flag}")
+    led = ktypes(_module_from_args(args), args.kmax)
+    sys.stdout.write(_svg_ledger(led))
+    return 0
 
 
 # ---------------------------------------------------------------------------

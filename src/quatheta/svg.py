@@ -1,7 +1,7 @@
 """Deterministic SVG figures for the plot subcommand.
 
 Coordinates are computed exactly (Fraction) and rounded only when
-written, so identical specs give byte-identical SVG text.  The cases
+written, so identical arguments give byte-identical SVG text.  The cases
 drawn together in a cone figure, and their lambdas, come from the case
 table in aqmodules, the one source of lambda shapes, chamber rho, wall
 weights and sibling sets.
@@ -14,7 +14,6 @@ from fractions import Fraction
 from .aqmodules import (
     AqCase, _siblings, abc_to_xy, aq_data, cone_extreme_rays,
 )
-from .quaternionic import ktypes
 
 _PAD = 30
 _UX = 40
@@ -46,23 +45,9 @@ def _ray_end(apex, d, xmin, xmax, ymin, ymax):
     return (apex[0] + t * d[0], apex[1] + t * d[1])
 
 
-def emit_svg(spec: dict) -> str:
-    """Render a figure spec to SVG text.
-
-    kinds: {"figure": "cones", "group": "G2"|"PU21", "lam": (a,b,c)|None}
-    draws the K-type cones sharing one infinitesimal character (lattice
-    only when lam is None); {"figure": "ledger", "module": QuatModule,
-    "kmax": N} draws the outer-label histogram.
-    """
-    if spec["figure"] == "cones":
-        return _svg_cones(spec["group"], spec.get("lam"))
-    if spec["figure"] == "ledger":
-        led = ktypes(spec["module"], spec["kmax"])
-        return _svg_ledger(led)
-    raise ValueError(f"unknown figure kind {spec['figure']!r}")
-
-
 def _svg_cones(group: str, lam) -> str:
+    """The K-type cones of the cases sharing lam's infinitesimal character
+    in G2 or PU21, over the lattice; the bare lattice when lam is None."""
     overlays = []
     if lam is not None:
         for (cid, sub_lam), color in zip(_siblings(group, lam), _PALETTE):
@@ -125,6 +110,7 @@ def _svg_cones(group: str, lam) -> str:
 
 
 def _svg_ledger(led) -> str:
+    """Histogram of a KTypeLedger's level dimensions by outer label."""
     dims = [led.level_dimension(k) for k in range(led.kmax + 1)]
     labels = [su0 for su0, _ in led.levels]
     n = len(dims)

@@ -132,6 +132,19 @@ def _check_sign(sign):
     return sign
 
 
+def _split(plus, minus, sign, upper_bound=False) -> ThetaLift:
+    """A tau-split pair of sigma lifts: the member the sign selects, or
+    both when sign is None.  minus is None when that member vanishes; the
+    vanishing lift carries only its sign."""
+    if sign is None:
+        pair = tuple((m, 1) for m in (plus, minus) if m is not None)
+        return ThetaLift(pair, upper_bound=upper_bound)
+    member = plus if sign == "+" else minus
+    if member is None:
+        return ThetaLift((), sign=sign)
+    return ThetaLift(((member, 1),), sign=sign, upper_bound=upper_bound)
+
+
 # ---------------------------------------------------------------------------
 # rank-2 ambient group: torus and U(2) duals
 
@@ -150,13 +163,8 @@ def theta_e6_torus(a: int, b: int, c: int, sign: str | None = None) -> ThetaLift
     if sum(t) != 0:
         raise ValueError("torus character must sum to zero")
     if t == (0, 0, 0):
-        if sign is None:
-            return ThetaLift((
-                (_sigma("Spin(4,4)", (0, 0, 0), 4), 1),
-                (_sigma("Spin(4,4)", (0, 0, 0), 6), 1),
-            ))
-        s = 4 if sign == "+" else 6
-        return ThetaLift(((_sigma("Spin(4,4)", (0, 0, 0), s), 1),), sign=sign)
+        return _split(_sigma("Spin(4,4)", (0, 0, 0), 4),
+                      _sigma("Spin(4,4)", (0, 0, 0), 6), sign)
     if sign is not None:
         raise ValueError("sign tag only applies to the zero character")
     if sum(1 for x in t if x < 0) >= 2:
@@ -194,19 +202,9 @@ def theta_e6_u2(a: int, b: int, sign: str | None = None) -> ThetaLift:
             return ThetaLift(((_sigma("Spin(4,3)", (0, a - b), 4 + a + b), 1),))
         return ThetaLift(((_sigma("Spin(4,3)", (-b, a + b), 4 + a), 1),))
     # boundary: tau-split pair, inclusions only
-    plus = (_sigma("Spin(4,3)", (a, 0), 4 + a), 1)
-    if a == 0:
-        if sign == "-":
-            return ThetaLift((), sign="-")
-        if sign == "+":
-            return ThetaLift((plus,), sign="+", upper_bound=True)
-        return ThetaLift((plus,), upper_bound=True)
-    minus = (_sigma("Spin(4,3)", (a - 1, 0), 5 + a), 1)
-    if sign == "+":
-        return ThetaLift((plus,), sign="+", upper_bound=True)
-    if sign == "-":
-        return ThetaLift((minus,), sign="-", upper_bound=True)
-    return ThetaLift((plus, minus), upper_bound=True)
+    minus = _sigma("Spin(4,3)", (a - 1, 0), 5 + a) if a else None
+    return _split(_sigma("Spin(4,3)", (a, 0), 4 + a), minus, sign,
+                  upper_bound=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +272,8 @@ def theta_f4(n: int, sign: str | None = None) -> ThetaLift:
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
-        plus = (_sigma("Spin(4,3)", (0, 0), 3), 1)
-        minus = (_sigma("Spin(4,3)", (0, 0), 5), 1)
-        if sign == "+":
-            return ThetaLift((plus,), sign="+")
-        if sign == "-":
-            return ThetaLift((minus,), sign="-")
-        return ThetaLift((plus, minus))
+        return _split(_sigma("Spin(4,3)", (0, 0), 3),
+                      _sigma("Spin(4,3)", (0, 0), 5), sign)
     if sign is not None:
         raise ValueError("sign tag only applies to n = 0")
     k, r = divmod(n, 2)

@@ -66,30 +66,18 @@ from .aqmodules import (
 # shared comparison helpers
 
 
-def _oracle_table(label, lam, emb_name):
-    """Oracle restriction as {mu twice-tuple: {doubled last weight: mult}}."""
-    dec = restrict(irrep(label, tuple(lam)), embedding(emb_name))
+def _rule_twice_mults(table) -> dict:
+    """A two-step rule's {mu: last factor} table in the shape of
+    IsoDecomp.twice_mults: mu's doubled coordinates followed by the last
+    factor's doubled weight (an SU(2) label k is 2k)."""
     out = {}
-    for t, m in dec.twice_mults.items():
-        out.setdefault(t[:-1], {})[t[-1]] = m
-    return out
-
-
-def _closed_table(d):
-    out = {}
-    for mu, mod in d.items():
-        mm = dict(mod.entries)
-        if mm:
-            out[tuple(x.twice for x in mu)] = mm
-    return out
-
-
-def _closed_table_sp(d):
-    out = {}
-    for mu, cg in d.items():
-        mm = {2 * k: m for k, m in cg.items() if m}
-        if mm:
-            out[tuple(x.twice for x in mu)] = mm
+    for mu, last in table.items():
+        pairs = (
+            [(2 * k, m) for k, m in last.items()] if isinstance(last, dict)
+            else last.entries
+        )
+        mu2 = tuple(x.twice for x in mu)
+        out.update({mu2 + (t,): m for t, m in pairs if m})
     return out
 
 
@@ -187,13 +175,13 @@ def _suite_appendix(max_entry=None):
     checks = []
     for name, label, emb, rule, signed, parities in _APPENDIX_FAMILIES:
         rank = int(label[1])
-        conv = _closed_table_sp if rule is branch_sp else _closed_table
         count = 0
         ok = True
         for parity in parities:
             for t in _dominant_tuples(2 * bound, rank, parity, signed):
                 lam = _keys(t)
-                if conv(rule(lam)) != _oracle_table(label, lam, emb):
+                want = restrict(irrep(label, lam), embedding(emb)).twice_mults
+                if _rule_twice_mults(rule(lam)) != want:
                     ok = False
                 count += 1
         checks.append((

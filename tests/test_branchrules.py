@@ -14,7 +14,6 @@ from quatheta.branchrules import (
     clebsch_gordan,
     f4_to_spin9,
     f4_to_spin9_table,
-    gz_chain,
     restrict_e7_to_su2_spin12,
 )
 from quatheta.charoracle import embedding, irrep, restrict, weyl_dim
@@ -169,50 +168,6 @@ def test_branch_preserves_dimension():
     assert lhs == rhs
 
 
-class TestGzChain:
-    def test_goldens(self):
-        assert dict(gz_chain(5, (2, 1), 3)) == {(0,): 2, (1,): 6, (2,): 3}
-        assert dict(gz_chain(7, (1, 1, 0), 3)) == {(0,): 6, (1,): 5}
-
-    def test_counts_total_dimension(self):
-        lam = (1, 1, 0)
-        total = sum(
-            m * weyl_dim(irrep("B1", mu))
-            for mu, m in gz_chain(7, lam, 3).items()
-        )
-        assert total == weyl_dim(irrep("B3", lam))
-
-    def test_one_step_matches_direct_rule(self):
-        lam = (2, 1)
-        chain = gz_chain(5, lam, 3)
-        direct = {}
-        for mu, mod in branch_spin_odd(lam).items():
-            direct[mu] = direct.get(mu, 0) + sum(m for _, m in mod.entries)
-        assert dict(chain) == {mu: m for mu, m in direct.items() if m}
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            gz_chain(3, (2, 1), 1)
-
-    @pytest.mark.parametrize("m", range(4, 10))
-    def test_one_step_matches_oracle(self, m):
-        # every dominant weight with entries <= 3/2, both parities; for
-        # even m that includes negative last coordinates
-        label = ("D" if m % 2 == 0 else "B") + str(m // 2)
-        e = embedding(f"Spin{m}>Spin{m - 1}")
-        cases = 0
-        for parity in (0, 1):
-            for t in _dominant_tuples(3, m // 2, parity, m % 2 == 0):
-                lam = _keys(t)
-                want = {r.twice_concat(): c
-                        for r, c in restrict(irrep(label, lam), e).items()}
-                got = {tuple(x.twice for x in mu): c
-                       for mu, c in gz_chain(m, lam, m - 1).items()}
-                assert got == want, lam
-                cases += 1
-        assert cases >= 6
-
-
 class TestF4ToSpin9:
     def test_26_splits_as_1_9_16(self):
         table = f4_to_spin9_table(1, 0)
@@ -317,8 +272,8 @@ _FORMS = {
     (branch_spin_odd, (5, 3, 1)),
     (branch_spin_even, (4, 2, -2)),
     (branch_spin_even, (3, 1, -1)),
-    (lambda lam: gz_chain(7, lam, 3), (4, 2, 0)),
-    (lambda lam: gz_chain(8, lam, 4), (3, 3, 1, -1)),
+    (lambda w: f4_to_spin9(1, 0, w), (2, 0, 0, 0)),  # 9 in the 26
+    (lambda w: f4_to_spin9(1, 0, w), (1, 1, 1, 1)),  # 16 in the 26
     (lambda w: f4_to_spin9(2, 1, w), (4, 2, 2, 0)),
     (lambda w: f4_to_spin9(2, 1, w), (3, 1, 1, 1)),
 ])
@@ -344,7 +299,6 @@ def test_coordinate_forms_give_the_same_table(rule, twice):
     (branch_spin_even, (1, 1, h(1))),       # not congruent mod 1
     (branch_sp, (1, 2)),                    # not descending
     (branch_sp, (h(1), h(1))),              # not integral
-    (lambda lam: gz_chain(5, lam, 3), (1, h(1))),  # not congruent mod 1
 ])
 def test_rules_refuse_weights_outside_the_dominant_lattice(rule, lam):
     with pytest.raises(ValueError):

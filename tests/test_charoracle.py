@@ -300,6 +300,15 @@ class TestRestrict:
         dec = restrict(r, embedding(name))
         assert dec.dimension() == weyl_dim(r)
 
+    @pytest.mark.parametrize("hw,want", [
+        ((1, 0, 0, 0), {(2, 0, 0, 0): 1, (0, 0, 0, 0): 1}),
+        ((h(1), h(1), h(1), h(1)), {(1, 1, 1, 1): 1, (1, 1, 1, -1): 1}),
+    ])
+    def test_spin9_to_spin8(self, hw, want):
+        # vector 9 = 8_v + 1, spinor 16 = 8_s + 8_c
+        dec = restrict(irrep("B4", hw), embedding("Spin9>Spin8"))
+        assert dec.twice_mults == want
+
     def test_unknown_embedding(self):
         with pytest.raises(ValueError):
             embedding("E8>E7")

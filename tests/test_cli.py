@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import quatheta
 from quatheta import cli, quaternionic
 from quatheta.aqmodules import AqData
-from quatheta.cli import emit_svg, main
+from quatheta.cli import main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
 from quatheta.rootdata import Weight
 from quatheta.thetamaps import ThetaLift, theta_e6_u2
@@ -22,6 +23,7 @@ from quatheta.thetamaps import ThetaLift, theta_e6_u2
 
 # subprocesses import the same quatheta as this test run
 SRC = os.path.dirname(os.path.dirname(quatheta.__file__))
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
@@ -54,6 +56,13 @@ class TestExitCodes:
         (["E8", "--spin9", "2,1,1,1", "--type", "1,1,1"],
          "give exactly one source type for the ambient group"),
         (["E6", "--type", "1,1,1"], "--type does not apply to ambient E6"),
+        # a sign away from the split points
+        (["E6", "--torus=1,-1,0", "--sign", "+"],
+         "sign tag only applies to the zero character"),
+        (["E6", "--u2", "2,1", "--sign", "-"],
+         "sign tag only applies when a + b = 0"),
+        (["F4", "--su2", "3", "--sign", "+"],
+         "sign tag only applies to n = 0"),
     ])
     def test_theta_source_refusals(self, capsys, argv, message):
         code, out, err = run(capsys, "theta", "--ambient", *argv)
@@ -96,7 +105,30 @@ class TestExitCodes:
         assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
 
 
+def _readme_commands():
+    """The quatheta lines of the README's CLI block, as argv lists with
+    the comment and any output redirection removed."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```sh", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["quatheta"]:
+            commands.append(argv[1:argv.index(">")] if ">" in argv
+                            else argv[1:])
+    return commands
+
+
 class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_documented_command_runs(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out
+
+    def test_cli_block_is_found(self):
+        assert len(_readme_commands()) >= 15
+
     def test_theta_e6_u2(self, capsys):
         code, out, _ = run(capsys, "theta", "--ambient", "E6", "--u2", "2,1")
         assert code == 0
@@ -288,6 +320,38 @@ class TestBranchCommand:
         assert code == 1
         assert "needs" in err
 
+    def test_f4_spin9_json(self, capsys):
+        code, out, _ = run(capsys, "branch", "--rule", "f4-spin9",
+                           "--ab", "1,0", "--json")
+        assert code == 0
+        assert out == (
+            '{"ab": [1, 0], "components": ['
+            '{"dim": 9, "mult": 1, "w": [1, 0, 0, 0]}, '
+            '{"dim": 16, "mult": 1, "w": ["1/2", "1/2", "1/2", "1/2"]}, '
+            '{"dim": 1, "mult": 1, "w": [0, 0, 0, 0]}], '
+            '"rule": "f4-spin9"}\n'
+        )
+
+    def test_e7_family_json(self, capsys):
+        code, out, _ = run(capsys, "branch", "--rule", "e7-su2spin12",
+                           "--k", "2", "--json")
+        assert code == 0
+        assert out == (
+            '{"components": ['
+            '{"spin12": [1, 1, 0, 0, 0, 0], "su2": 0}, '
+            '{"spin12": [1, 1, 1, 1, 1, 1], "su2": 0}, '
+            '{"spin12": ["3/2", "1/2", "1/2", "1/2", "1/2", "1/2"], '
+            '"su2": 1}, '
+            '{"spin12": [2, 0, 0, 0, 0, 0], "su2": 2}], '
+            '"k": 2, "rule": "e7-su2spin12"}\n'
+        )
+
+    def test_e7_family_needs_k(self, capsys):
+        code, out, err = run(capsys, "branch", "--rule", "e7-su2spin12")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --rule e7-su2spin12 needs --k\n"
+
 
 class TestPlotCommand:
     def test_cone_figure_geometry(self, capsys):
@@ -355,9 +419,28 @@ class TestPlotCommand:
         assert out.count("<rect") == 1 + 4  # background + one bar per level
         assert ">10<" in out and ">896<" in out  # level dims annotate bars
 
-    def test_emit_svg_rejects_unknown_figure(self):
-        with pytest.raises(ValueError):
-            emit_svg({"figure": "pie"})
+    @pytest.mark.parametrize("argv,message", [
+        (["cones"], "--figure cones needs --group"),
+        (["ledger", "--g", "Spin(4,3)"], "--figure ledger needs --wm"),
+        (["cones", "--group", "g2", "--lambda=1,1,1"],
+         "lambda must sum to zero"),
+        # admissible lambdas of other cases: a case-II lambda (of the
+        # 2,1,-3 figure) and Ib wall points
+        (["cones", "--group", "g2", "--lambda=3,-1,-2"],
+         "lambda (3, -1, -2) is neither a first-chamber point nor an "
+         "Ia/IIa wall point of G2"),
+        (["cones", "--group", "g2", "--lambda=2,-1,-1"],
+         "lambda (2, -1, -1) is neither a first-chamber point nor an "
+         "Ia/IIa wall point of G2"),
+        (["cones", "--group", "pu21", "--lambda=1,-2,1"],
+         "lambda (1, -2, 1) is neither a first-chamber point nor an "
+         "Ia/IIa wall point of PU21"),
+    ])
+    def test_refusals(self, capsys, argv, message):
+        code, out, err = run(capsys, "plot", "--figure", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestKtypesCommand:
