@@ -3,8 +3,11 @@
 The oracle computes the dominant character of an irreducible: its
 dominant weights, found by walking down from the highest weight by
 positive roots through dominant weights only, with multiplicities from
-Freudenthal's recursion.  Full weight multisets are the Weyl orbits of
-those weights; they are built only where an operation is not
+Freudenthal's recursion, whose sum over each alpha-string stops at the
+string's first non-weight (alpha-strings of weights are unbroken).  Full
+weight multisets are the Weyl orbits of those weights (signed
+permutations for the classical groups, a reflection walk only for F4
+and the E series); they are built only where an operation is not
 Weyl-invariant (the pushforward of a restriction, the symmetric-power
 chain).  Decompositions are recovered by repeatedly stripping the
 dominant character of the top remaining dominant weight; an IsoDecomp
@@ -272,22 +275,20 @@ def _dominant_char(label: str, thw: tuple) -> dict:
         frontier = nxt
     dom = sorted(found, key=lambda t: -_dot(t, d.rho2))
     lam_rho = _add(thw, d.rho2)
-    lam_norm = _dot(thw, thw)
     top_norm = _dot(lam_rho, lam_rho)
     mult = {thw: 1}
     for mu in dom:
         if mu == thw:
             continue
         total = 0
+        # the alpha-string through the weight mu is unbroken (Humphreys,
+        # Lie Algebras, 21.3), and every dominant weight above mu already
+        # has its multiplicity: the string ends at the first miss
         for a in d.pos:
-            v = mu
-            while True:
+            v = _add(mu, a)
+            while m := mult.get(d.dominant_twice(v)):
+                total += m * _dot(v, a)
                 v = _add(v, a)
-                if _dot(v, v) > lam_norm:
-                    break
-                m = mult.get(d.dominant_twice(v))
-                if m:
-                    total += m * _dot(v, a)
         mu_rho = _add(mu, d.rho2)
         denom = top_norm - _dot(mu_rho, mu_rho)
         if denom <= 0 or (2 * total) % denom:

@@ -30,10 +30,14 @@ G2 is realised inside the sum-zero plane of Z^3 with simple roots
 the package rely on this realisation (rho = (2,1,-3)).
 
 The root-data kernels behind the character oracle are integer-only, on
-doubled coordinates: simple reflections divide with divmod, the weight
-lattice is "every simple-coroot pairing is an integer", and a Weyl orbit
-is walked down from its dominant representative.  Fraction appears only
-at the API edge (HalfInt accepts and produces it).
+doubled coordinates: simple reflections divide with divmod, and the
+weight lattice is "every simple-coroot pairing is an integer".  Dominant
+representatives and Weyl orbits are closed forms (sorting and signed
+permutations) for the classical groups and G2; F4 and the E series take
+the closed form of a classical parabolic subsystem plus reflections in
+one simple root, and walk their orbits down from the dominant
+representative.  Fraction appears only at the API edge (HalfInt accepts
+and produces it).
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, islice, product
+from math import prod
 from operator import add, mul, sub
 
 
@@ -320,10 +326,7 @@ class _SysData:
         if fam in ("B", "C"):
             return tuple(sorted(map(abs, t), reverse=True))
         if fam == "D":
-            mags = sorted(map(abs, t), reverse=True)
-            if sum(1 for x in t if x < 0) % 2:
-                mags[-1] = -mags[-1]
-            return tuple(mags)
+            return tuple(_d_chamber(t, reverse=True))
         if fam == "G":
             # W(G2) acts on the sum-zero plane by permutations and -1;
             # the chamber is t1 >= t2 >= 0 >= t3
@@ -331,43 +334,109 @@ class _SysData:
             if desc[1] < 0:
                 desc = sorted(_neg(t), reverse=True)
             return tuple(desc)
+        # F4 and E: every simple root but one spans a classical parabolic
+        # subsystem (Bourbaki's Plates): alpha1..alpha3 of F4 are B3 on
+        # coordinates 2-4, alpha2..alpha_r of E_r are D_(r-1), in
+        # ascending order, on the first r-1 coordinates.  Its closed form
+        # leaves only <t, alpha_extra> to fix; reflecting there and
+        # closing again raises <t, rho> each round, and the rounds are
+        # steps of a reduced walk to the chamber, at most l(w0) =
+        # |positive roots| of them.
         t = tuple(t)
-        # each step s_i (taken where <t, alpha_i> < 0) removes alpha_i from
-        # the positive roots pairing negatively with t and permutes the
-        # rest, so the walk ends within l(w0) = |positive roots| steps
+        extra = 3 if fam == "F" else 0
+        n = self.rank - 1
         guard = len(self.pos)
         while True:
-            for i, a in enumerate(self.simple):
-                if _dot(t, a) < 0:
-                    t = self.reflect_simple(t, i)
-                    break
+            if fam == "F":
+                t = (t[0], *sorted(map(abs, t[1:]), reverse=True))
             else:
+                t = (*_d_chamber(t[:n], reverse=False), *t[n:])
+            if _dot(t, self.simple[extra]) >= 0:
                 return t
             guard -= 1
             if guard < 0:
                 raise AssertionError("reflection descent failed to terminate")
+            t = self.reflect_simple(t, extra)
 
     def orbit(self, dom, max_size: int) -> list:
         """Weyl orbit of a dominant doubled vector (in the weight lattice),
-        refused once it grows past max_size.
+        refused as soon as it grows past max_size.
 
-        Walks down from dom, applying s_i only where <u, alpha_i> > 0:
-        each such step lengthens the shortest Weyl element reaching u by
-        one, so the layers are disjoint and each is built once.
+        The classical groups and G2 list their orbits in closed form, each
+        element made once: W(A) permutes the coordinates, W(B) and W(C)
+        permute them and change any signs, W(D) changes an even number of
+        signs (any number once an entry is 0), and W(G2) permutes t and
+        -t.  F4 and the E series walk down from dom, applying s_i only
+        where <u, alpha_i> > 0: each such step lengthens the shortest Weyl
+        element reaching u by one, so the layers are disjoint and each is
+        built once.
         """
-        out = [dom]
+        fam = self.label[0]
+        if self.rank == 0:
+            elems = (dom,)
+        elif fam == "A":
+            elems = _perms(dom)
+        elif fam == "G":
+            neg = _neg(dom)
+            elems = _perms(dom)
+            if sorted(neg) != sorted(dom):
+                elems = chain(elems, _perms(neg))
+        elif fam in "BCD":
+            mags = tuple(map(abs, dom))
+            if fam == "D" and 0 not in mags:
+                # W(D) keeps the product of the signs: dom's
+                sgn = -1 if sum(1 for x in dom if x < 0) % 2 else 1
+                signs = [s + (sgn * prod(s),)
+                         for s in product((1, -1), repeat=self.dim - 1)]
+                elems = (tuple(map(mul, p, s))
+                         for p in _perms(mags) for s in signs)
+            else:
+                elems = (u for p in _perms(mags) for u in
+                         product(*((x, -x) if x else (0,) for x in p)))
+        else:
+            elems = self._walk(dom)
+        out = list(islice(elems, max_size + 1))
+        if len(out) > max_size:
+            raise ValueError("orbit too large")
+        return out
+
+    def _walk(self, dom):
+        """The orbit of dom, layer by layer down from it."""
+        yield dom
         layer = {dom}
         while layer:
             nxt = set()
             for u in layer:
                 for i, a in enumerate(self.simple):
                     if _dot(u, a) > 0:
-                        nxt.add(self.reflect_simple(u, i))
-            out.extend(nxt)
-            if len(out) > max_size:
-                raise ValueError("orbit too large")
+                        v = self.reflect_simple(u, i)
+                        if v not in nxt:
+                            nxt.add(v)
+                            yield v
             layer = nxt
-        return out
+
+
+def _d_chamber(t, reverse: bool) -> list:
+    """The D_n chamber representative of t, as a list: |t| sorted (downward
+    if reverse), with the smallest entry negated when t has an odd number
+    of negative entries."""
+    mags = sorted(map(abs, t), reverse=reverse)
+    if sum(1 for x in t if x < 0) % 2:
+        i = -1 if reverse else 0
+        mags[i] = -mags[i]
+    return mags
+
+
+def _perms(vals):
+    """The distinct permutations of a tuple, each made once, in the
+    order of its entries."""
+    if len(vals) <= 1:
+        yield vals
+        return
+    for x in dict.fromkeys(vals):
+        i = vals.index(x)
+        for rest in _perms(vals[:i] + vals[i + 1:]):
+            yield (x, *rest)
 
 
 @lru_cache(maxsize=None)
@@ -413,9 +482,11 @@ def dominant_representative(w: Weight) -> Weight:
     """The dominant Weyl-chamber representative of the orbit of w.
 
     Classical families use the signed-permutation normal form and G2
-    sorts up to sign; F4 and the E series walk simple reflections (which
-    requires w to be in the weight lattice, i.e. have integral simple
-    pairings).
+    sorts up to sign.  F4 and the E series apply the closed form of a
+    classical parabolic subsystem and reflect in the one remaining
+    simple root until it pairs non-negatively; that reflection requires
+    w to be in the weight lattice (integral simple pairings) and raises
+    ValueError otherwise.
     """
     d = _sys(w.system)
     return Weight.from_twice(d.dominant_twice(w.twice()), w.system)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from math import comb
+from unittest import mock
 
 import quatheta
 from quatheta.charoracle import irrep, weyl_dim
@@ -168,3 +169,17 @@ def test_criterion_12_spin44_deep_ledger():
     _report(12, "the Spin(4,4) ledger of A(Spin(4,4), 0[4]) through the CLI "
                 "reaches level 20, level k of dimension C(k+7, k)",
             ok, time.perf_counter() - t0, budget=5.0)
+
+
+def test_criterion_13_e8_4_ledger_at_level_3():
+    t0 = time.perf_counter()
+    m = QuatModule("E8_4", ((0,) * 8,), 4, "A")
+    with mock.patch.dict(os.environ, {"QUATHETA_DIM_CAP": "24320"}):
+        ledger = ktypes(m, 3)
+    ok = ledger.kmax == 3 and all(
+        dec.dimension() == comb(k + 55, k) and su0 == 4 + k - 2
+        for k, (su0, dec) in enumerate(ledger)
+    )
+    _report(13, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 3 at "
+                "QUATHETA_DIM_CAP=24320, level k of dimension C(k+55, k)",
+            ok, time.perf_counter() - t0, budget=1.0)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from quatheta.charoracle import _dominant_char
 from quatheta.rootdata import (
     HalfInt,
     Weight,
+    _dot,
     _neg,
     _sys,
     dominant_representative,
@@ -125,7 +127,7 @@ def test_root_system_shape(label):
     assert d.rank == rank
     assert len(d.simple) == rank
     assert len(d.pos) == npos
-    if worder <= 1152:
+    if worder <= 23040:
         # rho is regular: W acts simply transitively on its orbit
         assert len(d.orbit(d.rho2, worder)) == worder
     assert d.rho2 == rho2
@@ -174,6 +176,103 @@ def _descend(d, t):
         t = d.reflect_simple(t, i)
 
 
+def _walk_orbit(d, dom):
+    """Weyl orbit by the layer walk down from a dominant vector."""
+    out, layer = {dom}, {dom}
+    while layer:
+        layer = {d.reflect_simple(u, i)
+                 for u in layer for i, a in enumerate(d.simple)
+                 if sum(x * y for x, y in zip(u, a)) > 0}
+        out |= layer
+    return out
+
+
+def _orbit_inputs(label):
+    """rho, 0, dominant weights with zero and repeated entries, the
+    half-integral spinor weights, and their flips with an odd number of
+    minus signs: those of them dominant and in the weight lattice."""
+    d = _sys(label)
+    if label == "G2":
+        return [d.rho2, (0, 0, 0), (2, 0, -2), (2, 2, -4), (4, 2, -6)]
+    n = d.dim
+    base = [(0,), (2,), (2, 2), (4, 2, 2), (4, 4, 2, 2), (1,) * n,
+            (3,) + (1,) * n, (3, 3, 1) + (1,) * n]
+    base = [(t + (0,) * n)[:n] for t in base]
+    cands = [d.rho2] + base + [t[:-1] + (-t[-1],) for t in base]
+    return [t for t in dict.fromkeys(cands)
+            if d.in_chamber(t) and d.is_integral(t)]
+
+
+@pytest.mark.parametrize(
+    "label",
+    sorted(set(ROOT_SYSTEM_TABLE) - {"F4", "E6", "E7", "E8"}) + ["Spin2"],
+)
+def test_closed_form_orbit_matches_walk(label):
+    d = _sys(label)
+    inputs = _orbit_inputs(label)
+    assert len(inputs) >= 3
+    if label[0] in "BD" and label != "D2":
+        assert any(t[-1] % 2 for t in inputs)  # spinor weights
+    if label[0] == "D":
+        assert any(t[-1] < 0 for t in inputs)  # odd number of minus signs
+    for dom in inputs:
+        orbit = d.orbit(dom, 10 ** 6)
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == _walk_orbit(d, dom)
+
+
+def test_orbit_refusal_stops_early():
+    # the D6 orbit of rho has 23040 elements; a refusal at 100 builds
+    # about 100 of them
+    d = _sys("D6")
+    with pytest.raises(ValueError, match="orbit too large"):
+        d.orbit(d.rho2, 23039)
+
+    def peak(max_size):
+        tracemalloc.start()
+        try:
+            d.orbit(d.rho2, max_size)
+        except ValueError:
+            pass
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return size
+
+    with pytest.raises(ValueError, match="orbit too large"):
+        d.orbit(d.rho2, 100)
+    assert 50 * peak(100) < peak(23040)
+
+
+def _lattice_vectors(label, count, seed):
+    """Random weight-lattice vectors: integer combinations of the simple
+    roots and of one weight of the smallest irrep (E6, E7)."""
+    d = _sys(label)
+    gens = list(d.simple) + {
+        "E6": [(1, 1, 1, 1, 1, -1, -1, 1)],
+        "E7": [(0, 0, 0, 0, 0, 2, -1, 1)],
+    }.get(label, [])
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        t = (0,) * d.dim
+        for g in gens:
+            c = rng.randrange(-3, 4)
+            t = tuple(x + c * y for x, y in zip(t, g))
+        out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("label", ["F4", "E6", "E7", "E8"])
+def test_parabolic_kernel_matches_walk(label):
+    d = _sys(label)
+    vecs = _lattice_vectors(label, 1000, 11)
+    if label in ("E7", "E8"):
+        assert any(x % 2 for t in vecs for x in t)  # half-integral ones
+    for t in vecs:
+        assert d.is_integral(t)
+        assert d.dominant_twice(t) == _descend(d, t)
+
+
 def test_g2_closed_form_matches_walk():
     d = _sys("G2")
     for x in range(-4, 5):
@@ -188,11 +287,22 @@ def test_g2_closed_form_off_lattice():
     assert _sys("G2").dominant_twice((-3, 5, -2)) == (3, 2, -5)
 
 
+def test_f4_kernel_off_lattice():
+    # (1, -1/2, 0, 0): the B3 closed form sorts it and alpha4 already
+    # pairs non-negatively; (0, -1/2, 0, 0) needs the alpha4 reflection,
+    # which refuses it
+    d = _sys("F4")
+    assert d.dominant_twice((2, -1, 0, 0)) == (2, 1, 0, 0)
+    with pytest.raises(ValueError, match="weight lattice"):
+        d.dominant_twice((0, -1, 0, 0))
+
+
 @pytest.mark.parametrize("label", ["G2", "F4", "E6", "E7", "E8"])
 def test_descent_from_minus_rho_takes_every_step(label):
-    # w0 rho = -rho and rho is regular, so the reflection descent from
-    # -rho is a reduced word for w0: exactly l(w0) = |positive roots|
-    # steps, the most the guard allows
+    # w0 rho = -rho and rho is regular, so -rho is the farthest point of
+    # its orbit from the chamber: the descent takes a reduced word for
+    # w0, l(w0) = |positive roots| steps, of which F4 and the E series
+    # spend at most that many in their guarded extra-root reflections
     d = _sys(label)
     assert d.dominant_twice(_neg(d.rho2)) == d.rho2
 
@@ -314,6 +424,28 @@ def test_dominant_char_matches_search(label, hw):
     got = _dominant_char(label, thw)
     assert set(got) == _dominant_by_search(d, thw)
     assert min(got.values()) >= 1
+
+
+def _top_roots(d):
+    """The dominant roots of greatest length: the highest root, or both
+    of D2 = A1 x A1."""
+    dom = [a for a in d.pos if d.in_chamber(a)]
+    top = max(_dot(a, a) for a in dom)
+    return [a for a in dom if _dot(a, a) == top]
+
+
+@pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
+def test_adjoint_zero_weight_multiplicity_is_the_rank(label):
+    # the zero weight space of the adjoint representation is the Cartan
+    # subalgebra
+    d = _sys(label)
+    zero = (0,) * d.dim
+    assert sum(_dominant_char(label, a)[zero] for a in _top_roots(d)) \
+        == d.rank
+
+
+def test_f4_26_zero_weight_multiplicity():
+    assert _dominant_char("F4", (2, 0, 0, 0))[(0, 0, 0, 0)] == 2
 
 
 def _orbit(hw, label, max_size=100000):
