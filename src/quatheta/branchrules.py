@@ -93,12 +93,8 @@ class Spin2Module:
             raise ValueError("B(b) needs b >= 0")
         return Spin2Module(tuple((t, 1) for t in range(-tb, tb + 1, 4)))
 
-    def shift(self, tc: int) -> "Spin2Module":
-        """Every weight moved by c; tc is 2c."""
-        return Spin2Module(tuple((t + tc, m) for t, m in self.entries))
-
     def negate(self) -> "Spin2Module":
-        return Spin2Module(tuple(sorted((-t, m) for t, m in self.entries)))
+        return Spin2Module(tuple((-t, m) for t, m in reversed(self.entries)))
 
     def __mul__(self, other: "Spin2Module") -> "Spin2Module":
         out = {}
@@ -240,8 +236,12 @@ def branch_spin_even(lam) -> dict:
 
 
 def _even_hom(lam, mu):
+    """The Spin(2) module of mu, or None when mu does not occur.  The
+    product of the B(d), d = U_i - L_i, is a convolution of boxes: B(d)
+    has d/2 + 1 weights, four doubled units apart, so the product is one
+    list of counts on that lattice."""
     n = len(lam)
-    lo_sum, hi_sum, diffs = 0, 0, []
+    lo_sum, hi_sum, counts = 0, 0, [1]
     for i in range(n - 1):
         hi = lam[i] if i == 0 else min(lam[i], mu[i - 1])
         if i < n - 2:
@@ -252,11 +252,19 @@ def _even_hom(lam, mu):
             return None
         lo_sum += lo
         hi_sum += hi
-        diffs.append(hi - lo)
-    mod = Spin2Module(((0, 1),))
-    for d in diffs:
-        mod = mod * Spin2Module.B(d)
-    return mod.shift(sum(lam) + sum(mu) - lo_sum - hi_sum)
+        width, size = (hi - lo) // 2 + 1, len(counts)
+        if width > 1:
+            acc = [0, *itertools.accumulate(counts)]
+            counts = [
+                acc[min(j, size)] - acc[max(j - width, 0)]
+                for j in range(1, size + width)
+            ]
+    # the product spans -sum(d) .. sum(d); shifted by sum(lam) + sum(mu)
+    # - sum(L_i + U_i), its lowest weight is sum(lam) + sum(mu) - 2 sum(U_i)
+    low = sum(lam) + sum(mu) - 2 * hi_sum
+    return Spin2Module(tuple(
+        (low + 4 * j, c) for j, c in enumerate(counts)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +298,23 @@ def _check_ab(a: int, b: int) -> None:
         raise ValueError("need a >= b >= 0")
 
 
+def _cg3(p: int, q: int, r: int, t: int) -> int:
+    """Multiplicity of (t) in (p) x (q) x (r): the number of (k) in
+    (p) x (q) with (t) in (k) x (r), i.e. of k = p + q mod 2 in
+    [max(|p-q|, |r-t|), min(p+q, r+t)], when p + q + r + t is even."""
+    if (p + q + r + t) % 2:
+        return 0
+    return max(0, (min(p + q, r + t) - max(abs(p - q), abs(r - t))) // 2 + 1)
+
+
 def _f4_mult(a: int, b: int, w: tuple) -> int:
-    """f4_to_spin9 on a dominant Spin(9) weight in doubled coordinates."""
+    """f4_to_spin9 on a dominant Spin(9) weight in doubled coordinates:
+    the multiplicity of (a-b) in (a+b-w1-w2) x (w1-w2) x (2 w4), and 0
+    past w1 + w2 > a + b.  It does not read w3."""
     s12 = w[0] + w[1]
     if s12 > 2 * (a + b):
         return 0
-    return cg_mult([a + b - s12 // 2, (w[0] - w[1]) // 2, w[3]], a - b)
+    return _cg3(a + b - s12 // 2, (w[0] - w[1]) // 2, w[3], a - b)
 
 
 def f4_to_spin9(a: int, b: int, w) -> int:
@@ -307,12 +326,21 @@ def f4_to_spin9(a: int, b: int, w) -> int:
 
 def f4_to_spin9_table(a: int, b: int) -> dict:
     """All Spin(9) constituents {w: mult} of the F4 irrep for (a, b),
-    enumerating dominant w with w1 <= a+b in both congruence classes."""
+    over dominant w with w1 + w2 <= a + b in both congruence classes,
+    in descending lexicographic order of w within each class."""
     _check_ab(a, b)
-    out = {}
+    top, out = 2 * (a + b), {}
     for parity in (0, 1):
-        for w in _dominant_tuples(2 * (a + b), 4, parity, False):
-            m = _f4_mult(a, b, w)
-            if m:
-                out[_keys(w)] = m
+        for t1 in range(top - parity, parity - 1, -2):
+            for t2 in range(min(t1, top - t1), parity - 1, -2):
+                # _f4_mult, which does not read w3, once per w4
+                p, q = a + b - (t1 + t2) // 2, (t1 - t2) // 2
+                col = [
+                    (t4, m) for t4 in range(t2, parity - 1, -2)
+                    if (m := _cg3(p, q, t4, a - b))
+                ]
+                for t3 in range(t2, parity - 1, -2):
+                    for t4, m in col:
+                        if t4 <= t3:
+                            out[_keys((t1, t2, t3, t4))] = m
     return out

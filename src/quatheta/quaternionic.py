@@ -296,27 +296,9 @@ def restrict_filtration(m: QuatModule, kmax: int) -> list:
 # surjectivity of the cubic-to-quadratic contraction
 
 
-def _poly_mult_matrix(n: int):
-    """Matrix of f: S^3 (x) S^n -> S^2 (x) S^{n+1} built from the
-    comultiplication images of the cubic basis."""
-    # basis of S^m: x^(m-j) y^j for j = 0..m
-    # images of cubics in S^2 (x) S^1, coordinates over (quad j2, lin j1)
-    cubic_img = {
-        0: {(0, 0): 1},              # x^3 -> x^2 (x) x
-        1: {(1, 0): 2, (0, 1): 1},   # x^2 y -> 2xy (x) x + x^2 (x) y
-        2: {(2, 0): 1, (1, 1): 2},   # x y^2 -> y^2 (x) x + 2xy (x) y
-        3: {(2, 1): 1},              # y^3 -> y^2 (x) y
-    }
-    rows = []
-    for c in range(4):
-        for j in range(n + 1):
-            row = [0] * (3 * (n + 2))
-            for (q, l), coef in cubic_img[c].items():
-                # multiply x^(1-l) y^l into x^(n-j) y^j
-                jj = j + l
-                row[q * (n + 2) + jj] += coef
-            rows.append(row)
-    return rows
+# the cubic x^(3-c) y^c maps into S^2 (x) S^1 with coefficient
+# _CUBIC[c][q] on x^(2-q) y^q (x) x^(1-l) y^l, l = c - q (0 or 1)
+_CUBIC = ((1, 0, 0), (1, 2, 0), (0, 2, 1), (0, 0, 1))
 
 
 def _rank(rows) -> int:
@@ -347,10 +329,19 @@ def _rank(rows) -> int:
 
 def check_lemma_surjectivity(n: int) -> tuple:
     """Rank data of the composite (3)(x)(n) -> (2)(x)(1)(x)(n) ->
-    (2)(x)(n+1): returns (rank, codomain_dim, surjective)."""
+    (2)(x)(n+1): returns (rank, codomain_dim, surjective).
+
+    The map preserves y-degree, so its rank is the sum of the ranks of
+    its degree-e blocks: rows x^(3-c) y^c (x) x^(n-e+c) y^(e-c), columns
+    x^(2-q) y^q (x) x^(n+1-e+q) y^(e-q), at most 4 x 3 each."""
     if n < 0:
         raise ValueError("need n >= 0")
-    rows = _poly_mult_matrix(n)
-    rank = _rank(rows)
+    rank = sum(
+        _rank([
+            [_CUBIC[c][q] for q in range(max(0, e - n - 1), min(2, e) + 1)]
+            for c in range(max(0, e - n), min(3, e) + 1)
+        ])
+        for e in range(n + 4)
+    )
     codom = 3 * (n + 2)
     return (rank, codom, rank == codom)

@@ -42,6 +42,7 @@ and produces it).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,6 +53,9 @@ from operator import add, mul, sub
 
 # ---------------------------------------------------------------------------
 # half-integers
+
+_MODULUS = sys.hash_info.modulus
+_INV2 = pow(2, -1, _MODULUS)  # hash(Fraction(t, 2)) = ±|t| * _INV2 mod it
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +125,13 @@ class HalfInt:
 
     def __hash__(self):
         # agree with int/Fraction hashing so mixed-type dict keys work
-        q, r = divmod(self.twice, 2)
-        return hash(self.as_fraction()) if r else hash(q)
+        t = self.twice
+        if t % 2 == 0:
+            return hash(t // 2)
+        h = abs(t) * _INV2 % _MODULUS
+        if t > 0:
+            return h
+        return -2 if h == 1 else -h  # hash values are never -1
 
     def __str__(self):
         if self.twice % 2 == 0:

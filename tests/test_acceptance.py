@@ -26,7 +26,7 @@ from quatheta.quaternionic import (
     check_lemma_surjectivity,
     ktypes,
 )
-from quatheta.branchrules import restrict_e7_to_su2_spin12
+from quatheta.branchrules import f4_to_spin9_table, restrict_e7_to_su2_spin12
 from quatheta.rootdata import HalfInt, highest_root_coefficients
 from quatheta.verify import run_suite
 
@@ -183,3 +183,23 @@ def test_criterion_13_e8_4_ledger_at_level_3():
     _report(13, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 3 at "
                 "QUATHETA_DIM_CAP=24320, level k of dimension C(k+55, k)",
             ok, time.perf_counter() - t0, budget=1.0)
+
+
+def test_criterion_14_closed_forms_at_scale():
+    t0 = time.perf_counter()
+    ok = all(
+        check_lemma_surjectivity(n) == (3 * (n + 2), 3 * (n + 2), True)
+        for n in range(2, 201)
+    )
+    for a in range(11):
+        for b in range(a + 1):
+            # the F4 irrep (a-b) w4 + b w3 has highest weight
+            # ((2a+b)/2, b/2, b/2, b/2)
+            hw = (HalfInt(2 * a + b),) + (HalfInt(b),) * 3
+            table = f4_to_spin9_table(a, b)
+            ok = ok and sum(
+                m * weyl_dim(irrep("B4", w)) for w, m in table.items()
+            ) == weyl_dim(irrep("F4", hw))
+    _report(14, "the surjectivity rank is full for 2 <= n <= 200, and every "
+                "F4 -> Spin(9) table with a <= 10 sums to the F4 dimension",
+            ok, time.perf_counter() - t0, budget=2.0)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from quatheta.branchrules import (
     Spin2Module,
     _dominant_tuples,
+    _even_hom,
+    _f4_mult,
     _keys,
+    _steps,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
@@ -158,6 +162,50 @@ def test_branch_spin_even_golden():
     }
 
 
+def _even_hom_reference(lam, mu):
+    """_even_hom as the product chain of the Spin2Module B(U_i - L_i)."""
+    n = len(lam)
+    lo_sum, hi_sum, diffs = 0, 0, []
+    for i in range(n - 1):
+        hi = lam[i] if i == 0 else min(lam[i], mu[i - 1])
+        if i < n - 2:
+            lo = max(lam[i + 1], mu[i])
+        else:
+            lo = max(abs(lam[n - 1]), abs(mu[n - 2]))
+        if lo > hi:
+            return None
+        lo_sum += lo
+        hi_sum += hi
+        diffs.append(hi - lo)
+    mod = Spin2Module(((0, 1),))
+    for d in diffs:
+        mod = mod * Spin2Module.B(d)
+    shift = sum(lam) + sum(mu) - lo_sum - hi_sum
+    return Spin2Module(tuple((t + shift, m) for t, m in mod.entries))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_even_hom_matches_product_chain(n):
+    # every dominant lam with doubled entries <= 8, and every mu in the
+    # boxes branch_spin_even walks, with either sign of the last entry
+    seen = 0
+    for parity in (0, 1):
+        vals = range(8 - parity, parity - 1, -2)
+        for dom in itertools.combinations_with_replacement(vals, n):
+            for lam in {dom, dom[:-1] + (-dom[-1],)}:
+                ranges = [_steps(lam[i + 2], lam[i], parity)
+                          for i in range(n - 2)]
+                ranges.append(_steps(-lam[n - 2], lam[n - 2], parity))
+                for mu in itertools.product(*ranges):
+                    got = _even_hom(lam, mu)
+                    assert got == _even_hom_reference(lam, mu), (lam, mu)
+                    if got is not None:
+                        seen += 1
+                        assert got.negate().entries == tuple(
+                            sorted((-t, m) for t, m in got.entries))
+    assert seen > 100
+
+
 def test_branch_preserves_dimension():
     lam = (2, 1, 1)
     lhs = weyl_dim(irrep("C3", lam))
@@ -166,6 +214,19 @@ def test_branch_preserves_dimension():
         for mu, cg in branch_sp(lam).items()
     )
     assert lhs == rhs
+
+
+def _f4_mult_reference(a, b, w):
+    """The F4 -> Spin(9) rule as an iterated Clebsch-Gordan product, on
+    doubled coordinates."""
+    s12 = w[0] + w[1]
+    if s12 > 2 * (a + b):
+        return 0
+    return cg_mult([a + b - s12 // 2, (w[0] - w[1]) // 2, w[3]], a - b)
+
+
+def _twices(key):
+    return tuple(x.twice for x in key)
 
 
 class TestF4ToSpin9:
@@ -209,6 +270,28 @@ class TestF4ToSpin9:
                     if m:
                         want[_keys(t)] = m
             assert f4_to_spin9_table(a, b) == want, (a, b)
+
+    def test_closed_form_equals_cg_product(self):
+        for a in range(8):
+            for b in range(a + 1):
+                for parity in (0, 1):
+                    for w in _dominant_tuples(19, 4, parity, False):
+                        assert _f4_mult(a, b, w) == \
+                            _f4_mult_reference(a, b, w), (a, b, w)
+
+    @pytest.mark.parametrize("a", range(7))
+    def test_table_order_equals_the_full_enumeration(self, a):
+        # item for item, so the insertion order of the table is pinned
+        for b in range(a + 1):
+            want = [
+                (_keys(w), m)
+                for parity in (0, 1)
+                for w in _dominant_tuples(2 * (a + b), 4, parity, False)
+                if (m := _f4_mult_reference(a, b, w))
+            ]
+            got = list(f4_to_spin9_table(a, b).items())
+            assert [(_twices(k), m) for k, m in got] == \
+                [(_twices(k), m) for k, m in want], (a, b)
 
     @pytest.mark.parametrize("w", [
         (1, 2, 0, 0),           # not descending

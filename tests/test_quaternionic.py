@@ -276,6 +276,30 @@ def _random_matrix(rng):
     return mat
 
 
+def _poly_mult_matrix(n: int):
+    """Dense matrix of f: S^3 (x) S^n -> S^2 (x) S^{n+1} built from the
+    comultiplication images of the cubic basis: the reference for the
+    block ranks of check_lemma_surjectivity."""
+    # basis of S^m: x^(m-j) y^j for j = 0..m
+    # images of cubics in S^2 (x) S^1, coordinates over (quad j2, lin j1)
+    cubic_img = {
+        0: {(0, 0): 1},              # x^3 -> x^2 (x) x
+        1: {(1, 0): 2, (0, 1): 1},   # x^2 y -> 2xy (x) x + x^2 (x) y
+        2: {(2, 0): 1, (1, 1): 2},   # x y^2 -> y^2 (x) x + 2xy (x) y
+        3: {(2, 1): 1},              # y^3 -> y^2 (x) y
+    }
+    rows = []
+    for c in range(4):
+        for j in range(n + 1):
+            row = [0] * (3 * (n + 2))
+            for (q, l), coef in cubic_img[c].items():
+                # multiply x^(1-l) y^l into x^(n-j) y^j
+                jj = j + l
+                row[q * (n + 2) + jj] += coef
+            rows.append(row)
+    return rows
+
+
 class TestSurjectivity:
     def test_goldens(self):
         assert check_lemma_surjectivity(2) == (12, 12, True)
@@ -288,6 +312,12 @@ class TestSurjectivity:
             assert expected == 3 * (n + 2)
             assert ok == (rank == expected)
             assert ok == (n >= 2)
+
+    def test_block_rank_matches_dense_rank(self):
+        for n in range(61):
+            rank, codom, _ = check_lemma_surjectivity(n)
+            mat = _poly_mult_matrix(n)
+            assert (rank, codom) == (_rank(mat), len(mat[0])), n
 
     def test_rank_matches_fraction_reference(self):
         rng = random.Random(5)

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -60,6 +61,31 @@ class TestHalfInt:
         assert hash(HalfInt.of(2)) == hash(2)
         assert hash(HalfInt(3)) == hash(Fraction(3, 2))
         assert len({HalfInt.of(2), 2, Fraction(2)}) == 1
+
+    def test_hash_equals_fraction_hash(self):
+        for t in range(-5000, 5001):
+            assert hash(HalfInt(t)) == hash(Fraction(t, 2)), t
+
+    @pytest.mark.parametrize("t", [
+        2**61 + 1, 2**61 - 1, -(2**61 + 1), -(2**61 - 1),
+        2**70 + 3, -(2**70 + 3),
+    ])
+    def test_hash_past_the_modulus(self, t):
+        assert hash(HalfInt(t)) == hash(Fraction(t, 2))
+
+    def test_hash_never_minus_one(self):
+        # for |t| = M + 2, M the hash modulus, |t| / 2 is 1 modulo M, so
+        # the signed hash of -|t| would be -1, which CPython reserves
+        t = -(sys.hash_info.modulus + 2)
+        assert hash(HalfInt(t)) == hash(Fraction(t, 2)) == -2
+        assert hash(HalfInt(-2)) == hash(-1) == -2
+
+    def test_mixed_dict_keys(self):
+        for t in (-7, -2, -1, 0, 1, 4, 9, 2**61 - 1, -(2**70 + 3)):
+            x, frac = HalfInt(t), Fraction(t, 2)
+            assert {x: t}[frac] == t and {frac: t}[x] == t
+            if t % 2 == 0:
+                assert {x: t}[t // 2] == t and {t // 2: t}[x] == t
 
     def test_equality_agrees_with_hash(self):
         # strings are read by of/parse, not by comparisons: a HalfInt
