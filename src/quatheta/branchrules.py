@@ -64,11 +64,6 @@ def cg_product(ms) -> dict:
     return out
 
 
-def cg_mult(ms, target: int) -> int:
-    """Multiplicity of (target) in the iterated product of the (m_i)."""
-    return cg_product(ms).get(target, 0)
-
-
 # ---------------------------------------------------------------------------
 # Spin(2) weight modules
 

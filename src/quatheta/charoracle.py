@@ -8,8 +8,10 @@ string's first non-weight (alpha-strings of weights are unbroken).  Full
 weight multisets are the Weyl orbits of those weights (signed
 permutations for the classical groups, a reflection walk only for F4
 and the E series); they are built only where an operation is not
-Weyl-invariant (the pushforward of a restriction, the symmetric-power
-chain).  Decompositions are recovered by repeatedly stripping the
+Weyl-invariant: the pushforward of a restriction, and the
+symmetric-power chain, which is the oracle's reference for the K-type
+ledgers (the ledgers themselves never build a level's weights).
+Decompositions are recovered by repeatedly stripping the
 dominant character of the top remaining dominant weight; an IsoDecomp
 keeps each highest weight as a doubled tuple and builds Irreps only when
 a caller reads .mults or .items().  Every path is integer-only: doubled
@@ -54,10 +56,14 @@ def dim_cap() -> int:
     return cap
 
 
-def _check_cap(r: Irrep) -> None:
-    cap, dim = dim_cap(), weyl_dim(r)
+def _check_dim(dim: int, cap: int) -> None:
     if dim > cap:
         raise OracleCapError(f"dim {dim} exceeds oracle cap {cap}")
+
+
+def _check_cap(r: Irrep) -> None:
+    cap = dim_cap()
+    _check_dim(weyl_dim(r), cap)
 
 
 def _as_tuple(x):
@@ -396,8 +402,7 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                    for (_, a, b), d in zip(spans, systems)):
             _irrep_twice(spans, top)  # raises Irrep's lattice error
         dim = _dim_twice(spans, top)
-        if dim > cap:
-            raise OracleCapError(f"dim {dim} exceeds oracle cap {cap}")
+        _check_dim(dim, cap)
         out[top] = m
         total += m * dim
         dom = _product(_dominant_char(lab, top[a:b]) for lab, a, b in spans)

@@ -16,12 +16,14 @@ K-type computations here operate on the full module A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gcd
+from math import comb, gcd
 
 from .rootdata import (
     HalfInt,
     Weight,
     _add,
+    _dot,
+    _sub,
     _sys,
     _twice_json,
     dominant_representative,
@@ -32,10 +34,14 @@ from .charoracle import (
     Irrep,
     IsoDecomp,
     _check_cap,
+    _check_dim,
+    _dim_twice,
     _irrep_twice,
     _spans,
     char_weights,
+    dim_cap,
     strip_dominant,
+    weyl_dim,
 )
 from .branchrules import clebsch_gordan
 
@@ -115,7 +121,8 @@ def _sym_char_chain(
     """Characters of S^0 (x) W, ..., S^kmax (x) W for the module with
     character base, read off the generating function
     prod_nu (1 - t x^nu)^(-m_nu) chi_W truncated at degree kmax; W is
-    the trivial module unless seed gives its character.
+    the trivial module unless seed gives its character.  Stripped, it is
+    the oracle that _sym_levels is checked against.
 
     Each factor multiplies in place: running k upwards, h_k gains
     x^nu h_(k-1), and h_(k-1) already carries this factor, which makes
@@ -138,11 +145,91 @@ def _sym_char_chain(
 
 
 def sym_power(vm: Irrep, k: int) -> IsoDecomp:
-    """Decomposition of the k-th symmetric power of an irreducible."""
+    """Decomposition of the k-th symmetric power of an irreducible, by
+    the chain-and-strip reference: every weight of S^k(vm) is built and
+    the result stripped."""
     if k < 0:
         raise ValueError("need k >= 0")
     chain = _sym_char_chain(char_weights(vm), k)
     return strip_dominant(chain[k])
+
+
+def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
+    """Decompositions of S^0(V) (x) W, ..., S^kmax(V) (x) W, for V the
+    module with character base, with no level's weights built.
+
+    Let p_j be the character of V with every weight scaled by j (an
+    Adams operation).  Newton's identity k h_k = sum_(j=1..k) p_j h_(k-j)
+    (Macdonald, Symmetric Functions, I.2) is linear in h_0, so it holds
+    for the levels L_k = S^k(V) (x) W from L_0 = W.  Klimyk's formula
+    (Humphreys, Lie Algebras, 24) multiplies an irreducible lambda by
+    p_j: each weight nu of V, of multiplicity m, adds sign * m to the
+    irreducible dom(lambda + j nu + rho) - rho, and nothing when
+    lambda + j nu + rho is singular (_SysData.sign_and_chamber).  Levels
+    are held shifted by rho, and the kernel's answers are memoized on the
+    whole concatenated vector for the call.
+
+    Every level is checked as it is made: the division by k is exact
+    with a positive quotient, each irreducible is within dim_cap() (the
+    first refused is the one of greatest rho-pairing, as stripping
+    would refuse it), and the dimensions add up to C(k+n-1, k) dim W,
+    n = dim V.
+    """
+    spans = _spans(base.labels)
+    systems = [_sys(lab) for lab, _, _ in spans]
+    rho2 = sum((d.rho2 for d in systems), ())
+    n, wdim, cap = base.mass(), weyl_dim(w), dim_cap()
+    memo = {}  # lambda + j nu + rho -> (sign, dominant image), or 0
+
+    def chamber(v):
+        sign, top = 1, ()
+        for (_, a, b), d in zip(spans, systems):
+            hit = d.sign_and_chamber(v[a:b])
+            if hit is None:
+                return 0
+            sign *= hit[0]
+            top += hit[1]
+        return sign, top
+
+    adams = [  # adams[j - 1] holds the weights of p_j
+        [(tuple(j * x for x in nu), m) for nu, m in base.mults.items()]
+        for j in range(1, kmax + 1)
+    ]
+    shifted = [{_add(w.twice_concat(), rho2): 1}]
+    out = []
+    for k in range(kmax + 1):
+        if k:
+            acc = {}
+            for j in range(1, k + 1):
+                for lam, c in shifted[k - j].items():
+                    for nu, m in adams[j - 1]:
+                        v = _add(lam, nu)
+                        hit = memo.get(v)
+                        if hit is None:
+                            hit = memo[v] = chamber(v)
+                        if hit:
+                            top = hit[1]
+                            acc[top] = acc.get(top, 0) + hit[0] * m * c
+            level = {}
+            for t, c in acc.items():
+                if c:
+                    q, r = divmod(c, k)
+                    if r or q < 0:
+                        raise AssertionError(
+                            f"Newton's identity gave {c}/{k} at level {k}"
+                        )
+                    level[t] = q
+            shifted.append(level)
+        twice = {_sub(t, rho2): m for t, m in shifted[k].items()}
+        dims = {t: _dim_twice(spans, t) for t in twice}
+        over = [t for t, d in dims.items() if d > cap]
+        if over:
+            _check_dim(dims[max(over, key=lambda t: (_dot(t, rho2), t))], cap)
+        size = comb(k + n - 1, k) * wdim
+        if sum(m * dims[t] for t, m in twice.items()) != size:
+            raise AssertionError(f"level {k} lost dimension")
+        out.append(IsoDecomp._of_twice(base.labels, twice))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +289,21 @@ def _cartan_component(vm: Irrep, w: Irrep, k: int) -> Irrep:
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:
     """K-type ledger of A(G, W[s]) up to level kmax.
 
-    Each level's Cartan component is checked against dim_cap() before
-    the chain is built; stripping would refuse it anyway, after the
-    whole chain had been computed.
+    V_M, W and each level's Cartan component are checked against
+    dim_cap() before any level is computed, so a ledger refused there
+    costs no level product; _sym_levels checks every other irreducible
+    as its level is made.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
     vm, w = _vm_irrep(m.structure()), m.m_irrep()
-    base, seed = char_weights(vm), char_weights(w)
+    base = char_weights(vm)
+    _check_cap(w)
     for k in range(1, kmax + 1):
         _check_cap(_cartan_component(vm, w, k))
-    chain = _sym_char_chain(base, kmax, seed=seed)
     return KTypeLedger(m, tuple(
-        (m.s + k - 2, strip_dominant(tau)) for k, tau in enumerate(chain)
+        (m.s + k - 2, dec)
+        for k, dec in enumerate(_sym_levels(base, w, kmax))
     ))
 
 

@@ -367,6 +367,21 @@ class _SysData:
                 raise AssertionError("reflection descent failed to terminate")
             t = self.reflect_simple(t, extra)
 
+    def sign_and_chamber(self, v):
+        """(sign, dominant_twice(v)) for a regular v, None for a singular
+        one: v is singular iff <v, alpha> = 0 for some positive root, and
+        the w with w v dominant has sign (-1)^#{alpha > 0 : <v, alpha> < 0}
+        (the length of w counts those roots), so no reflection is
+        tracked."""
+        sign = 1
+        for a in self.pos:
+            p = _dot(v, a)
+            if not p:
+                return None
+            if p < 0:
+                sign = -sign
+        return sign, self.dominant_twice(v)
+
     def orbit(self, dom, max_size: int) -> list:
         """Weyl orbit of a dominant doubled vector (in the weight lattice),
         refused as soon as it grows past max_size.

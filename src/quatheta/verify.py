@@ -19,7 +19,14 @@ from .rootdata import (
     highest_root_coefficients,
     quaternionic_structure,
 )
-from .charoracle import char_weights, embedding, irrep, restrict, weyl_dim
+from .charoracle import (
+    char_weights,
+    embedding,
+    irrep,
+    restrict,
+    strip_dominant,
+    weyl_dim,
+)
 from .branchrules import (
     _dominant_tuples,
     _keys,
@@ -31,6 +38,8 @@ from .branchrules import (
 )
 from .quaternionic import (
     QuatModule,
+    _sym_char_chain,
+    _vm_irrep,
     check_lemma_surjectivity,
     ktypes,
     minimal_type,
@@ -231,6 +240,41 @@ def _suite_e7d6(max_entry=None):
     return checks
 
 
+# ledgers on which ktypes' Newton-Klimyk levels are compared with the
+# stripped symmetric-power chain: each quaternionic group with W trivial
+# and with W non-trivial, at levels the default cap admits
+LEDGER_ORACLE_CASES = (
+    ("Spin(4,3)", ((0,), (0,)), 4),
+    ("Spin(4,3)", ((1,), (2,)), 3),
+    ("Spin(4,4)", ((0,), (0,), (0,)), 4),
+    ("Spin(4,4)", ((1,), (2,), (0,)), 3),
+    ("G2_2", ((0,),), 4),
+    ("G2_2", ((2,),), 3),
+    ("F4_4", ((0, 0, 0),), 3),
+    ("F4_4", ((1, 0, 0),), 2),
+    ("E6_4", ((0,) * 6,), 2),
+    ("E6_4", ((1, 0, 0, 0, 0, 0),), 2),
+    ("E7_4", ((0,) * 6,), 2),
+    ("E7_4", ((HalfInt(1),) * 6,), 1),  # the 32 = V_M
+    ("E8_4", ((0,) * 8,), 2),
+    ("E8_4", ((0, 0, 0, 0, 0, 1, HalfInt(-1), HalfInt(1)),), 1),  # the 56
+)
+
+
+def ledger_levels_match_oracle(g: str, wm: tuple, kmax: int) -> list:
+    """Per level of A(g, wm[4]) up to kmax: whether ktypes' level equals
+    strip_dominant of the symmetric-power chain seeded with W."""
+    mod = QuatModule(g, wm, 4)
+    chain = _sym_char_chain(
+        char_weights(_vm_irrep(mod.structure())), kmax,
+        seed=char_weights(mod.m_irrep()),
+    )
+    return [
+        dec == strip_dominant(tau)
+        for (_, dec), tau in zip(ktypes(mod, kmax), chain, strict=True)
+    ]
+
+
 def _suite_quaternionic(max_entry=None):
     checks = []
     checks.append((
@@ -255,6 +299,17 @@ def _suite_quaternionic(max_entry=None):
     checks.append((
         "minimal type of A(G, W[s]) is (s-2, W)",
         minimal_type(mod) == (3, mod.wm),
+    ))
+    same = [
+        ok
+        for g, wm, kmax in LEDGER_ORACLE_CASES
+        for ok in ledger_levels_match_oracle(g, wm, kmax)
+    ]
+    groups = len({g for g, _, _ in LEDGER_ORACLE_CASES})
+    checks.append((
+        f"Newton-Klimyk ledger levels equal the stripped symmetric-power "
+        f"chain on {len(same)} (group, W, level) cases over {groups} groups",
+        bool(same) and all(same),
     ))
     return checks
 

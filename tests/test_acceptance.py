@@ -203,3 +203,21 @@ def test_criterion_14_closed_forms_at_scale():
     _report(14, "the surjectivity rank is full for 2 <= n <= 200, and every "
                 "F4 -> Spin(9) table with a <= 10 sums to the F4 dimension",
             ok, time.perf_counter() - t0, budget=2.0)
+
+
+def test_criterion_15_e8_4_ledger_at_level_8():
+    # level 8 holds an irreducible of dimension 1630294050, larger than
+    # its Cartan component 8 w7 (839848450): the least cap that admits
+    # the level
+    t0 = time.perf_counter()
+    m = QuatModule("E8_4", ((0,) * 8,), 4, "A")
+    with mock.patch.dict(os.environ, {"QUATHETA_DIM_CAP": "1630294050"}):
+        ledger = ktypes(m, 8)
+    ok = ledger.kmax == 8 and all(
+        dec.dimension() == comb(k + 55, k) and su0 == 4 + k - 2
+        for k, (su0, dec) in enumerate(ledger)
+    )
+    _report(15, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 8 at "
+                "QUATHETA_DIM_CAP=1630294050, level k of dimension "
+                "C(k+55, k)",
+            ok, time.perf_counter() - t0, budget=2.0)

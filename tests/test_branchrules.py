@@ -13,7 +13,6 @@ from quatheta.branchrules import (
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
-    cg_mult,
     cg_product,
     clebsch_gordan,
     f4_to_spin9,
@@ -26,6 +25,12 @@ from quatheta.rootdata import HalfInt
 
 def h(p):
     return HalfInt(p)
+
+
+def cg_mult(ms, target: int) -> int:
+    """Multiplicity of (target) in the iterated product of the (m_i): the
+    reference for the closed-form F4 -> Spin(9) multiplicity."""
+    return cg_product(ms).get(target, 0)
 
 
 class TestClebschGordan:

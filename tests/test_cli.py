@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatheta
-from quatheta import cli, quaternionic
+from quatheta import cli
 from quatheta.aqmodules import AqData
 from quatheta.cli import main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
-from quatheta.rootdata import Weight
+from quatheta.rootdata import Weight, _SysData
 from quatheta.thetamaps import ThetaLift, theta_e6_u2
 
 
@@ -479,18 +479,34 @@ class TestKtypesCommand:
         assert out == ""
         assert err == "error: dim 24320 exceeds oracle cap 20000\n"
 
-    def test_cap_is_checked_before_the_chain(self, capsys, monkeypatch):
-        # level 3's Cartan component is refused before any symmetric
-        # power is built
-        def no_chain(*args, **kwargs):
-            raise AssertionError("chain built before the cap check")
+    def test_cap_is_checked_before_any_level(self, capsys, monkeypatch):
+        # level 3's Cartan component is refused before any level product
+        # runs: every level past W takes the Klimyk kernel
+        def no_level(*args, **kwargs):
+            raise AssertionError("a level computed before the cap check")
 
-        monkeypatch.setattr(quaternionic, "_sym_char_chain", no_chain)
+        monkeypatch.setattr(_SysData, "sign_and_chamber", no_level)
         code, out, err = run(capsys, "ktypes", "--g", "E8_4", "--wm",
                              "0,0,0,0,0,0,0,0", "--s", "4", "--kmax", "3")
         assert code == 1
         assert out == ""
         assert err == "error: dim 24320 exceeds oracle cap 20000\n"
+
+    @pytest.mark.parametrize("wm,kmax,cap,dim", [
+        # a level's largest irreducible is not always its Cartan component
+        ("0,0,0", 4, 1001, 1078),
+        # of two refused irreducibles, the one of greater rho-pairing
+        # (2184) is named, not the larger (2240)
+        ("2,2,1", 2, 2002, 2184),
+    ])
+    def test_each_irreducible_of_a_level_is_capped(self, capsys, monkeypatch,
+                                                   wm, kmax, cap, dim):
+        monkeypatch.setenv("QUATHETA_DIM_CAP", str(cap))
+        code, out, err = run(capsys, "ktypes", "--g", "F4_4", "--wm", wm,
+                             "--s", "4", "--kmax", str(kmax))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: dim {dim} exceeds oracle cap {cap}\n"
 
     def test_cap_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

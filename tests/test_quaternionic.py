@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -19,7 +20,12 @@ from quatheta.quaternionic import (
     restrict_filtration,
     sym_power,
 )
-from quatheta.rootdata import HalfInt, quaternionic_structure
+from quatheta.rootdata import _QUAT_ROWS, HalfInt, quaternionic_structure
+from quatheta.verify import (
+    LEDGER_ORACLE_CASES,
+    ledger_levels_match_oracle,
+    run_suite,
+)
 
 
 def h(p):
@@ -138,6 +144,33 @@ class TestSymPower:
         d = weyl_dim(vm)
         for k in range(4):
             assert sym_power(vm, k).dimension() == comb(d + k - 1, k)
+
+
+@pytest.mark.parametrize(
+    "g,wm,kmax", LEDGER_ORACLE_CASES,
+    ids=[f"{g}-{i}" for i, (g, _, _) in enumerate(LEDGER_ORACLE_CASES)],
+)
+def test_levels_equal_the_stripped_chain(g, wm, kmax):
+    # Newton-Klimyk levels against strip_dominant of the seeded chain
+    assert ledger_levels_match_oracle(g, wm, kmax) == [True] * (kmax + 1)
+
+
+def test_oracle_cases_cover_every_group_with_a_nontrivial_w():
+    nontrivial = {
+        g for g, wm, _ in LEDGER_ORACLE_CASES
+        if any(c != 0 for f in wm for c in f)
+    }
+    assert nontrivial == set(_QUAT_ROWS)
+
+
+def test_verify_line_counts_its_cases():
+    lines, ok = run_suite("quaternionic")
+    assert ok
+    (line,) = [x for x in lines if "Newton-Klimyk" in x]
+    count = int(re.search(r" on (\d+) \(group, W, level\) cases", line)[1])
+    assert line.startswith("PASS") and count == sum(
+        kmax + 1 for _, _, kmax in LEDGER_ORACLE_CASES
+    ) > 0
 
 
 SPIN43_LEVELS = {
