@@ -16,6 +16,7 @@ highest weights (a, c).
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
@@ -305,23 +306,36 @@ def orbit_key(t):
 
 def g2_modules_with_infchar(target, amax: int):
     """All G2 cases with parameters up to amax whose infinitesimal
-    character lies in the permutation-and-sign orbit of target."""
+    character lies in the permutation-and-sign orbit of target, ordered
+    by the parameter a, the regular cases (by b, then I, II, III) before
+    the wall cases.
+
+    The character of a case is lambda + rho(case), so each of the at
+    most 12 images u of target gives each case one candidate,
+    lambda = u - rho(case), kept when the case admits it."""
     key = orbit_key(target)
+    images = {*itertools.permutations(target),
+              *itertools.permutations(_neg(target))}
     found = []
-
-    def consider(case_id, *params):
-        case = AqCase("G2", case_id, _case_lambda("G2", case_id, *params))
-        data = aq_data(case)
-        if orbit_key(data.inf_char) == key:
-            found.append((case, data))
-
-    for a in range(1, amax + 1):
-        for b in range(1, a):
-            for case_id in CASE_IDS[:3]:
-                consider(case_id, a, b)
-        for case_id in CASE_IDS[3:]:
-            consider(case_id, a)
-    return found
+    for u in images:
+        for order, case_id in enumerate(CASE_IDS):
+            row = _CASES["G2", case_id]
+            try:
+                case = AqCase("G2", case_id, _sub(u, row.rho))
+            except ValueError:
+                continue
+            if row.weights is None:
+                a, b, _ = row.lam(*case.lam)
+            else:
+                a, b = _wall_parameter(row.lam, case.lam), 0
+            data = aq_data(case)
+            # AqCase truncates entries to int; the orbit test drops a
+            # candidate that truncation moved
+            if a <= amax and orbit_key(data.inf_char) == key:
+                wall = row.weights is not None
+                found.append(((a, wall, b, order), case, data))
+    found.sort(key=lambda f: f[0])
+    return [(case, data) for _, case, data in found]
 
 
 # ---------------------------------------------------------------------------

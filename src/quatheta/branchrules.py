@@ -17,6 +17,7 @@ constituents that occur).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .charoracle import Irrep
@@ -74,29 +75,17 @@ class Spin2Module:
 
     entries: tuple  # sorted tuple of (doubled weight, positive mult)
 
-    @staticmethod
-    def A(ta: int) -> "Spin2Module":
-        """Weights a, a-1, ..., -a (integer steps); ta is 2a."""
-        if ta < 0:
-            raise ValueError("A(a) needs a >= 0")
-        return Spin2Module(tuple((t, 1) for t in range(-ta, ta + 1, 2)))
 
-    @staticmethod
-    def B(tb: int) -> "Spin2Module":
-        """Weights b, b-2, ..., -b (steps of two); tb is 2b."""
-        if tb < 0:
-            raise ValueError("B(b) needs b >= 0")
-        return Spin2Module(tuple((t, 1) for t in range(-tb, tb + 1, 4)))
-
-    def negate(self) -> "Spin2Module":
-        return Spin2Module(tuple((-t, m) for t, m in reversed(self.entries)))
-
-    def __mul__(self, other: "Spin2Module") -> "Spin2Module":
-        out = {}
-        for t1, m1 in self.entries:
-            for t2, m2 in other.entries:
-                out[t1 + t2] = out.get(t1 + t2, 0) + m1 * m2
-        return Spin2Module(tuple(sorted(out.items())))
+def _box(counts: list, width: int) -> list:
+    """counts convolved with a box of width ones: entry j is the sum of
+    counts[j - width + 1 .. j], the difference of padded prefix sums.
+    A box is a palindrome, so a product of boxes is one too."""
+    sums = [0] * width
+    sums += itertools.accumulate(counts)
+    sums += [sums[-1]] * (width - 1)
+    return list(map(
+        operator.sub, sums[width:], sums[:len(counts) + width - 1]
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +156,48 @@ def _spin_parity(lam: tuple) -> int:
     return lam[0] % 2
 
 
+def _spin_boxes(lam: tuple, parity: int) -> list:
+    """(key, last, low, counts) for each mu that two-step interlaces lam,
+    on doubled coordinates of the given parity; lam's last entry must be
+    nonnegative.  key is mu as a HalfInt tuple, last its doubled last
+    entry.
+
+    mu is walked depth first over exactly the interlacing: mu_i runs
+    from lam_(i+2) (0 past the end) up to U_i = min(lam_i, mu_(i-1)),
+    U_0 = lam_0, so no mu is rejected.  Box i spans [L_i, U_i] with
+    L_i = max(lam_(i+1), mu_i); counts is the product of the boxes
+    B(U_i - L_i) on the lattice of step 4 (doubled), convolved once per
+    node so that a prefix's boxes and key entries serve its whole
+    subtree.  low is sum(lam) + sum(mu) - 2 sum(U_i), the lowest weight
+    of that product centered at sum(lam) + sum(mu) - sum(L_i + U_i)."""
+    n = len(lam)
+    lows = lam[2:] + (0,)
+    out = []
+
+    def walk(i, key, cap, low, counts):
+        hi = min(lam[i], cap)
+        nxt = lam[i + 1]
+        for m in _steps(lows[i], hi, parity):
+            width = (hi - max(nxt, m)) // 2 + 1
+            boxed = counts if width == 1 else _box(counts, width)
+            if i < n - 2:
+                walk(i + 1, key + (HalfInt(m),), m, low + m - 2 * hi, boxed)
+            else:
+                out.append((key + (HalfInt(m),), m, low + m - 2 * hi, boxed))
+
+    walk(0, (), lam[0], sum(lam), [1])
+    return out
+
+
 def branch_spin_odd(lam) -> dict:
     """Spin(2n+1) restricted to Spin(2n-1) x Spin(2).
 
     Returns {mu: Spin2Module}; the module is
     B(z1-z2) x B(z3-z4) x ... x A(z_{2n-1}) for the merged chain z.
+    The B are the boxes of _spin_boxes (z_(2i+1) = U_i, z_(2i+2) = L_i);
+    spread to the lattice of step 2, their product is convolved with
+    A(z_{2n-1}), a box of z_{2n-1} + 1 weights, z_{2n-1} = min(lam_n,
+    mu_(n-1)) doubled.
     """
     lam = _twice(lam)
     n = len(lam)
@@ -180,29 +206,39 @@ def branch_spin_odd(lam) -> dict:
     if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 0:
         raise ValueError("lam must be dominant")
     out = {}
-    for mu, z in _two_step(lam, _spin_parity(lam)):
-        mod = Spin2Module.A(z[2 * n - 2])
-        for i in range(n - 1):
-            mod = mod * Spin2Module.B(z[2 * i] - z[2 * i + 1])
-        out[_keys(mu)] = mod
+    for key, last, low, counts in _spin_boxes(lam, _spin_parity(lam)):
+        z = min(lam[-1], last)
+        spread = [0] * (2 * len(counts) - 1)
+        spread[::2] = counts
+        weights = itertools.count(low - 2 * z, 2)
+        out[key] = Spin2Module(tuple(
+            (t, c) for t, c in zip(weights, _box(spread, z + 1)) if c
+        ))
     return out
 
 
 def branch_spin_even(lam) -> dict:
     """Spin(2n) restricted to Spin(2n-2) x Spin(2).
 
-    Keys mu keep their true (possibly negative) last coordinate.  For mu
-    with nonnegative last coordinate, the Spin(2) module is computed
-    from the Gelfand-Zetlin chain through Spin(2n-1): with intervals
-    [L_i, U_i] = [max(x_{i+1}, y_i), min(x_i, y_{i-1})] (indices past the
-    ends dropped; the last lower bound is max(|x_n|, |y_{n-1}|)), it is
-    the product of the B(U_i - L_i) shifted to be centered at
-    sum(lam) + sum(mu) - sum(L_i + U_i).  Negative last coordinates are
-    reached by symmetry: flipping the sign of mu's last coordinate
-    negates every Spin(2) weight, and likewise for x_n < 0 the flip of
-    lam is branched and all Spin(2) weights are negated.  Both flips are
-    conjugations by a disconnected orthogonal-group element normalizing
-    the subgroup, so the two rules are forced by each other.
+    Keys mu keep their true (possibly negative) last coordinate.  With
+    x = lam and y = mu, for y_(n-1) >= 0 and x_n >= 0 the Spin(2) module
+    is the product of the B(U_i - L_i) over the intervals
+    [L_i, U_i] = [max(x_(i+1), y_i), min(x_i, y_(i-1))] (U_1 = x_1, and
+    the last lower bound is max(x_n, y_(n-1))), shifted to be centered
+    at sum(lam) + sum(mu) - sum(L_i + U_i); see _spin_boxes.
+
+    The walk covers exactly the mu with a module: y_i runs from its
+    lower bound up to min(x_i, y_(i-1)), where the lower bound is
+    x_(i+2) for i <= n - 3, |x_n| for i = n - 2 and 0 for the last
+    entry.
+
+    Negative signs come by symmetry, as conjugations by a disconnected
+    orthogonal-group element normalizing the subgroup: flipping the
+    sign of y_(n-1) negates every Spin(2) weight, and so does branching
+    the flip of a lam with x_n < 0.  A product of boxes is a palindrome,
+    so the negated module of weights low, low+4, ..., top has weights
+    -top, ..., -low with the same counts: the twin key gets those, and
+    x_n < 0 swaps the two modules of each pair.
     """
     lam = _twice(lam)
     n = len(lam)
@@ -212,54 +248,20 @@ def branch_spin_even(lam) -> dict:
         raise ValueError("lam must be dominant")
     parity = _spin_parity(lam)
     flip = lam[-1] < 0
-    if flip:
-        lam = lam[:-1] + (-lam[-1],)
-    ranges = [_steps(lam[i + 2], lam[i], parity) for i in range(n - 2)]
-    # last coordinate of mu enumerated nonnegative; signs by symmetry
-    ranges.append(_steps(0, lam[n - 2], parity))
     out = {}
-    for mu in itertools.product(*ranges):
-        mod = _even_hom(lam, mu)
-        if mod is None:
-            continue
-        out[_keys(mu)] = mod
-        if mu[-1] > 0:
-            out[_keys(mu[:-1] + (-mu[-1],))] = mod.negate()
-    if flip:
-        return {mu: mod.negate() for mu, mod in out.items()}
+    for key, last, low, counts in _spin_boxes(
+        lam[:-1] + (abs(lam[-1]),), parity
+    ):
+        top = low + 4 * (len(counts) - 1)
+        pos = tuple(zip(range(low, top + 1, 4), counts))
+        if last or flip:
+            neg = tuple(zip(range(-top, -low + 1, 4), counts))
+            if flip:
+                pos, neg = neg, pos
+        out[key] = Spin2Module(pos)
+        if last:
+            out[key[:-1] + (HalfInt(-last),)] = Spin2Module(neg)
     return out
-
-
-def _even_hom(lam, mu):
-    """The Spin(2) module of mu, or None when mu does not occur.  The
-    product of the B(d), d = U_i - L_i, is a convolution of boxes: B(d)
-    has d/2 + 1 weights, four doubled units apart, so the product is one
-    list of counts on that lattice."""
-    n = len(lam)
-    lo_sum, hi_sum, counts = 0, 0, [1]
-    for i in range(n - 1):
-        hi = lam[i] if i == 0 else min(lam[i], mu[i - 1])
-        if i < n - 2:
-            lo = max(lam[i + 1], mu[i])
-        else:
-            lo = max(abs(lam[n - 1]), abs(mu[n - 2]))
-        if lo > hi:
-            return None
-        lo_sum += lo
-        hi_sum += hi
-        width, size = (hi - lo) // 2 + 1, len(counts)
-        if width > 1:
-            acc = [0, *itertools.accumulate(counts)]
-            counts = [
-                acc[min(j, size)] - acc[max(j - width, 0)]
-                for j in range(1, size + width)
-            ]
-    # the product spans -sum(d) .. sum(d); shifted by sum(lam) + sum(mu)
-    # - sum(L_i + U_i), its lowest weight is sum(lam) + sum(mu) - 2 sum(U_i)
-    low = sum(lam) + sum(mu) - 2 * hi_sum
-    return Spin2Module(tuple(
-        (low + 4 * j, c) for j, c in enumerate(counts)
-    ))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ K-type computations here operate on the full module A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, gcd
 
 from .rootdata import (
@@ -416,20 +417,29 @@ def _rank(rows) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def _block_rank(clo: int, chi: int, qlo: int, qhi: int) -> int:
+    """Rank of the block of _CUBIC with rows clo..chi and columns
+    qlo..qhi.  The bounds lie in 0..3 and 0..2, so the cache is bounded;
+    only ten blocks occur for any n."""
+    return _rank([
+        [_CUBIC[c][q] for q in range(qlo, qhi + 1)]
+        for c in range(clo, chi + 1)
+    ])
+
+
 def check_lemma_surjectivity(n: int) -> tuple:
     """Rank data of the composite (3)(x)(n) -> (2)(x)(1)(x)(n) ->
     (2)(x)(n+1): returns (rank, codomain_dim, surjective).
 
     The map preserves y-degree, so its rank is the sum of the ranks of
     its degree-e blocks: rows x^(3-c) y^c (x) x^(n-e+c) y^(e-c), columns
-    x^(2-q) y^q (x) x^(n+1-e+q) y^(e-q), at most 4 x 3 each."""
+    x^(2-q) y^q (x) x^(n+1-e+q) y^(e-q), at most 4 x 3 each.  A block
+    depends only on its row and column bounds."""
     if n < 0:
         raise ValueError("need n >= 0")
     rank = sum(
-        _rank([
-            [_CUBIC[c][q] for q in range(max(0, e - n - 1), min(2, e) + 1)]
-            for c in range(max(0, e - n), min(3, e) + 1)
-        ])
+        _block_rank(max(0, e - n), min(3, e), max(0, e - n - 1), min(2, e))
         for e in range(n + 4)
     )
     codom = 3 * (n + 2)

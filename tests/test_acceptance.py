@@ -18,7 +18,7 @@ from math import comb
 from unittest import mock
 
 import quatheta
-from quatheta.charoracle import irrep, weyl_dim
+from quatheta.charoracle import _dim_single, irrep, weyl_dim
 from quatheta.cli import main
 from quatheta.quaternionic import (
     KTypeLedger,
@@ -26,7 +26,14 @@ from quatheta.quaternionic import (
     check_lemma_surjectivity,
     ktypes,
 )
-from quatheta.branchrules import f4_to_spin9_table, restrict_e7_to_su2_spin12
+from quatheta.branchrules import (
+    _dominant_tuples,
+    _keys,
+    branch_spin_even,
+    branch_spin_odd,
+    f4_to_spin9_table,
+    restrict_e7_to_su2_spin12,
+)
 from quatheta.rootdata import HalfInt, highest_root_coefficients
 from quatheta.verify import run_suite
 
@@ -220,4 +227,32 @@ def test_criterion_15_e8_4_ledger_at_level_8():
     _report(15, "the E8_4 ledger of A(E8_4, 0[4]) reaches level 8 at "
                 "QUATHETA_DIM_CAP=1630294050, level k of dimension "
                 "C(k+55, k)",
+            ok, time.perf_counter() - t0, budget=2.0)
+
+
+def test_criterion_16_spin_branching_at_scale():
+    # every D4 weight with doubled entries <= 12 (either sign of the last
+    # entry) and every B4 weight with doubled entries <= 10, both
+    # congruence classes
+    t0 = time.perf_counter()
+    ok, weights, keys = True, 0, 0
+    for label, sub, rule, bound, signed in (
+        ("D4", "D3", branch_spin_even, 12, True),
+        ("B4", "B3", branch_spin_odd, 10, False),
+    ):
+        for parity in (0, 1):
+            for t in _dominant_tuples(bound, 4, parity, signed):
+                table = rule(_keys(t))
+                ok = ok and sum(
+                    _dim_single(sub, tuple(c.twice for c in mu))
+                    * sum(m for _, m in mod.entries)
+                    for mu, mod in table.items()
+                ) == _dim_single(label, t)
+                weights += 1
+                keys += len(table)
+    ok = ok and (weights, keys) == (784, 25364)
+    _report(16, "Spin(8) -> Spin(6) x Spin(2) for every weight with doubled "
+                "entries <= 12 and Spin(9) -> Spin(7) x Spin(2) for every "
+                "weight with doubled entries <= 10 preserve dimension "
+                "(784 weights, 25364 mu)",
             ok, time.perf_counter() - t0, budget=2.0)

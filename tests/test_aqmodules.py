@@ -1,8 +1,12 @@
+import functools
+
 import pytest
 
 from quatheta.aqmodules import (
+    CASE_IDS,
     AqCase,
     AqData,
+    _case_lambda,
     abc_to_xy,
     aq_data,
     cone_contains,
@@ -259,7 +263,44 @@ class TestCones:
         assert cone_extreme_rays(AqCase("PU21", case_id, lam)) == rays
 
 
+@functools.cache
+def _g2_candidates(amax):
+    """Every G2 case at every parameter up to amax with its data, in the
+    search's order: by a, the regular cases (by b, then I, II, III)
+    before the wall cases."""
+    out = []
+    for a in range(1, amax + 1):
+        params = [(cid, a, b) for b in range(1, a) for cid in CASE_IDS[:3]]
+        params += [(cid, a) for cid in CASE_IDS[3:]]
+        for cid, *p in params:
+            case = AqCase("G2", cid, _case_lambda("G2", cid, *p))
+            out.append((case, aq_data(case)))
+    return tuple(out)
+
+
+def _g2_search_reference(target, amax):
+    """The brute-force search: every candidate whose infinitesimal
+    character lies in the orbit of target."""
+    key = orbit_key(target)
+    return [(c, d) for c, d in _g2_candidates(amax)
+            if orbit_key(d.inf_char) == key]
+
+
 class TestModulesWithInfchar:
+    @pytest.mark.parametrize("amax", [0, 1, 3, 12])
+    def test_equals_the_brute_force(self, amax):
+        # targets (a, b, c) with a, b in [-9, 9] and a + b + c in {0, 1};
+        # the list order is compared too
+        found = 0
+        for a in range(-9, 10):
+            for b in range(-9, 10):
+                for c in (-a - b, 1 - a - b):
+                    want = _g2_search_reference((a, b, c), amax)
+                    assert g2_modules_with_infchar((a, b, c), amax) == want, \
+                        (a, b, c)
+                    found += len(want)
+        assert found > 0 or amax == 0
+
     def test_regular_triple(self):
         mods = g2_modules_with_infchar((4, 2, -6), 12)
         assert [(c.case_id, c.lam) for c, _ in mods] == [

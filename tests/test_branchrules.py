@@ -1,12 +1,13 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from quatheta.branchrules import (
     Spin2Module,
+    _box,
     _dominant_tuples,
-    _even_hom,
     _f4_mult,
     _keys,
     _steps,
@@ -167,10 +168,39 @@ def test_branch_spin_even_golden():
     }
 
 
+# the product-chain reference for both Spin rules: Spin(2) modules as
+# sorted (doubled weight, mult) entries, multiplied pair by pair
+
+
+def _spin2_a(ta):
+    """A(a): weights a, a-1, ..., -a (integer steps); ta is 2a."""
+    return tuple((t, 1) for t in range(-ta, ta + 1, 2))
+
+
+def _spin2_b(tb):
+    """B(b): weights b, b-2, ..., -b (steps of two); tb is 2b."""
+    return tuple((t, 1) for t in range(-tb, tb + 1, 4))
+
+
+def _spin2_mul(x, y):
+    out = {}
+    for t1, m1 in x:
+        for t2, m2 in y:
+            out[t1 + t2] = out.get(t1 + t2, 0) + m1 * m2
+    return tuple(sorted(out.items()))
+
+
+def _spin2_negate(x):
+    return tuple((-t, m) for t, m in reversed(x))
+
+
 def _even_hom_reference(lam, mu):
-    """_even_hom as the product chain of the Spin2Module B(U_i - L_i)."""
+    """The Spin(2) entries of mu in the restriction of lam (last entries
+    nonnegative), as the product chain of the B(U_i - L_i) shifted to be
+    centered at sum(lam) + sum(mu) - sum(L_i + U_i), or None when some
+    interval is empty."""
     n = len(lam)
-    lo_sum, hi_sum, diffs = 0, 0, []
+    lo_sum, hi_sum, mod = 0, 0, ((0, 1),)
     for i in range(n - 1):
         hi = lam[i] if i == 0 else min(lam[i], mu[i - 1])
         if i < n - 2:
@@ -181,34 +211,115 @@ def _even_hom_reference(lam, mu):
             return None
         lo_sum += lo
         hi_sum += hi
-        diffs.append(hi - lo)
-    mod = Spin2Module(((0, 1),))
-    for d in diffs:
-        mod = mod * Spin2Module.B(d)
+        mod = _spin2_mul(mod, _spin2_b(hi - lo))
     shift = sum(lam) + sum(mu) - lo_sum - hi_sum
-    return Spin2Module(tuple((t + shift, m) for t, m in mod.entries))
+    return tuple((t + shift, m) for t, m in mod)
+
+
+def _branch_spin_even_reference(lam):
+    """Spin(2n) -> Spin(2n-2) x Spin(2) on doubled coordinates: every mu
+    in the boxes lam_(i+2) <= mu_i <= lam_i (last entry in [0, lam_(n-1)])
+    is tried and those with an empty interval rejected; a negative last
+    entry of mu, and of lam, negates the module."""
+    n, parity = len(lam), lam[0] % 2
+    flip = lam[-1] < 0
+    if flip:
+        lam = lam[:-1] + (-lam[-1],)
+    ranges = [_steps(lam[i + 2], lam[i], parity) for i in range(n - 2)]
+    ranges.append(_steps(0, lam[n - 2], parity))
+    out = {}
+    for mu in itertools.product(*ranges):
+        mod = _even_hom_reference(lam, mu)
+        if mod is None:
+            continue
+        out[mu] = mod
+        if mu[-1] > 0:
+            out[mu[:-1] + (-mu[-1],)] = _spin2_negate(mod)
+    if flip:
+        return {mu: _spin2_negate(mod) for mu, mod in out.items()}
+    return out
+
+
+def _branch_spin_odd_reference(lam):
+    """Spin(2n+1) -> Spin(2n-1) x Spin(2) on doubled coordinates: every
+    mu in the boxes lam_(i+2) <= mu_i <= lam_i (0 past the end), the
+    non-descending ones rejected, with the module
+    A(z_(2n-1)) x B(z1 - z2) x ... for the descending merge z."""
+    n, parity = len(lam), lam[0] % 2
+    ranges = [_steps(lam[i + 2] if i + 2 < n else 0, lam[i], parity)
+              for i in range(n - 1)]
+    out = {}
+    for mu in itertools.product(*ranges):
+        if any(mu[i] < mu[i + 1] for i in range(n - 2)):
+            continue
+        z = sorted(lam + mu, reverse=True)
+        mod = _spin2_a(z[2 * n - 2])
+        for i in range(n - 1):
+            mod = _spin2_mul(mod, _spin2_b(z[2 * i] - z[2 * i + 1]))
+        out[mu] = mod
+    return out
+
+
+def _rule_items(table):
+    """A rule's output as a list, insertion order kept, on doubled keys."""
+    return [(tuple(c.twice for c in mu), mod.entries)
+            for mu, mod in table.items()]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_even_hom_matches_product_chain(n):
-    # every dominant lam with doubled entries <= 8, and every mu in the
-    # boxes branch_spin_even walks, with either sign of the last entry
+    # every dominant lam with doubled entries <= 8, integral and
+    # half-integral, with either sign of the last entry: the rule's
+    # table, order included, equals the enumerate-and-reject product
+    # chain
     seen = 0
     for parity in (0, 1):
-        vals = range(8 - parity, parity - 1, -2)
-        for dom in itertools.combinations_with_replacement(vals, n):
-            for lam in {dom, dom[:-1] + (-dom[-1],)}:
-                ranges = [_steps(lam[i + 2], lam[i], parity)
-                          for i in range(n - 2)]
-                ranges.append(_steps(-lam[n - 2], lam[n - 2], parity))
-                for mu in itertools.product(*ranges):
-                    got = _even_hom(lam, mu)
-                    assert got == _even_hom_reference(lam, mu), (lam, mu)
-                    if got is not None:
-                        seen += 1
-                        assert got.negate().entries == tuple(
-                            sorted((-t, m) for t, m in got.entries))
+        for t in _dominant_tuples(8, n, parity, True):
+            got = _rule_items(branch_spin_even(_keys(t)))
+            assert got == list(_branch_spin_even_reference(t).items()), t
+            seen += len(got)
+    assert seen > 1000
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_odd_rule_matches_product_chain(n):
+    seen = 0
+    for parity in (0, 1):
+        for t in _dominant_tuples(10, n, parity, False):
+            got = _rule_items(branch_spin_odd(_keys(t)))
+            assert got == list(_branch_spin_odd_reference(t).items()), t
+            seen += len(got)
     assert seen > 100
+
+
+def _box_reference(counts, width):
+    out = [0] * (len(counts) + width - 1)
+    for j, c in enumerate(counts):
+        for k in range(width):
+            out[j + k] += c
+    return out
+
+
+def test_box_equals_the_double_loop():
+    rng = random.Random(18)
+    for width in range(1, 7):
+        for size in range(1, 9):
+            counts = [rng.randint(0, 9) for _ in range(size)]
+            assert _box(counts, width) == _box_reference(counts, width)
+
+
+def test_a_product_of_boxes_is_a_palindrome():
+    # the negation in branch_spin_even keeps the counts in order
+    rng = random.Random(18)
+    for _ in range(200):
+        counts = [1]
+        for _ in range(rng.randint(1, 5)):
+            counts = _box(counts, rng.randint(1, 6))
+            assert counts == counts[::-1]
+        half = [rng.randint(0, 9) for _ in range(rng.randint(1, 5))]
+        pal = half + half[-2::-1]
+        boxed = _box(pal, rng.randint(1, 6))
+        assert boxed == boxed[::-1]
 
 
 def test_branch_preserves_dimension():

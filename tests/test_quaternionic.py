@@ -10,6 +10,8 @@ from quatheta.charoracle import char_weights, irrep, weyl_dim
 from quatheta.quaternionic import (
     KTypeLedger,
     QuatModule,
+    _CUBIC,
+    _block_rank,
     _rank,
     _sym_char_chain,
     _vm_irrep,
@@ -351,6 +353,25 @@ class TestSurjectivity:
             rank, codom, _ = check_lemma_surjectivity(n)
             mat = _poly_mult_matrix(n)
             assert (rank, codom) == (_rank(mat), len(mat[0])), n
+
+    def test_cached_blocks_equal_the_per_block_rank(self):
+        # each degree-e block ranked afresh, with no cache
+        for n in range(61):
+            want = sum(
+                _rank([
+                    [_CUBIC[c][q]
+                     for q in range(max(0, e - n - 1), min(2, e) + 1)]
+                    for c in range(max(0, e - n), min(3, e) + 1)
+                ])
+                for e in range(n + 4)
+            )
+            assert check_lemma_surjectivity(n)[0] == want, n
+
+    def test_few_distinct_blocks(self):
+        _block_rank.cache_clear()
+        for n in range(201):
+            check_lemma_surjectivity(n)
+        assert _block_rank.cache_info().currsize <= 10
 
     def test_rank_matches_fraction_reference(self):
         rng = random.Random(5)
