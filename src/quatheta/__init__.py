@@ -29,9 +29,7 @@ from .branchrules import (
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
-    cg_product,
     clebsch_gordan,
-    f4_to_spin9,
     f4_to_spin9_table,
     restrict_e7_to_su2_spin12,
 )
@@ -79,8 +77,7 @@ __all__ = [
     "char_weights", "dim_cap", "embedding", "irrep", "restrict",
     "strip_dominant", "weyl_dim",
     "Spin2Module", "branch_sp", "branch_spin_even", "branch_spin_odd",
-    "cg_product", "clebsch_gordan", "f4_to_spin9",
-    "f4_to_spin9_table", "restrict_e7_to_su2_spin12",
+    "clebsch_gordan", "f4_to_spin9_table", "restrict_e7_to_su2_spin12",
     "KTypeLedger", "QuatModule", "check_lemma_surjectivity", "inf_char",
     "ktypes", "minimal_type", "restrict_filtration", "sym_power",
     "ThetaLift", "infchar_crosscheck", "seesaw_truncation_check",

@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import gcd
 
-from .rootdata import _add, _dot, _neg, _sub
+from .rootdata import _add, _as_int, _dot, _neg, _sub
 from .branchrules import clebsch_gordan
 from .thetamaps import theta_e6_u2
 
@@ -137,7 +137,7 @@ def _check_case(group: str, case_id: str, lam) -> None:
         raise ValueError(f"unknown group {group!r}")
     if case_id not in CASE_IDS:
         raise ValueError(f"unknown case {case_id!r}")
-    if len(lam) != 3 or any(not isinstance(x, int) for x in lam):
+    if len(lam) != 3:
         raise ValueError("lambda must be an integer triple")
     if sum(lam) != 0:
         raise ValueError("lambda must sum to zero")
@@ -162,7 +162,7 @@ class AqCase:
     lam: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(int(x) for x in self.lam))
+        object.__setattr__(self, "lam", tuple(map(_as_int, self.lam)))
         _check_case(self.group, self.case_id, self.lam)
 
 
@@ -313,7 +313,6 @@ def g2_modules_with_infchar(target, amax: int):
     The character of a case is lambda + rho(case), so each of the at
     most 12 images u of target gives each case one candidate,
     lambda = u - rho(case), kept when the case admits it."""
-    key = orbit_key(target)
     images = {*itertools.permutations(target),
               *itertools.permutations(_neg(target))}
     found = []
@@ -328,12 +327,9 @@ def g2_modules_with_infchar(target, amax: int):
                 a, b, _ = row.lam(*case.lam)
             else:
                 a, b = _wall_parameter(row.lam, case.lam), 0
-            data = aq_data(case)
-            # AqCase truncates entries to int; the orbit test drops a
-            # candidate that truncation moved
-            if a <= amax and orbit_key(data.inf_char) == key:
+            if a <= amax:
                 wall = row.weights is not None
-                found.append(((a, wall, b, order), case, data))
+                found.append(((a, wall, b, order), case, aq_data(case)))
     found.sort(key=lambda f: f[0])
     return [(case, data) for _, case, data in found]
 
@@ -395,9 +391,9 @@ def theta_unitary(regime: str, params, tau) -> ThetaUnitaryResult:
     with a > b > c, b > 0, and tau one of the three minimal types for
     character (a+1, b, c-1).
     """
-    tau = tuple(int(x) for x in tau)
+    tau = tuple(map(_as_int, tau))
     if regime == "wall":
-        a = int(params)
+        a = _as_int(params)
         if a <= 0:
             raise ValueError("need a > 0")
         if tau == (a + 1, a + 1):
@@ -411,7 +407,7 @@ def theta_unitary(regime: str, params, tau) -> ThetaUnitaryResult:
             return ThetaUnitaryResult(False, table[tau], conditional=True)
         raise ValueError(f"{tau} is not a minimal type for wall parameter {a}")
     if regime == "regular":
-        a, b, c = (int(x) for x in params)
+        a, b, c = map(_as_int, params)
         if not (a > b > c) or b <= 0 or a + b + c != 0:
             raise ValueError("need a > b > c with b > 0 summing to zero")
         if tau == (a + 1, b + 1):

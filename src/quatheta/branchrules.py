@@ -6,6 +6,15 @@ restriction of E7 Cartan powers of the miniscule representation to
 SU(2) x Spin(12); and the closed form for multiplicities in the
 restriction of F4 irreps to Spin(9).
 
+The three two-step rules walk exactly the two-step interlacing mu, depth
+first (_interlacing_boxes), and share one character per mu: the product
+of the boxes B(z1-z2), B(z3-z4), ... of the merged chain z, convolved as
+integer counts along the walk.  They differ only in the last factor:
+Sp(1) takes one more box and reads its constituents off the palindromic
+counts by first differences; Spin(2n+1) convolves A(z_{2n-1}); Spin(2n)
+takes the counts as they are and reaches the negative signs by reversing
+them.
+
 Conventions: SU(2) representations are labeled by their integer highest
 weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
 keys are epsilon-coordinate tuples of HalfInt.  The rules compute on
@@ -20,8 +29,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .charoracle import Irrep
-from .rootdata import HalfInt, Weight
+from .rootdata import HalfInt, Weight, _as_int
 
 
 def _twice(seq) -> tuple:
@@ -51,20 +59,6 @@ def clebsch_gordan(m: int, n: int) -> list:
     return list(range(abs(m - n), m + n + 1, 2))
 
 
-def cg_product(ms) -> dict:
-    """Decomposition of (m1) tensor ... tensor (mk) as {weight: mult}."""
-    out = {0: 1}
-    for m in ms:
-        if m < 0:
-            raise ValueError("SU(2) weights must be nonnegative")
-        nxt = {}
-        for cur, mult in out.items():
-            for k in clebsch_gordan(cur, m):
-                nxt[k] = nxt.get(k, 0) + mult
-        out = nxt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spin(2) weight modules
 
@@ -92,20 +86,6 @@ def _box(counts: list, width: int) -> list:
 # interlacing helpers
 
 
-def _two_step(lam: tuple, parity: int):
-    """The mu that two-step interlace lam (x_i >= y_i >= x_{i+2}, x past
-    the end is 0, y descending), each with the descending merge z of lam
-    and mu; doubled coordinates of the given parity."""
-    n = len(lam)
-    ranges = [
-        _steps(lam[i + 2] if i + 2 < n else 0, lam[i], parity)
-        for i in range(n - 1)
-    ]
-    for mu in itertools.product(*ranges):
-        if all(mu[i] >= mu[i + 1] for i in range(n - 2)):
-            yield mu, sorted(lam + mu, reverse=True)
-
-
 def _dominant_tuples(tbound: int, length: int, parity: int, signed_last: bool):
     """Descending doubled tuples with entries of the given parity in
     [0, tbound] (last entry in [-tbound, tbound] when signed_last)."""
@@ -123,40 +103,7 @@ def _dominant_tuples(tbound: int, length: int, parity: int, signed_last: bool):
     yield from rec((), tbound - (tbound - parity) % 2)
 
 
-# ---------------------------------------------------------------------------
-# two-step branching rules
-
-
-def branch_sp(lam) -> dict:
-    """Sp(n) restricted to Sp(n-1) x Sp(1).
-
-    Returns {mu: {su2 weight: mult}} over the mu that two-step interlace
-    lam; the value is the iterated Clebsch-Gordan product of the
-    difference chain of the merged sequence.
-    """
-    lam = _twice(lam)
-    n = len(lam)
-    if n < 2:
-        raise ValueError("need rank >= 2")
-    if any(t % 2 for t in lam) or any(
-        lam[i] < lam[i + 1] for i in range(n - 1)
-    ) or lam[-1] < 0:
-        raise ValueError("lam must be a dominant integer Sp(n) weight")
-    out = {}
-    for mu, z in _two_step(lam, 0):
-        factors = [(z[2 * i] - z[2 * i + 1]) // 2 for i in range(n - 1)]
-        factors.append(z[2 * n - 2] // 2)
-        out[_keys(mu)] = cg_product(factors)
-    return out
-
-
-def _spin_parity(lam: tuple) -> int:
-    if len({t % 2 for t in lam}) > 1:
-        raise ValueError("Spin weight entries must be congruent mod 1")
-    return lam[0] % 2
-
-
-def _spin_boxes(lam: tuple, parity: int) -> list:
+def _interlacing_boxes(lam: tuple, parity: int) -> list:
     """(key, last, low, counts) for each mu that two-step interlaces lam,
     on doubled coordinates of the given parity; lam's last entry must be
     nonnegative.  key is mu as a HalfInt tuple, last its doubled last
@@ -189,15 +136,57 @@ def _spin_boxes(lam: tuple, parity: int) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# two-step branching rules
+
+
+def branch_sp(lam) -> dict:
+    """Sp(n) restricted to Sp(n-1) x Sp(1).
+
+    Returns {mu: {su2 weight: mult}} over the mu that two-step interlace
+    lam; the value is the Clebsch-Gordan decomposition of
+    (z1-z2) x (z3-z4) x ... x (z_{2n-1}) for the merged chain z.  Its
+    character is the product of the boxes of _interlacing_boxes and one
+    more box of z_{2n-1} + 1 weights, z_{2n-1} = min(lam_n, mu_(n-1)):
+    palindromic counts whose entry j is the multiplicity of the weight
+    top - 2j, so (top - 2j) occurs counts[j] - counts[j-1] times for
+    j <= top/2.
+    """
+    lam = _twice(lam)
+    n = len(lam)
+    if n < 2:
+        raise ValueError("need rank >= 2")
+    if any(t % 2 for t in lam) or any(
+        lam[i] < lam[i + 1] for i in range(n - 1)
+    ) or lam[-1] < 0:
+        raise ValueError("lam must be a dominant integer Sp(n) weight")
+    out = {}
+    for key, last, _, counts in _interlacing_boxes(lam, 0):
+        counts = _box(counts, min(lam[-1], last) // 2 + 1)
+        top = len(counts) - 1
+        half = counts[:top // 2 + 1]
+        out[key] = {
+            top - 2 * j: c
+            for j, c in enumerate(map(operator.sub, half, [0] + half)) if c
+        }
+    return out
+
+
+def _spin_parity(lam: tuple) -> int:
+    if len({t % 2 for t in lam}) > 1:
+        raise ValueError("Spin weight entries must be congruent mod 1")
+    return lam[0] % 2
+
+
 def branch_spin_odd(lam) -> dict:
     """Spin(2n+1) restricted to Spin(2n-1) x Spin(2).
 
     Returns {mu: Spin2Module}; the module is
     B(z1-z2) x B(z3-z4) x ... x A(z_{2n-1}) for the merged chain z.
-    The B are the boxes of _spin_boxes (z_(2i+1) = U_i, z_(2i+2) = L_i);
-    spread to the lattice of step 2, their product is convolved with
-    A(z_{2n-1}), a box of z_{2n-1} + 1 weights, z_{2n-1} = min(lam_n,
-    mu_(n-1)) doubled.
+    The B are the boxes of _interlacing_boxes (z_(2i+1) = U_i,
+    z_(2i+2) = L_i); spread to the lattice of step 2, their product is
+    convolved with A(z_{2n-1}), a box of z_{2n-1} + 1 weights,
+    z_{2n-1} = min(lam_n, mu_(n-1)) doubled.
     """
     lam = _twice(lam)
     n = len(lam)
@@ -206,7 +195,7 @@ def branch_spin_odd(lam) -> dict:
     if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 0:
         raise ValueError("lam must be dominant")
     out = {}
-    for key, last, low, counts in _spin_boxes(lam, _spin_parity(lam)):
+    for key, last, low, counts in _interlacing_boxes(lam, _spin_parity(lam)):
         z = min(lam[-1], last)
         spread = [0] * (2 * len(counts) - 1)
         spread[::2] = counts
@@ -225,7 +214,7 @@ def branch_spin_even(lam) -> dict:
     is the product of the B(U_i - L_i) over the intervals
     [L_i, U_i] = [max(x_(i+1), y_i), min(x_i, y_(i-1))] (U_1 = x_1, and
     the last lower bound is max(x_n, y_(n-1))), shifted to be centered
-    at sum(lam) + sum(mu) - sum(L_i + U_i); see _spin_boxes.
+    at sum(lam) + sum(mu) - sum(L_i + U_i); see _interlacing_boxes.
 
     The walk covers exactly the mu with a module: y_i runs from its
     lower bound up to min(x_i, y_(i-1)), where the lower bound is
@@ -249,7 +238,7 @@ def branch_spin_even(lam) -> dict:
     parity = _spin_parity(lam)
     flip = lam[-1] < 0
     out = {}
-    for key, last, low, counts in _spin_boxes(
+    for key, last, low, counts in _interlacing_boxes(
         lam[:-1] + (abs(lam[-1]),), parity
     ):
         top = low + 4 * (len(counts) - 1)
@@ -272,7 +261,7 @@ def restrict_e7_to_su2_spin12(k) -> list:
     """Restriction of the k-th Cartan power of the miniscule E7
     representation to SU(2) x Spin(12): pairs (x-y, (x,y,z,z,z,z)) over
     x >= y >= z >= 0 with x+y = k, all entries congruent mod 1."""
-    k = int(k)
+    k = _as_int(k)
     if k < 0:
         raise ValueError("need k >= 0")
     out = []
@@ -290,11 +279,6 @@ def restrict_e7_to_su2_spin12(k) -> list:
 # F4 to Spin(9)
 
 
-def _check_ab(a: int, b: int) -> None:
-    if not (a >= b >= 0):
-        raise ValueError("need a >= b >= 0")
-
-
 def _cg3(p: int, q: int, r: int, t: int) -> int:
     """Multiplicity of (t) in (p) x (q) x (r): the number of (k) in
     (p) x (q) with (t) in (k) x (r), i.e. of k = p + q mod 2 in
@@ -304,33 +288,20 @@ def _cg3(p: int, q: int, r: int, t: int) -> int:
     return max(0, (min(p + q, r + t) - max(abs(p - q), abs(r - t))) // 2 + 1)
 
 
-def _f4_mult(a: int, b: int, w: tuple) -> int:
-    """f4_to_spin9 on a dominant Spin(9) weight in doubled coordinates:
-    the multiplicity of (a-b) in (a+b-w1-w2) x (w1-w2) x (2 w4), and 0
-    past w1 + w2 > a + b.  It does not read w3."""
-    s12 = w[0] + w[1]
-    if s12 > 2 * (a + b):
-        return 0
-    return _cg3(a + b - s12 // 2, (w[0] - w[1]) // 2, w[3], a - b)
-
-
-def f4_to_spin9(a: int, b: int, w) -> int:
-    """Multiplicity of the Spin(9) irrep (w) in the F4 irrep with
-    highest weight (a-b) w4 + b w3, for integers a >= b >= 0."""
-    _check_ab(a, b)
-    return _f4_mult(a, b, Irrep("B4", tuple(w)).hw.twice())
-
-
 def f4_to_spin9_table(a: int, b: int) -> dict:
-    """All Spin(9) constituents {w: mult} of the F4 irrep for (a, b),
-    over dominant w with w1 + w2 <= a + b in both congruence classes,
-    in descending lexicographic order of w within each class."""
-    _check_ab(a, b)
+    """All Spin(9) constituents {w: mult} of the F4 irrep with highest
+    weight (a-b) w4 + b w3, for integers a >= b >= 0, over dominant w
+    with w1 + w2 <= a + b in both congruence classes, in descending
+    lexicographic order of w within each class.  The multiplicity of w
+    is that of (a-b) in (a+b-w1-w2) x (w1-w2) x (2 w4); it does not
+    read w3."""
+    if not (a >= b >= 0):
+        raise ValueError("need a >= b >= 0")
     top, out = 2 * (a + b), {}
     for parity in (0, 1):
         for t1 in range(top - parity, parity - 1, -2):
             for t2 in range(min(t1, top - t1), parity - 1, -2):
-                # _f4_mult, which does not read w3, once per w4
+                # the multiplicity, once per w4
                 p, q = a + b - (t1 + t2) // 2, (t1 - t2) // 2
                 col = [
                     (t4, m) for t4 in range(t2, parity - 1, -2)

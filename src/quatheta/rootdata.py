@@ -36,8 +36,8 @@ representatives and Weyl orbits are closed forms (sorting and signed
 permutations) for the classical groups and G2; F4 and the E series take
 the closed form of a classical parabolic subsystem plus reflections in
 one simple root, and walk their orbits down from the dominant
-representative.  Fraction appears only at the API edge (HalfInt accepts
-and produces it).
+representative.  Fraction appears only at the API edge: HalfInt accepts
+it, and compares and hashes equal to it.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class HalfInt:
             return HalfInt(int(num))
         return HalfInt(2 * int(s))
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
     def __int__(self) -> int:
         if self.twice % 2:
             raise ValueError(f"{self} is not an integer")
@@ -139,6 +136,15 @@ class HalfInt:
         return f"{self.twice}/2"
 
     __repr__ = __str__
+
+
+def _as_int(x) -> int:
+    """x as an int, refused with ValueError where int() would truncate
+    it."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x} is not an integer")
+    return n
 
 
 def _twice_json(tvec) -> list:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .rootdata import HalfInt, Weight, _add, _sys, dominant_representative
+from .rootdata import (
+    HalfInt, Weight, _add, _as_int, _sys, dominant_representative,
+)
 from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
@@ -159,7 +161,7 @@ def theta_e6_torus(a: int, b: int, c: int, sign: str | None = None) -> ThetaLift
     The zero character splits into a +/- pair.
     """
     _check_sign(sign)
-    t = (int(a), int(b), int(c))
+    t = (_as_int(a), _as_int(b), _as_int(c))
     if sum(t) != 0:
         raise ValueError("torus character must sum to zero")
     if t == (0, 0, 0):
@@ -190,7 +192,7 @@ def theta_e6_u2(a: int, b: int, sign: str | None = None) -> ThetaLift:
     vanishes.
     """
     _check_sign(sign)
-    a, b = int(a), int(b)
+    a, b = _as_int(a), _as_int(b)
     if a < b:
         raise ValueError("need a >= b")
     if a + b < 0:
@@ -217,7 +219,7 @@ def theta_e7(a: int, b: int, c: int) -> ThetaLift:
     Three regimes: c <= a-b, a-b < c <= a+b (which requires a+b-c
     even), and c > a+b (zero).
     """
-    a, b, c = int(a), int(b), int(c)
+    a, b, c = _as_int(a), _as_int(b), _as_int(c)
     if not (a >= b >= 0):
         raise ValueError("need a >= b >= 0")
     if c < 0:
@@ -268,7 +270,7 @@ def theta_f4(n: int, sign: str | None = None) -> ThetaLift:
     give sigma((k,0)[k+3]), odd labels 2k+1 give sigma((k,1)[k+4]), and
     n = 0 splits into sigma((0,0)[3]) and sigma((0,0)[5])."""
     _check_sign(sign)
-    n = int(n)
+    n = _as_int(n)
     if n < 0:
         raise ValueError("need n >= 0")
     if n == 0:
@@ -328,12 +330,12 @@ def infchar_crosscheck(which: str, params) -> bool:
     which: 'tmain', 'e7', 'e8_spin9', 'e8_spin8', 'f4', or 't161'.
     """
     if which == "tmain":
-        a, b = (int(x) for x in params)
+        a, b = map(_as_int, params)
         lift = theta_e6_u2(a, b)
         want = _dom("B3", (a + b + 1, a + b - 1, a - b + 1))
         return all(inf_char(m) == want for m in lift.modules())
     if which == "e7":
-        a, b, c = (int(x) for x in params)
+        a, b, c = map(_as_int, params)
         lift = theta_e7(a, b, c)
         if lift.zero:
             return True
@@ -350,12 +352,12 @@ def infchar_crosscheck(which: str, params) -> bool:
         want = _dom("D4", _add(lam2, _sys("D4").rho2))
         return all(inf_char(m) == want for m in lift.modules())
     if which == "f4":
-        n = int(params[0]) if isinstance(params, (tuple, list)) else int(params)
+        n = _as_int(params[0] if isinstance(params, (tuple, list)) else params)
         lift = theta_f4(n)
         want = _dom("B3", (n, 2, 1))
         return all(inf_char(m) == want for m in lift.modules())
     if which == "t161":
-        a, b = (int(x) for x in params)
+        a, b = map(_as_int, params)
         if a < 0 or b < 0 or (a, b) == (0, 0):
             raise ValueError("need a, b >= 0, not both zero")
         s = 4 + a + b

@@ -7,20 +7,18 @@ import pytest
 from quatheta.branchrules import (
     Spin2Module,
     _box,
+    _cg3,
     _dominant_tuples,
-    _f4_mult,
     _keys,
     _steps,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
-    cg_product,
     clebsch_gordan,
-    f4_to_spin9,
     f4_to_spin9_table,
     restrict_e7_to_su2_spin12,
 )
-from quatheta.charoracle import embedding, irrep, restrict, weyl_dim
+from quatheta.charoracle import Irrep, embedding, irrep, restrict, weyl_dim
 from quatheta.rootdata import HalfInt
 
 
@@ -28,9 +26,24 @@ def h(p):
     return HalfInt(p)
 
 
+def cg_product(ms) -> dict:
+    """Decomposition of (m1) tensor ... tensor (mk) as {weight: mult},
+    one Clebsch-Gordan step at a time: the reference for the Sp(1)
+    factor of branch_sp and for the F4 -> Spin(9) multiplicity."""
+    out = {0: 1}
+    for m in ms:
+        if m < 0:
+            raise ValueError("SU(2) weights must be nonnegative")
+        nxt = {}
+        for cur, mult in out.items():
+            for k in clebsch_gordan(cur, m):
+                nxt[k] = nxt.get(k, 0) + mult
+        out = nxt
+    return out
+
+
 def cg_mult(ms, target: int) -> int:
-    """Multiplicity of (target) in the iterated product of the (m_i): the
-    reference for the closed-form F4 -> Spin(9) multiplicity."""
+    """Multiplicity of (target) in the iterated product of the (m_i)."""
     return cg_product(ms).get(target, 0)
 
 
@@ -90,6 +103,47 @@ def test_branch_sp3_matches_oracle(lam):
            for mu, cg in branch_sp(lam).items()}
     got = {mu: cg for mu, cg in got.items() if cg}
     assert got == _sp_oracle(lam)
+
+
+def _two_step(lam):
+    """The mu in the boxes lam_(i+2) <= mu_i <= lam_i (0 past the end),
+    the non-descending ones rejected, each with the descending merge z
+    of lam and mu; doubled integral coordinates."""
+    n = len(lam)
+    ranges = [_steps(lam[i + 2] if i + 2 < n else 0, lam[i], 0)
+              for i in range(n - 1)]
+    for mu in itertools.product(*ranges):
+        if all(mu[i] >= mu[i + 1] for i in range(n - 2)):
+            yield mu, sorted(lam + mu, reverse=True)
+
+
+def _branch_sp_reference(lam):
+    """Sp(n) -> Sp(n-1) x Sp(1) on doubled coordinates: the iterated
+    Clebsch-Gordan product of the difference chain of the merged
+    sequence, (z1-z2) x (z3-z4) x ... x (z_(2n-1))."""
+    n = len(lam)
+    out = {}
+    for mu, z in _two_step(lam):
+        factors = [(z[2 * i] - z[2 * i + 1]) // 2 for i in range(n - 1)]
+        factors.append(z[2 * n - 2] // 2)
+        out[mu] = cg_product(factors)
+    return out
+
+
+@pytest.mark.parametrize("n, bound", [
+    (2, 24), (3, 14), (4, 10), (5, 8), (6, 6),
+])
+def test_sp_rule_matches_cg_chain(n, bound):
+    # every dominant lam with doubled entries <= bound: the rule's table,
+    # outer key order included, equals the enumerate-and-reject
+    # Clebsch-Gordan chain
+    seen = 0
+    for t in _dominant_tuples(bound, n, 0, False):
+        got = [(tuple(c.twice for c in mu), cg)
+               for mu, cg in branch_sp(_keys(t)).items()]
+        assert got == list(_branch_sp_reference(t).items()), t
+        seen += len(got)
+    assert seen > 500
 
 
 def test_branch_sp_golden():
@@ -334,11 +388,18 @@ def test_branch_preserves_dimension():
 
 def _f4_mult_reference(a, b, w):
     """The F4 -> Spin(9) rule as an iterated Clebsch-Gordan product, on
-    doubled coordinates."""
+    doubled coordinates: the multiplicity of (a-b) in
+    (a+b-w1-w2) x (w1-w2) x (2 w4), and 0 past w1 + w2 > a + b."""
     s12 = w[0] + w[1]
     if s12 > 2 * (a + b):
         return 0
     return cg_mult([a + b - s12 // 2, (w[0] - w[1]) // 2, w[3]], a - b)
+
+
+def f4_to_spin9(a, b, w):
+    """The scalar F4 -> Spin(9) rule on a Spin(9) weight in any
+    coordinate form, validated as a B4 irrep."""
+    return _f4_mult_reference(a, b, Irrep("B4", tuple(w)).hw.twice())
 
 
 def _twices(key):
@@ -382,18 +443,15 @@ class TestF4ToSpin9:
             want = {}
             for parity in (0, 1):
                 for t in _dominant_tuples(2 * (a + b) + 2, 4, parity, False):
-                    m = f4_to_spin9(a, b, _keys(t))
+                    m = _f4_mult_reference(a, b, t)
                     if m:
                         want[_keys(t)] = m
             assert f4_to_spin9_table(a, b) == want, (a, b)
 
     def test_closed_form_equals_cg_product(self):
-        for a in range(8):
-            for b in range(a + 1):
-                for parity in (0, 1):
-                    for w in _dominant_tuples(19, 4, parity, False):
-                        assert _f4_mult(a, b, w) == \
-                            _f4_mult_reference(a, b, w), (a, b, w)
+        # the table's multiplicity kernel against the iterated product
+        for p, q, r, t in itertools.product(range(12), repeat=4):
+            assert _cg3(p, q, r, t) == cg_mult([p, q, r], t), (p, q, r, t)
 
     @pytest.mark.parametrize("a", range(7))
     def test_table_order_equals_the_full_enumeration(self, a):

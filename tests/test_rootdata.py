@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from quatheta.aqmodules import AqCase, theta_unitary
+from quatheta.branchrules import restrict_e7_to_su2_spin12
 from quatheta.charoracle import _dominant_char
 from quatheta.rootdata import (
     HalfInt,
     Weight,
+    _as_int,
     _dot,
     _neg,
     _sys,
@@ -16,6 +19,13 @@ from quatheta.rootdata import (
     highest_root,
     highest_root_coefficients,
     quaternionic_structure,
+)
+from quatheta.thetamaps import (
+    infchar_crosscheck,
+    theta_e6_torus,
+    theta_e6_u2,
+    theta_e7,
+    theta_f4,
 )
 
 
@@ -101,6 +111,36 @@ class TestHalfInt:
         assert HalfInt.of("1/2") == HalfInt.parse("1/2") == HalfInt(1)
         with pytest.raises(TypeError):
             HalfInt(1) < "1"
+
+
+def test_as_int_keeps_integral_values():
+    for x in (3, Fraction(6, 2), 3.0, HalfInt(6)):
+        assert _as_int(x) == 3 and type(_as_int(x)) is int
+
+
+# each call succeeds on the truncated input, so only the refusal of the
+# fractional part makes it raise
+@pytest.mark.parametrize("call", [
+    lambda: AqCase("G2", "I", (2.5, 1, -3.5)),
+    lambda: AqCase("PU21", "I", (Fraction(7, 2), 1, Fraction(-9, 2))),
+    lambda: theta_e6_torus(1.5, -1.5, 0),
+    lambda: theta_e6_u2(Fraction(5, 2), 1),
+    lambda: theta_e7(Fraction(5, 2), 1, 1),
+    lambda: theta_e7(2, 1, 0.5),
+    lambda: theta_f4(2.5),
+    lambda: theta_unitary("wall", 2.5, (3, 3)),
+    lambda: theta_unitary("wall", 2, (3.5, 3)),
+    lambda: theta_unitary("regular", (2.5, 1, -3.5), (3, 2)),
+    lambda: infchar_crosscheck("tmain", (2.5, 1)),
+    lambda: infchar_crosscheck("e7", (2, 1, 1.5)),
+    lambda: infchar_crosscheck("f4", 2.5),
+    lambda: infchar_crosscheck("f4", (Fraction(5, 2),)),
+    lambda: infchar_crosscheck("t161", (1.5, 1)),
+    lambda: restrict_e7_to_su2_spin12(1.5),
+])
+def test_non_integral_parameters_are_refused(call):
+    with pytest.raises(ValueError, match="is not an integer"):
+        call()
 
 
 class TestWeight:
