@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import dataclass
 from math import gcd
 
-from .rootdata import _add, _as_int, _dot, _neg, _sub
+from .rootdata import _Record, _add, _as_int, _dot, _neg, _sub
 from .branchrules import clebsch_gordan
 from .thetamaps import theta_e6_u2
 
@@ -153,21 +152,20 @@ def _check_case(group: str, case_id: str, lam) -> None:
         )
 
 
-@dataclass(frozen=True)
-class AqCase:
+class AqCase(_Record):
     """A group, a parabolic case id, and an admissible lambda."""
 
-    group: str
-    case_id: str
-    lam: tuple
+    __slots__ = ("group", "case_id", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(map(_as_int, self.lam)))
-        _check_case(self.group, self.case_id, self.lam)
+    def __init__(self, group: str, case_id: str, lam: tuple):
+        lam = tuple(map(_as_int, lam))
+        _check_case(group, case_id, lam)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "lam", lam)
 
 
-@dataclass(frozen=True)
-class AqData:
+class AqData(_Record):
     """Infinitesimal character and minimal K-type of one A_q(lambda).
 
     minimal_type_xy is the (b-c, a) image of the minimal type;
@@ -175,11 +173,21 @@ class AqData:
     PU21 only.
     """
 
-    inf_char: tuple
-    minimal_type_abc: tuple
-    minimal_type_xy: tuple
-    u_cap_p_weights: tuple
-    minimal_type_u2: tuple | None = None
+    __slots__ = (
+        "inf_char", "minimal_type_abc", "minimal_type_xy", "u_cap_p_weights",
+        "minimal_type_u2",
+    )
+
+    def __init__(
+        self, inf_char: tuple, minimal_type_abc: tuple,
+        minimal_type_xy: tuple, u_cap_p_weights: tuple,
+        minimal_type_u2: tuple | None = None,
+    ):
+        object.__setattr__(self, "inf_char", inf_char)
+        object.__setattr__(self, "minimal_type_abc", minimal_type_abc)
+        object.__setattr__(self, "minimal_type_xy", minimal_type_xy)
+        object.__setattr__(self, "u_cap_p_weights", u_cap_p_weights)
+        object.__setattr__(self, "minimal_type_u2", minimal_type_u2)
 
     def to_json(self) -> dict:
         out = {
@@ -362,16 +370,21 @@ def ftau_restriction_segments(a: int):
 # unitary theta decision tables
 
 
-@dataclass(frozen=True)
-class ThetaUnitaryResult:
+class ThetaUnitaryResult(_Record):
     """Outcome for one minimal-type bullet: a definite zero, or a
     minimal (x, y) type that applies only if the lift is nonzero
     (conditional=True records that the nonvanishing itself is left
     open)."""
 
-    zero: bool
-    minimal_type_xy: tuple | None = None
-    conditional: bool = False
+    __slots__ = ("zero", "minimal_type_xy", "conditional")
+
+    def __init__(
+        self, zero: bool, minimal_type_xy: tuple | None = None,
+        conditional: bool = False,
+    ):
+        object.__setattr__(self, "zero", zero)
+        object.__setattr__(self, "minimal_type_xy", minimal_type_xy)
+        object.__setattr__(self, "conditional", conditional)
 
     def to_json(self) -> dict:
         if self.zero:

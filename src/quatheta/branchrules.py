@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
-from .rootdata import HalfInt, Weight, _as_int
+from .rootdata import HalfInt, Weight, _Record, _as_int
 
 
 def _twice(seq) -> tuple:
@@ -63,11 +62,14 @@ def clebsch_gordan(m: int, n: int) -> list:
 # Spin(2) weight modules
 
 
-@dataclass(frozen=True)
-class Spin2Module:
-    """Finite multiset of Spin(2) weights (half-integers)."""
+class Spin2Module(_Record):
+    """Finite multiset of Spin(2) weights (half-integers): entries is a
+    sorted tuple of (doubled weight, positive mult)."""
 
-    entries: tuple  # sorted tuple of (doubled weight, positive mult)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple):
+        object.__setattr__(self, "entries", entries)
 
 
 def _box(counts: list, width: int) -> list:

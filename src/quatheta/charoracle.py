@@ -28,10 +28,9 @@ coordinate vectors.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .rootdata import Weight, _add, _dot, _sub, _sys, _twice_json
+from .rootdata import Weight, _Record, _add, _dot, _sub, _sys, _twice_json
 
 DEFAULT_DIM_CAP = 20000
 
@@ -70,8 +69,7 @@ def _as_tuple(x):
     return x if isinstance(x, tuple) else (x,)
 
 
-@dataclass(frozen=True)
-class Irrep:
+class Irrep(_Record):
     """Irreducible representation labeled by a dominant highest weight.
 
     group: a root-system label, or a tuple of labels for products;
@@ -79,12 +77,11 @@ class Irrep:
     Coordinates may be given as raw numbers; they are wrapped.
     """
 
-    group: object
-    hw: object
+    __slots__ = ("group", "hw")
 
-    def __post_init__(self):
-        labels = _as_tuple(self.group)
-        hws = (self.hw,) if isinstance(self.group, str) else self.hw
+    def __init__(self, group, hw):
+        labels = _as_tuple(group)
+        hws = (hw,) if isinstance(group, str) else hw
         if len(labels) != len(hws):
             raise ValueError("group/hw factor counts differ")
         fixed = []
@@ -140,12 +137,17 @@ def irrep(group, *hw) -> Irrep:
 # character containers
 
 
-@dataclass(frozen=True)
-class CharMultiset:
-    """Weight multiset of a (virtual sum of) representations."""
+class CharMultiset(_Record):
+    """Weight multiset of a (virtual sum of) representations.
 
-    labels: tuple
-    mults: dict  # concatenated doubled coords -> positive int
+    mults maps concatenated doubled coordinates to positive ints.
+    """
+
+    __slots__ = ("labels", "mults")
+
+    def __init__(self, labels: tuple, mults: dict):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "mults", mults)
 
     def mass(self) -> int:
         return sum(self.mults.values())
@@ -423,8 +425,7 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
 # embeddings and restriction
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(_Record):
     """Cartan-coordinate map of a subgroup inclusion: a projection.
 
     coords lists, for each concatenated target coordinate, the source
@@ -432,20 +433,21 @@ class EmbeddingMap:
     vectors, so half-integers stay half-integers.
     """
 
-    name: str
-    source: str
-    targets: tuple
-    coords: tuple
+    __slots__ = ("name", "source", "targets", "coords")
 
-    def __post_init__(self):
-        ntarget = sum(_sys(lab).dim for lab in self.targets)
-        if len(self.coords) != ntarget:
-            raise ValueError(f"{self.name}: need {ntarget} coordinates")
-        nsource = _sys(self.source).dim
-        if any(not 0 <= i < nsource for i in self.coords):
+    def __init__(self, name: str, source: str, targets: tuple, coords: tuple):
+        ntarget = sum(_sys(lab).dim for lab in targets)
+        if len(coords) != ntarget:
+            raise ValueError(f"{name}: need {ntarget} coordinates")
+        nsource = _sys(source).dim
+        if any(not 0 <= i < nsource for i in coords):
             raise ValueError(
-                f"{self.name}: coordinates must lie in range({nsource})"
+                f"{name}: coordinates must lie in range({nsource})"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "coords", coords)
 
     def apply(self, tvec: tuple) -> tuple:
         return tuple(tvec[i] for i in self.coords)

@@ -3,7 +3,9 @@
 Subcommands: branch, theta, ktypes, infchar, aq, verify, plot.  JSON
 output is UTF-8 with sorted keys; identical argv produces byte-identical
 output.  Exit codes: 0 success, 1 domain error, 2 verification failure,
-64 usage error, 70 internal failure (one line on stderr, no traceback).
+64 usage error, 70 internal failure (one line on stderr, no traceback),
+141 stdout closed by its reader (128 + SIGPIPE, as for `| head`; nothing
+is printed).
 The environment variable QUATHETA_DIM_CAP bounds the dimension the
 character oracle is willing to expand (default 20000).
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .rootdata import HalfInt, _twice_json
@@ -383,7 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head`): not a fault.  Point stdout at
+        # devnull so that the interpreter's final flush is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OracleCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,13 +15,13 @@ K-type computations here operate on the full module A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, gcd
 
 from .rootdata import (
     HalfInt,
     Weight,
+    _Record,
     _add,
     _dot,
     _sub,
@@ -47,34 +47,33 @@ from .charoracle import (
 from .branchrules import clebsch_gordan
 
 
-@dataclass(frozen=True)
-class QuatModule:
+class QuatModule(_Record):
     """A(G, W[s]) or its irreducible quotient sigma(G, W[s]).
 
     wm is a tuple of per-factor highest-weight tuples for M; SU(2)
     factors use the integer label convention (dimension = label + 1).
+    kind is "A" for the full module, "sigma" for the quotient.
     """
 
-    g_label: str
-    wm: tuple
-    s: int
-    kind: str = "A"  # "A" for the full module, "sigma" for the quotient
+    __slots__ = ("g_label", "wm", "s", "kind")
 
-    def __post_init__(self):
-        qs = quaternionic_structure(self.g_label)
-        wm = self.wm
+    def __init__(self, g_label: str, wm: tuple, s: int, kind: str = "A"):
+        qs = quaternionic_structure(g_label)
         if len(wm) and not isinstance(wm[0], (tuple, list)):
             wm = (tuple(wm),)  # single-factor convenience
         wm = tuple(tuple(HalfInt.of(c) for c in f) for f in wm)
         if len(wm) != len(qs.m_factors):
             raise ValueError(
-                f"{self.g_label} needs {len(qs.m_factors)} factor weights"
+                f"{g_label} needs {len(qs.m_factors)} factor weights"
             )
+        object.__setattr__(self, "g_label", g_label)
         object.__setattr__(self, "wm", wm)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "kind", kind)
         self.m_irrep()  # validates dominance and lattice membership per factor
-        if not isinstance(self.s, int) or self.s < 2:
+        if not isinstance(s, int) or s < 2:
             raise ValueError("need integer s >= 2")
-        if self.kind not in ("A", "sigma"):
+        if kind not in ("A", "sigma"):
             raise ValueError("kind must be 'A' or 'sigma'")
 
     def structure(self):
@@ -84,7 +83,7 @@ class QuatModule:
         return Irrep(quaternionic_structure(self.g_label).m_factors, self.wm)
 
     def quotient(self) -> "QuatModule":
-        return replace(self, kind="sigma")
+        return QuatModule(self.g_label, self.wm, self.s, "sigma")
 
     def wm_json(self) -> list:
         return [_twice_json(c.twice for c in f) for f in self.wm]
@@ -237,13 +236,16 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
 # K-types
 
 
-@dataclass(frozen=True)
-class KTypeLedger:
+class KTypeLedger(_Record):
     """Levels 0..kmax of the K-type decomposition of A(G, W[s]):
-    level k pairs the SU_0(2) label s+k-2 with tau_k = S^k(V_M) (x) W."""
+    level k pairs the SU_0(2) label s+k-2 with tau_k = S^k(V_M) (x) W.
+    levels is a tuple of (su0_label, IsoDecomp)."""
 
-    module: QuatModule
-    levels: tuple  # tuple of (su0_label, IsoDecomp)
+    __slots__ = ("module", "levels")
+
+    def __init__(self, module: QuatModule, levels: tuple):
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "levels", levels)
 
     @property
     def kmax(self) -> int:

@@ -37,18 +37,73 @@ permutations) for the classical groups and G2; F4 and the E series take
 the closed form of a classical parabolic subsystem plus reflections in
 one simple root, and walk their orbits down from the dominant
 representative.  Fraction appears only at the API edge: HalfInt accepts
-it, and compares and hashes equal to it.
+it, and compares and hashes equal to it, recognising it through
+sys.modules without importing fractions (a Fraction can only exist once
+that module is loaded).
+
+The package's value records derive from _Record: slotted, frozen
+classes with explicit constructors, so importing the package needs
+neither dataclasses nor fractions.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, product
 from math import prod
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+class _Record:
+    """Base of the package's frozen value records.
+
+    A subclass names its fields in __slots__ (they extend _fields) and
+    sets them in its __init__ with object.__setattr__.  The base gives
+    the rest of a frozen dataclass: assignment and deletion raise
+    AttributeError, equality and hashing go by the field tuple within
+    one exact class, the repr is Name(field=value, ...), and __reduce__
+    rebuilds through the constructor, so pickle and copy work.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields += cls.__dict__.get("__slots__", ())
+        get = attrgetter(*cls._fields)
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda self: (get(self),)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values(self))
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
 
 
 # ---------------------------------------------------------------------------
@@ -58,11 +113,20 @@ _MODULUS = sys.hash_info.modulus
 _INV2 = pow(2, -1, _MODULUS)  # hash(Fraction(t, 2)) = ±|t| * _INV2 mod it
 
 
-@dataclass(frozen=True, eq=False)
-class HalfInt:
+def _is_fraction(x) -> bool:
+    """isinstance(x, Fraction), without importing fractions: no Fraction
+    exists unless that module is loaded."""
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
+class HalfInt(_Record):
     """An element of (1/2)Z stored as its doubled value."""
 
-    twice: int
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int):
+        object.__setattr__(self, "twice", twice)
 
     @staticmethod
     def of(x) -> "HalfInt":
@@ -72,7 +136,7 @@ class HalfInt:
             raise TypeError("bool is not a weight coordinate")
         if isinstance(x, int):
             return HalfInt(2 * x)
-        if isinstance(x, Fraction):
+        if _is_fraction(x):
             if x.denominator not in (1, 2):
                 raise ValueError(f"{x} is not a half-integer")
             return HalfInt(int(x * 2))
@@ -83,12 +147,15 @@ class HalfInt:
     @staticmethod
     def parse(s: str) -> "HalfInt":
         s = s.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            if den.strip() != "2":
-                raise ValueError(f"bad half-integer literal {s!r}")
-            return HalfInt(int(num))
-        return HalfInt(2 * int(s))
+        num, slash, den = s.partition("/")
+        try:
+            if not slash:
+                return HalfInt(2 * int(s))
+            if den.strip() == "2":
+                return HalfInt(int(num))
+        except ValueError:
+            pass
+        raise ValueError(f"bad half-integer literal {s!r}")
 
     def __int__(self) -> int:
         if self.twice % 2:
@@ -98,7 +165,7 @@ class HalfInt:
     def _cmp_twice(self, other) -> int:
         # only the numeric types the hash agrees with: a string equal to
         # a HalfInt would have to hash like it too
-        if not isinstance(other, (HalfInt, int, Fraction)):
+        if not (isinstance(other, (HalfInt, int)) or _is_fraction(other)):
             raise TypeError(f"cannot compare a half-integer with {other!r}")
         return HalfInt.of(other).twice
 
@@ -156,17 +223,14 @@ def _twice_json(tvec) -> list:
 # weights
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Record):
     """A vector of half-integers tagged with its root-system label."""
 
-    coords: tuple
-    system: str
+    __slots__ = ("coords", "system")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coords", tuple(HalfInt.of(c) for c in self.coords)
-        )
+    def __init__(self, coords: tuple, system: str):
+        object.__setattr__(self, "coords", tuple(map(HalfInt.of, coords)))
+        object.__setattr__(self, "system", system)
 
     def twice(self) -> tuple:
         return tuple(c.twice for c in self.coords)
@@ -526,8 +590,7 @@ def dominant_representative(w: Weight) -> Weight:
 # quaternionic structure table
 
 
-@dataclass(frozen=True)
-class QuaternionicStructure:
+class QuaternionicStructure(_Record):
     """Data of the quaternionic real form attached to a group label.
 
     m_factors are the root-system labels of the factors of M, in the
@@ -537,15 +600,25 @@ class QuaternionicStructure:
     highest weight tuple of V_M factor by factor.
     """
 
-    g_label: str
-    system: str
-    m_label: str
-    m_factors: tuple
-    vm_hw: tuple
-    vm_dim: int
-    alpha0: Weight
-    k_label: str
-    m_simple_coords: tuple
+    __slots__ = (
+        "g_label", "system", "m_label", "m_factors", "vm_hw", "vm_dim",
+        "alpha0", "k_label", "m_simple_coords",
+    )
+
+    def __init__(
+        self, g_label: str, system: str, m_label: str, m_factors: tuple,
+        vm_hw: tuple, vm_dim: int, alpha0: Weight, k_label: str,
+        m_simple_coords: tuple,
+    ):
+        object.__setattr__(self, "g_label", g_label)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "m_label", m_label)
+        object.__setattr__(self, "m_factors", m_factors)
+        object.__setattr__(self, "vm_hw", vm_hw)
+        object.__setattr__(self, "vm_dim", vm_dim)
+        object.__setattr__(self, "alpha0", alpha0)
+        object.__setattr__(self, "k_label", k_label)
+        object.__setattr__(self, "m_simple_coords", m_simple_coords)
 
 
 # g_label -> (system, m_label, m_factors, vm_hw, vm_dim, k_label,

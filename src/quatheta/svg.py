@@ -1,15 +1,14 @@
 """Deterministic SVG figures for the plot subcommand.
 
-Coordinates are computed exactly (Fraction) and rounded only when
-written, so identical arguments give byte-identical SVG text.  The cases
-drawn together in a cone figure, and their lambdas, come from the case
-table in aqmodules, the one source of lambda shapes, chamber rho, wall
-weights and sibling sets.
+Coordinates are computed exactly (ints and Fractions) and rounded only
+when written, so identical arguments give byte-identical SVG text.
+Fraction is imported where a figure is drawn, so that importing the
+package does not load fractions.  The cases drawn together in a cone
+figure, and their lambdas, come from the case table in aqmodules, the
+one source of lambda shapes, chamber rho, wall weights and sibling sets.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .aqmodules import (
     AqCase, _siblings, abc_to_xy, aq_data, cone_extreme_rays,
@@ -21,11 +20,11 @@ _UY = 70  # _UX * 7/4: hexagonal-lattice vertical scaling
 
 
 def _px(x, xmin) -> str:
-    return f"{float(_PAD + (Fraction(x) - xmin) * _UX):.2f}"
+    return f"{float(_PAD + (x - xmin) * _UX):.2f}"
 
 
 def _py(y, ymax) -> str:
-    return f"{float(_PAD + (ymax - Fraction(y)) * _UY):.2f}"
+    return f"{float(_PAD + (ymax - y) * _UY):.2f}"
 
 
 _PALETTE = ("#c0392b", "#27ae60", "#2980b9", "#e67e22")
@@ -33,6 +32,8 @@ _PALETTE = ("#c0392b", "#27ae60", "#2980b9", "#e67e22")
 
 def _ray_end(apex, d, xmin, xmax, ymin, ymax):
     """Farthest point of apex + t*d inside the viewport box, exact."""
+    from fractions import Fraction
+
     ts = []
     for a0, dv, lo, hi in (
         (apex[0], d[0], xmin, xmax), (apex[1], d[1], ymin, ymax)
@@ -111,6 +112,8 @@ def _svg_cones(group: str, lam) -> str:
 
 def _svg_ledger(led) -> str:
     """Histogram of a KTypeLedger's level dimensions by outer label."""
+    from fractions import Fraction
+
     dims = [led.level_dimension(k) for k in range(led.kmax + 1)]
     labels = [su0 for su0, _ in led.levels]
     n = len(dims)

@@ -15,33 +15,36 @@ is verified here as a truncated K-type multiset equality.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .rootdata import (
-    HalfInt, Weight, _add, _as_int, _sys, dominant_representative,
+    HalfInt, Weight, _Record, _add, _as_int, _sys, dominant_representative,
 )
 from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
 
-@dataclass(frozen=True)
-class ThetaLift:
+class ThetaLift(_Record):
     """Outcome of a theta map: modules with multiplicities, or zero.
 
     sign tags the tau-split variants; upper_bound marks lifts the
     source theorem states as inclusions rather than equalities.
     stated_inf_char carries an infinitesimal character when the theorem
-    displays one explicitly.
+    displays one explicitly.  lifts is a tuple of (QuatModule, positive
+    multiplicity).
     """
 
-    lifts: tuple  # tuple of (QuatModule, positive multiplicity)
-    sign: str | None = None
-    upper_bound: bool = False
-    stated_inf_char: Weight | None = None
+    __slots__ = ("lifts", "sign", "upper_bound", "stated_inf_char")
 
-    def __post_init__(self):
-        if any(mult <= 0 for _, mult in self.lifts):
+    def __init__(
+        self, lifts: tuple, sign: str | None = None,
+        upper_bound: bool = False, stated_inf_char: Weight | None = None,
+    ):
+        if any(mult <= 0 for _, mult in lifts):
             raise ValueError("multiplicities must be positive")
+        object.__setattr__(self, "lifts", lifts)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "upper_bound", upper_bound)
+        object.__setattr__(self, "stated_inf_char", stated_inf_char)
 
     @property
     def zero(self) -> bool:

@@ -256,3 +256,23 @@ def test_criterion_16_spin_branching_at_scale():
                 "weight with doubled entries <= 10 preserve dimension "
                 "(784 weights, 25364 mu)",
             ok, time.perf_counter() - t0, budget=2.0)
+
+
+def test_criterion_17_import_loads_no_dataclasses_or_fractions():
+    # compared with the modules loaded before the import, since site may
+    # load some of these itself
+    t0 = time.perf_counter()
+    code = ("import sys; before = set(sys.modules); "
+            "import quatheta, quatheta.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(quatheta.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    added = set(proc.stdout.split())
+    ok = (proc.returncode == 0 and "quatheta.cli" in added
+          and not added & {"dataclasses", "inspect", "fractions", "decimal"})
+    _report(17, "import quatheta, quatheta.cli loads none of dataclasses, "
+                "inspect, fractions and decimal",
+            ok, time.perf_counter() - t0, budget=2.0)

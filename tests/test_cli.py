@@ -70,6 +70,40 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["branch", "--rule", "spin-even", "--lam", "4,3,2,1", "--json"],
+        ["ktypes", "--g", "Spin(4,4)", "--wm", "0;0;0", "--s", "4",
+         "--kmax", "3"],
+    ])
+    # buffered, the closed pipe shows at main's flush; unbuffered, at the
+    # first write
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141_silently(self, argv, unbuffered):
+        # the reader is gone before quatheta writes, as for `| head` once
+        # head has exited
+        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quatheta.cli", *argv],
+                stdout=w, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, b"")
+
+    def test_in_process_stringio_stdout_keeps_the_output(self):
+        # main flushes stdout to see a closed pipe; a StringIO is unaffected
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["branch", "--rule", "spin-even", "--lam", "4,3,2,1",
+                         "--json"])
+        assert code == 0
+        assert json.loads(out.getvalue())
+
     def test_verification_failure_is_two(self, capsys, monkeypatch):
         monkeypatch.setattr(
             cli, "run_suite", lambda *a, **k: (["FAIL x: y"], False)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -48,6 +49,45 @@ class TestHalfInt:
         assert HalfInt.parse("4") == 4
         with pytest.raises(ValueError):
             HalfInt.parse("1/3")
+
+    @pytest.mark.parametrize("literal, twice", [
+        ("3/2", 3), (" -5 / 2 ", -5), ("4/2", 4), ("+7", 14), (" 0 ", 0),
+    ])
+    def test_parse_accepts(self, literal, twice):
+        assert HalfInt.parse(literal).twice == twice
+
+    @pytest.mark.parametrize("literal", [
+        "3/2/2", "/2", "", "  ", "3/", "1/3", "3//2", "1/2.0", "1.5", "x",
+        "3/-2",
+    ])
+    def test_parse_refuses_with_one_message(self, literal):
+        with pytest.raises(ValueError) as info:
+            HalfInt.parse(literal)
+        message = f"bad half-integer literal {literal.strip()!r}"
+        assert str(info.value) == message
+
+    def test_parse_accepts_what_the_split_rule_accepted(self):
+        def split_rule(s):  # the rule before every refusal had one message
+            s = s.strip()
+            if "/" in s:
+                num, den = s.split("/")
+                if den.strip() != "2":
+                    raise ValueError
+                return int(num)
+            return 2 * int(s)
+
+        tokens = ("", " ", "1", "-3", "+", "/", "2", "4", "x", ".5", "_0")
+        for parts in itertools.product(tokens, repeat=4):
+            literal = "".join(parts)
+            try:
+                want = split_rule(literal)
+            except ValueError:
+                want = None
+            try:
+                got = HalfInt.parse(literal).twice
+            except ValueError:
+                got = None
+            assert got == want, literal
 
     def test_str(self):
         assert str(HalfInt.of(3)) == "3"
