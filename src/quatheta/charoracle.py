@@ -7,14 +7,17 @@ Freudenthal's recursion, whose sum over each alpha-string stops at the
 string's first non-weight (alpha-strings of weights are unbroken).  Full
 weight multisets are the Weyl orbits of those weights (signed
 permutations for the classical groups, a reflection walk only for F4
-and the E series); they are built only where an operation is not
-Weyl-invariant: the pushforward of a restriction, and the
+and the E series); they are built only for the pushforward of a
+restriction along a projection (Spin8>Spin7) and for the
 symmetric-power chain, which is the oracle's reference for the K-type
-ledgers (the ledgers themselves never build a level's weights).
-Decompositions are recovered by repeatedly stripping the
-dominant character of the top remaining dominant weight; an IsoDecomp
-keeps each highest weight as a doubled tuple and builds Irreps only when
-a caller reads .mults or .items().  Every path is integer-only: doubled
+ledgers (the ledgers themselves never build a level's weights).  An
+equal-rank restriction builds none: its subgroup-dominant weights are
+the w mu, for mu a dominant weight and w a minimal representative of a
+coset W_H w in W_G, and only those are stripped.  Decompositions are
+recovered by repeatedly stripping the dominant character of the top
+remaining dominant weight; an IsoDecomp keeps each highest weight as a
+doubled tuple and builds Irreps only when a caller reads .mults or
+.items().  Every path is integer-only: doubled
 coordinates throughout, with no Fraction intermediates.  Every root
 system, the E series included, is in scope; QUATHETA_DIM_CAP bounds the
 dimension of each irreducible computed.
@@ -359,14 +362,11 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
     the weight lattice raises Irrep's error; one above dim_cap() raises
     OracleCapError.
 
-    Stripping only removes keys (a key it would add goes negative and
-    raises), so the dominant keys are found and ordered once; each step
-    takes the first of them still present.  Tops stay doubled tuples;
-    no Irrep is built.
+    The dominant keys go to _strip_tops, the one stripping kernel.  Tops
+    stay doubled tuples; no Irrep is built.
     """
     spans = _spans(c.labels)
     systems = [_sys(lab) for lab in c.labels]
-    rho2 = sum((d.rho2 for d in systems), ())
     reps = [{} for _ in spans]  # per factor: slice -> dominant slice
 
     def representative(t):
@@ -390,6 +390,23 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                 moved.append((u, m))
     if any(rem.get(u) != m for u, m in moved):
         raise AssertionError("character is not Weyl-invariant")
+    out, total = _strip_tops(spans, systems, rem)
+    if total != sum(c.mults.values()):
+        raise AssertionError("stripping left a residue with no dominant key")
+    return IsoDecomp._of_twice(c.labels, out)
+
+
+def _strip_tops(spans: tuple, systems: list, rem: dict) -> tuple:
+    """Strip {dominant key: mult} in place; returns the stripped
+    {top: mult} and the total dimension it accounts for.
+
+    The keys are ordered once, by rho-pairing with a lexicographic
+    tiebreak, and each step takes the first still present: stripping only
+    removes keys (one it would add goes negative and raises).  A top off
+    the weight lattice raises Irrep's error; one above dim_cap() raises
+    OracleCapError.
+    """
+    rho2 = sum((d.rho2 for d in systems), ())
     tops = sorted(rem, key=lambda t: (_dot(t, rho2), t), reverse=True)
     cap = dim_cap()
     out = {}
@@ -416,9 +433,7 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
                 rem[t] = nm
             else:
                 rem.pop(t, None)
-    if total != sum(c.mults.values()):
-        raise AssertionError("stripping left a residue with no dominant key")
-    return IsoDecomp._of_twice(c.labels, out)
+    return out, total
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +445,11 @@ class EmbeddingMap(_Record):
 
     coords lists, for each concatenated target coordinate, the source
     coordinate it keeps; the map is applied to doubled coordinate
-    vectors, so half-integers stay half-integers.
+    vectors, so half-integers stay half-integers.  When coords keeps
+    every source coordinate in order and each target factor's positive
+    roots, in its slice, are positive roots of the source, the inclusion
+    is equal rank and restrict takes the coset path (_coset_walk);
+    otherwise it pushes the full weight multiset forward.
     """
 
     __slots__ = ("name", "source", "targets", "coords")
@@ -486,17 +505,107 @@ def embedding(name: str) -> EmbeddingMap:
         raise ValueError(f"unknown embedding {name!r}") from None
 
 
-def restrict(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
-    """Restriction of an irrep along an embedding, by weight pushforward
-    and dominant stripping."""
-    if not isinstance(r.group, str) or e.source != r.group:
-        raise ValueError(f"embedding {e.name} does not start at {r.group}")
+@lru_cache(maxsize=None)
+def _coset_walk(e: EmbeddingMap):
+    """The minimal representatives of the cosets W_H w in W_G for an
+    equal-rank embedding, or None when e is not equal rank.
+
+    Returns (words, steps).  words[k] is a reduced word (simple-reflection
+    indices, leftmost first) of the k-th representative w_k; these are
+    the w with w rho_G in the H-chamber, one per coset (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.10).  They are found by a
+    gallery walk that never leaves the H-chamber: it is convex, so a
+    minimal gallery from the G-chamber to any G-chamber inside it stays
+    inside.  Crossing the i-th wall of the chamber of w goes to w s_i,
+    with w s_i rho = w rho - w(alpha_i).  steps[k - 1] = (j, i, w_j
+    alpha_i) records that w_k = w_j s_i, so for any mu,
+    w_k mu = w_j mu - <mu, alpha_i^vee> w_j alpha_i.
+    """
+    g = _sys(e.source)
+    if e.coords != tuple(range(g.dim)):
+        return None
+    hsimple, hpos = [], set()  # the target factors' roots, in their slices
+    for lab, a, b in _spans(e.targets):
+        h, lo, hi = _sys(lab), (0,) * a, (0,) * (g.dim - b)
+        hsimple += [lo + r + hi for r in h.simple]
+        hpos.update(lo + r + hi for r in h.pos)
+    if not hpos <= set(g.pos):
+        return None
+    # cartan[i][j] = <alpha_j, alpha_i^vee>
+    cartan = [[2 * _dot(b, a) // n for b in g.simple]
+              for a, n in zip(g.simple, g.simple_norm)]
+    words, steps = [()], []
+    layer = [(0, g.rho2, g.simple)]  # (index, w rho, w alpha_1..w alpha_r)
+    seen = {g.rho2}
+    while layer:
+        nxt = []
+        for k, v, images in layer:
+            for i, img in enumerate(images):
+                u = _sub(v, img)
+                if u in seen or any(_dot(u, a) < 0 for a in hsimple):
+                    continue
+                seen.add(u)
+                moved = tuple(tuple(x - c * y for x, y in zip(im, img))
+                              for im, c in zip(images, cartan[i]))
+                steps.append((k, i, img))
+                words.append(words[k] + (i,))
+                nxt.append((len(words) - 1, u, moved))
+        layer = nxt
+    return tuple(words), tuple(steps)
+
+
+def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
+    """Equal-rank restriction: the H-dominant weights of the restriction
+    are the distinct w mu, w a coset representative, over the dominant
+    weights mu of r; strip them.  No orbit is walked."""
+    _check_cap(r)
+    g = _sys(e.source)
+    simple = tuple(zip(g.simple, g.simple_norm))
+    rem = {}
+    for mu, m in _dominant_char(e.source, r.twice_concat()).items():
+        pairing = [2 * _dot(mu, a) // n for a, n in simple]
+        points = [mu]
+        for j, i, img in steps:
+            c = pairing[i]
+            v = points[j]
+            points.append(tuple(x - c * y for x, y in zip(v, img)) if c else v)
+        for u in set(points):
+            rem[u] = rem.get(u, 0) + m
+    spans = _spans(e.targets)
+    out, _ = _strip_tops(spans, [_sys(lab) for lab, _, _ in spans], rem)
+    return IsoDecomp._of_twice(e.targets, out)
+
+
+def _restrict_pushforward(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
+    """Restriction by pushing the full weight multiset forward and
+    stripping it: the path for projections, and the reference for the
+    coset path."""
     src = char_weights(r)
     pushed = {}
     for t, m in src.mults.items():
         u = e.apply(t)
         pushed[u] = pushed.get(u, 0) + m
-    dec = strip_dominant(CharMultiset(e.targets, pushed))
+    return strip_dominant(CharMultiset(e.targets, pushed))
+
+
+def restrict(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
+    """Restriction of an irrep along an embedding.
+
+    An equal-rank embedding strips only the H-dominant points of each
+    dominant weight's orbit, found through the minimal representatives
+    of the cosets W_H w in W_G; no weight multiset is built, so
+    strip_dominant's Weyl-invariance and mass checks do not apply there.
+    A projection (Spin8>Spin7) pushes the full weight multiset forward
+    and strips it.  Either way r is refused above dim_cap() before any
+    work, and the result must have r's dimension.
+    """
+    if not isinstance(r.group, str) or e.source != r.group:
+        raise ValueError(f"embedding {e.name} does not start at {r.group}")
+    walk = _coset_walk(e)
+    if walk is None:
+        dec = _restrict_pushforward(r, e)
+    else:
+        dec = _restrict_cosets(r, e, walk[1])
     if dec.dimension() != weyl_dim(r):
         raise AssertionError("restriction lost dimension")
     return dec

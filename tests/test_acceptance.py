@@ -14,11 +14,20 @@ import os
 import subprocess
 import sys
 import time
+from itertools import product
 from math import comb
 from unittest import mock
 
 import quatheta
-from quatheta.charoracle import _dim_single, irrep, weyl_dim
+from quatheta.charoracle import (
+    DEFAULT_DIM_CAP,
+    Irrep,
+    _dim_single,
+    embedding,
+    irrep,
+    restrict,
+    weyl_dim,
+)
 from quatheta.cli import main
 from quatheta.quaternionic import (
     KTypeLedger,
@@ -34,7 +43,7 @@ from quatheta.branchrules import (
     f4_to_spin9_table,
     restrict_e7_to_su2_spin12,
 )
-from quatheta.rootdata import HalfInt, highest_root_coefficients
+from quatheta.rootdata import HalfInt, Weight, _sys, highest_root_coefficients
 from quatheta.verify import run_suite
 
 
@@ -275,4 +284,29 @@ def test_criterion_17_import_loads_no_dataclasses_or_fractions():
           and not added & {"dataclasses", "inspect", "fractions", "decimal"})
     _report(17, "import quatheta, quatheta.cli loads none of dataclasses, "
                 "inspect, fractions and decimal",
+            ok, time.perf_counter() - t0, budget=2.0)
+
+
+def test_criterion_18_oracle_restriction_at_scale():
+    # every dominant weight with doubled entries in [-8, 8] within the
+    # default cap, along the three rank-4 equal-rank embeddings
+    t0 = time.perf_counter()
+    ok, count, total = True, 0, 0
+    for label, name in (("F4", "F4>B4"), ("B4", "Spin9>Spin8"),
+                        ("D4", "Spin8>Spin6xSpin2")):
+        d, e = _sys(label), embedding(name)
+        for t in product(range(-8, 9), repeat=4):
+            if not (d.in_chamber(t) and d.is_integral(t)) \
+                    or _dim_single(label, t) > DEFAULT_DIM_CAP:
+                continue
+            r = Irrep(label, Weight.from_twice(t, label))
+            dim = restrict(r, e).dimension()
+            ok = ok and dim == weyl_dim(r)
+            count += 1
+            total += dim
+    ok = ok and (count, total) == (216, 1164064)
+    _report(18, "F4 -> Spin(9), Spin(9) -> Spin(8) and Spin(8) -> Spin(6) x "
+                "Spin(2) preserve dimension on every weight with doubled "
+                "entries <= 8 within the default cap (216 restrictions, "
+                "total dimension 1164064)",
             ok, time.perf_counter() - t0, budget=2.0)

@@ -1,8 +1,12 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 
+from quatheta import charoracle
 from quatheta.charoracle import (
+    EMBEDDINGS,
     CharMultiset,
     EmbeddingMap,
     Irrep,
@@ -16,7 +20,7 @@ from quatheta.charoracle import (
     strip_dominant,
     weyl_dim,
 )
-from quatheta.rootdata import HalfInt
+from quatheta.rootdata import HalfInt, Weight, _dot, _sys
 
 
 def h(p):
@@ -327,6 +331,127 @@ class TestRestrict:
     def test_embedding_rejects_out_of_range_index(self, coords):
         with pytest.raises(ValueError, match="range"):
             EmbeddingMap("bad", "D4", ("B3",), coords)
+
+
+def _dominant(label, bound):
+    """Every dominant lattice weight of label with doubled entries in
+    [-bound, bound] and dimension within the default cap."""
+    d = _sys(label)
+    return [
+        t for t in itertools.product(range(-bound, bound + 1), repeat=d.dim)
+        if d.in_chamber(t) and d.is_integral(t)
+        and charoracle._dim_single(label, t) <= charoracle.DEFAULT_DIM_CAP
+    ]
+
+
+# |W_G| / |W_H| of each equal-rank entry of EMBEDDINGS, in table order
+_COSET_COUNTS = {
+    "Sp2>Sp1xSp1": 2,
+    "Sp3>Sp2xSp1": 3,
+    "Spin5>Spin3xSpin2": 4,
+    "Spin7>Spin5xSpin2": 6,
+    "Spin6>Spin4xSpin2": 6,
+    "Spin8>Spin6xSpin2": 8,
+    "Spin9>Spin8": 2,
+    "F4>B4": 3,
+}
+
+
+class TestCosetPath:
+    def test_path_choice(self):
+        counts = {name: None if (w := charoracle._coset_walk(e)) is None
+                  else len(w[0]) for name, e in EMBEDDINGS.items()}
+        assert counts == {**_COSET_COUNTS, "Spin8>Spin7": None}
+        assert list(counts.values()) == [2, 3, 4, 6, 6, 8, 2, None, 3]
+        assert sum(_COSET_COUNTS.values()) == 34
+
+    def test_coordinates_in_order_are_not_enough(self):
+        # B2's short roots e_i are not roots of C2 (whose long roots are
+        # 2 e_i), though the coordinates match one to one
+        e = EmbeddingMap("C2>B2", "C2", ("B2",), (0, 1))
+        assert charoracle._coset_walk(e) is None
+
+    def test_projection_takes_the_full_path(self, monkeypatch):
+        calls = []
+        full = charoracle._restrict_pushforward
+
+        def spy(r, e):
+            calls.append(e.name)
+            return full(r, e)
+
+        monkeypatch.setattr(charoracle, "_restrict_pushforward", spy)
+        restrict(irrep("D4", (1, 0, 0, 0)), embedding("Spin8>Spin7"))
+        restrict(irrep("B4", (1, 0, 0, 0)), embedding("Spin9>Spin8"))
+        assert calls == ["Spin8>Spin7"]
+
+    @pytest.mark.parametrize("name", _COSET_COUNTS)
+    def test_counts_are_weyl_group_index(self, name):
+        # |W| is the size of the orbit of rho, which is regular
+        e = embedding(name)
+
+        def order(label):
+            d = _sys(label)
+            return len(d.orbit(d.rho2, 10 ** 4))
+
+        index, rem = divmod(order(e.source),
+                            prod(order(lab) for lab in e.targets))
+        assert rem == 0 and index == _COSET_COUNTS[name]
+
+    @pytest.mark.parametrize("name", _COSET_COUNTS)
+    def test_words_are_reduced_and_land_in_the_subgroup_chamber(self, name):
+        e = embedding(name)
+        g = _sys(e.source)
+        words, steps = charoracle._coset_walk(e)
+        assert words[0] == () and len(steps) == len(words) - 1
+        points = set()
+        for word in words:
+            v = g.rho2
+            for i in reversed(word):
+                v = g.reflect_simple(v, i)
+            points.add(v)
+            # the length of w is the number of positive roots it negates
+            assert len(word) == sum(1 for a in g.pos if _dot(v, a) < 0)
+            i = 0
+            for lab in e.targets:
+                d = _sys(lab)
+                assert d.in_chamber(v[i:i + d.dim])
+                i += d.dim
+        assert len(points) == len(words)
+
+    @pytest.mark.parametrize("name", _COSET_COUNTS)
+    def test_equals_the_pushforward_reference(self, name):
+        # doubled entries <= 8 for F4: a copy missing F4>B4's word (3,)
+        # still preserves dimension on every F4 weight with entries <= 4
+        e = embedding(name)
+        weights = _dominant(e.source, 8 if name == "F4>B4" else 6)
+        assert weights
+        for t in weights:
+            r = Irrep(e.source, Weight.from_twice(t, e.source))
+            got = restrict(r, e)
+            want = charoracle._restrict_pushforward(r, e)
+            assert got == want, t
+            assert got.labels == want.labels == e.targets
+
+    @pytest.mark.parametrize("name,hw", [
+        ("F4>B4", (1, 0, 0, 0)),
+        ("Spin9>Spin8", (1, 0, 0, 0)),
+        ("Sp3>Sp2xSp1", (1, 1, 0)),
+        ("Spin8>Spin6xSpin2", (1, 1, 0, 0)),
+    ])
+    def test_cap_refuses_before_any_work(self, monkeypatch, name, hw):
+        r = irrep(embedding(name).source, hw)
+        dim = weyl_dim(r)
+        monkeypatch.setenv("QUATHETA_DIM_CAP", str(dim - 1))
+        message = f"^dim {dim} exceeds oracle cap {dim - 1}$"
+        with pytest.raises(OracleCapError, match=message):
+            charoracle._restrict_pushforward(r, embedding(name))
+
+        def refuse(*args):
+            raise AssertionError("Freudenthal ran before the cap check")
+
+        monkeypatch.setattr(charoracle, "_dominant_char", refuse)
+        with pytest.raises(OracleCapError, match=message):
+            restrict(r, embedding(name))
 
 
 class TestDimCap:
