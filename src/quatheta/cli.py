@@ -366,7 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    choices=SUITE_ORDER + ("all",))
     p.add_argument("--max-entry", type=int, default=None,
-                   help="weight-entry bound for enumerated suites")
+                   help="enumeration bound, >= 0, read by "
+                        "appendix-branching (weight entries, default 2), "
+                        "infchar (parameters, default 6) and seesaw "
+                        "(outer label, default 16)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("plot", help="deterministic SVG figures")

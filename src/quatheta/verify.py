@@ -2,8 +2,14 @@
 
 Each suite runs a batch of identity checks (closed forms against the
 character oracle, theorem tables against general evaluations) and
-returns one deterministic PASS/FAIL line per property.  Reports carry
-no timing or environment data, so repeated runs are byte-identical.
+yields one record per property: a plain tuple (label, cases, ok).  A
+case is one parameter instance compared: one value of the line's
+enumerated parameters, or one entry of a fixed literal list (a see-saw
+line's cases are the K-types it compared).  `run_suite` turns each
+record into one deterministic PASS/FAIL line; a record that compared
+no cases is a FAIL whatever its ok, and its line ends in "(no cases
+compared)".  Reports carry no timing or environment data, so repeated
+runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -75,6 +81,12 @@ from .aqmodules import (
 # shared comparison helpers
 
 
+def _each(label, results):
+    """The record of a line over its per-case results."""
+    results = list(results)
+    return label, len(results), all(results)
+
+
 def _rule_twice_mults(table) -> dict:
     """A two-step rule's {mu: last factor} table in the shape of
     IsoDecomp.twice_mults: mu's doubled coordinates followed by the last
@@ -90,8 +102,14 @@ def _rule_twice_mults(table) -> dict:
     return out
 
 
-def _wm_twice(mod):
-    return tuple(f[0].twice for f in mod.wm)
+def _first_lift(lift):
+    """The first lifted module's doubled M-type and its s."""
+    mod = lift.lifts[0][0]
+    return tuple(f[0].twice for f in mod.wm), mod.s
+
+
+def _lift_keys(lift):
+    return [(mod.wm, mod.s) for mod, _ in lift.lifts]
 
 
 # ---------------------------------------------------------------------------
@@ -99,37 +117,34 @@ def _wm_twice(mod):
 
 
 def _suite_rootdata(max_entry=None):
-    checks = []
-    checks.append((
-        "E6 highest-root expansion coefficients equal (1,2,2,3,2,1)",
+    yield (
+        "E6 highest-root expansion coefficients equal (1,2,2,3,2,1)", 1,
         highest_root_coefficients("E6") == (1, 2, 2, 3, 2, 1),
-    ))
-    checks.append((
-        "E7 highest-root expansion coefficients equal (2,2,3,4,3,2,1)",
+    )
+    yield (
+        "E7 highest-root expansion coefficients equal (2,2,3,4,3,2,1)", 1,
         highest_root_coefficients("E7") == (2, 2, 3, 4, 3, 2, 1),
-    ))
-    ok = True
+    )
+    rows = []
     for g in ("Spin(4,3)", "Spin(4,4)", "E6_4", "E7_4", "E8_4", "F4_4",
               "G2_2"):
         qs = quaternionic_structure(g)
         theta = highest_root(qs.system)
-        if qs.alpha0.twice() != tuple(-x for x in theta.twice()):
-            ok = False
         dim = 1
         for fac, hw in zip(qs.m_factors, qs.vm_hw):
             dim *= weyl_dim(irrep(fac, hw))
-        if dim != qs.vm_dim:
-            ok = False
-    checks.append((
+        rows.append(
+            qs.alpha0.twice() == tuple(-x for x in theta.twice())
+            and dim == qs.vm_dim
+        )
+    yield _each(
         "each quaternionic row has alpha0 = -(highest root) and a "
         "consistent dim V_M",
-        ok,
-    ))
-    return checks
+        rows,
+    )
 
 
 def _suite_oracle(max_entry=None):
-    checks = []
     h = HalfInt  # doubled-coordinate constructor
     dims = {
         ("F4", (1, 0, 0, 0)): 26,
@@ -142,27 +157,23 @@ def _suite_oracle(max_entry=None):
         ("G2", (1, 1, -2)): 14,
         ("E8", (0, 0, 0, 0, 0, 0, 1, 1)): 248,
     }
-    ok = all(weyl_dim(irrep(lbl, hw)) == d for (lbl, hw), d in dims.items())
-    checks.append(("dimension formula matches reference values", ok))
-
-    ok = True
-    for lbl, hw in (("C2", (2, 1)), ("B3", (1, 1, 1)), ("D4", (1, 1, 1, -1))):
-        r = irrep(lbl, hw)
-        if char_weights(r).mass() != weyl_dim(r):
-            ok = False
-    checks.append(("character weight mass equals dimension", ok))
-
-    ok = True
-    for lbl, hw, emb in (
-        ("C3", (1, 1, 0), "Sp3>Sp2xSp1"),
-        ("D4", (1, 0, 0, 0), "Spin8>Spin7"),
-        ("B3", (1, 1, 0), "Spin7>Spin5xSpin2"),
-    ):
-        r = irrep(lbl, hw)
-        if restrict(r, embedding(emb)).dimension() != weyl_dim(r):
-            ok = False
-    checks.append(("restriction preserves dimension", ok))
-    return checks
+    yield _each(
+        "dimension formula matches reference values",
+        (weyl_dim(irrep(lbl, hw)) == d for (lbl, hw), d in dims.items()),
+    )
+    yield _each("character weight mass equals dimension", (
+        char_weights(r).mass() == weyl_dim(r)
+        for r in (irrep("C2", (2, 1)), irrep("B3", (1, 1, 1)),
+                  irrep("D4", (1, 1, 1, -1)))
+    ))
+    yield _each("restriction preserves dimension", (
+        restrict(r, embedding(emb)).dimension() == weyl_dim(r)
+        for r, emb in (
+            (irrep("C3", (1, 1, 0)), "Sp3>Sp2xSp1"),
+            (irrep("D4", (1, 0, 0, 0)), "Spin8>Spin7"),
+            (irrep("B3", (1, 1, 0)), "Spin7>Spin5xSpin2"),
+        )
+    ))
 
 
 _APPENDIX_FAMILIES = (
@@ -181,28 +192,22 @@ _APPENDIX_FAMILIES = (
 
 def _suite_appendix(max_entry=None):
     bound = 2 if max_entry is None else int(max_entry)
-    checks = []
     for name, label, emb, rule, signed, parities in _APPENDIX_FAMILIES:
-        rank = int(label[1])
-        count = 0
-        ok = True
-        for parity in parities:
-            for t in _dominant_tuples(2 * bound, rank, parity, signed):
-                lam = _keys(t)
-                want = restrict(irrep(label, lam), embedding(emb)).twice_mults
-                if _rule_twice_mults(rule(lam)) != want:
-                    ok = False
-                count += 1
-        checks.append((
-            f"{name} closed form equals oracle on {count} dominant "
+        same = [
+            restrict(irrep(label, lam), embedding(emb)).twice_mults
+            == _rule_twice_mults(rule(lam))
+            for parity in parities
+            for lam in map(_keys, _dominant_tuples(
+                2 * bound, int(label[1]), parity, signed))
+        ]
+        yield _each(
+            f"{name} closed form equals oracle on {len(same)} dominant "
             f"weights (entries <= {bound})",
-            ok and count > 0,
-        ))
-    return checks
+            same,
+        )
 
 
 def _suite_f4_spin9(max_entry=None):
-    checks = []
     for a, b in ((1, 0), (1, 1), (2, 0), (2, 1), (2, 2)):
         got = {
             tuple(x.twice for x in w): m
@@ -210,34 +215,30 @@ def _suite_f4_spin9(max_entry=None):
         }
         hw = tuple(HalfInt(t) for t in (2 * a + b, b, b, b))
         dec = restrict(irrep("F4", hw), embedding("F4>B4"))
-        want = dec.twice_mults
-        checks.append((
+        yield (
             f"F4 -> Spin(9) closed form equals oracle for (a,b)=({a},{b})",
-            got == want,
-        ))
+            1, got == dec.twice_mults,
+        )
     dims = sorted(
         weyl_dim(irrep("B4", w)) for w in f4_to_spin9_table(1, 0)
     )
-    checks.append((
-        "the 26-dimensional representation restricts as 1 + 9 + 16",
+    yield (
+        "the 26-dimensional representation restricts as 1 + 9 + 16", 1,
         dims == [1, 9, 16],
-    ))
-    return checks
+    )
 
 
 def _suite_e7d6(max_entry=None):
-    checks = []
     for k in range(4):
         rows = restrict_e7_to_su2_spin12(k)
         total = sum((m + 1) * weyl_dim(irrep("D6", w)) for m, w in rows)
         hw = (0, 0, 0, 0, 0, k, HalfInt(-k), HalfInt(k))
         want = weyl_dim(irrep("E7", hw))
-        checks.append((
+        yield (
             f"SU(2) x Spin(12) rows for the k={k} family sum to "
             f"dimension {want}",
-            total == want,
-        ))
-    return checks
+            1, total == want,
+        )
 
 
 # ledgers on which ktypes' Newton-Klimyk levels are compared with the
@@ -276,193 +277,137 @@ def ledger_levels_match_oracle(g: str, wm: tuple, kmax: int) -> list:
 
 
 def _suite_quaternionic(max_entry=None):
-    checks = []
-    checks.append((
-        "S^2 of the adjoint of SU(2) is (4) + (0)",
+    yield (
+        "S^2 of the adjoint of SU(2) is (4) + (0)", 1,
         sym_power(irrep("C1", (2,)), 2).twice_mults == {(8,): 1, (0,): 1},
-    ))
+    )
     mod = QuatModule("Spin(4,3)", ((1,), (2,)), 5)
     d = weyl_dim(irrep(("C1", "C1"), (1,), (2,)))  # dim V_M
     wdim = weyl_dim(mod.m_irrep())
-    led = ktypes(mod, 3)
-    ok = True
-    for k, (su0, dec) in enumerate(led):
-        if su0 != mod.s + k - 2:
-            ok = False
-        # dim S^k(V_M) = C(k+d-1, k), independent of the ledger's chain
-        if dec.dimension() != comb(k + d - 1, k) * wdim:
-            ok = False
-    checks.append((
+    # dim S^k(V_M) = C(k+d-1, k), independent of the ledger's chain
+    yield _each(
         "K-type levels carry S^k(V_M) (x) W with outer label s+k-2",
-        ok,
-    ))
-    checks.append((
-        "minimal type of A(G, W[s]) is (s-2, W)",
+        (su0 == mod.s + k - 2 and dec.dimension() == comb(k + d - 1, k) * wdim
+         for k, (su0, dec) in enumerate(ktypes(mod, 3))),
+    )
+    yield (
+        "minimal type of A(G, W[s]) is (s-2, W)", 1,
         minimal_type(mod) == (3, mod.wm),
-    ))
+    )
     same = [
         ok
         for g, wm, kmax in LEDGER_ORACLE_CASES
         for ok in ledger_levels_match_oracle(g, wm, kmax)
     ]
     groups = len({g for g, _, _ in LEDGER_ORACLE_CASES})
-    checks.append((
+    yield _each(
         f"Newton-Klimyk ledger levels equal the stripped symmetric-power "
         f"chain on {len(same)} (group, W, level) cases over {groups} groups",
-        bool(same) and all(same),
-    ))
-    return checks
+        same,
+    )
 
 
 def _suite_filtration(max_entry=None):
-    checks = []
-    ok = True
-    cases = 0
-    for b in range(4):
-        for a in range(b, 7):
-            src = QuatModule("Spin(4,4)", ((0,), (b,), (a,)), 4 + a + b)
-            filt = restrict_filtration(src, 3)
-            for m in range(4):
-                want = [
-                    QuatModule("Spin(4,3)", ((m,), (a - b + 2 * j,)),
-                               4 + a + b + m)
-                    for j in range(b + 1)
-                ]
-                if filt[m] != want:
-                    ok = False
-                cases += 1
-    checks.append((
+    same = [
+        filt[m] == [
+            QuatModule("Spin(4,3)", ((m,), (a - b + 2 * j,)), 4 + a + b + m)
+            for j in range(b + 1)
+        ]
+        for b in range(4)
+        for a in range(b, 7)
+        for filt in [restrict_filtration(
+            QuatModule("Spin(4,4)", ((0,), (b,), (a,)), 4 + a + b), 3)]
+        for m in range(4)
+    ]
+    yield _each(
         f"level filtration of (0,b,a) modules matches the displayed sum "
-        f"on {cases} cases (b <= 3, a <= 6, level <= 3)",
-        ok,
-    ))
-    return checks
+        f"on {len(same)} cases (b <= 3, a <= 6, level <= 3)",
+        same,
+    )
 
 
 def _suite_surjectivity(max_entry=None):
-    checks = []
-    _, _, ok0 = check_lemma_surjectivity(0)
-    _, _, ok1 = check_lemma_surjectivity(1)
-    checks.append((
+    yield _each(
         "multiplication-map surjectivity fails for n = 0, 1",
-        not ok0 and not ok1,
-    ))
-    ok = True
-    for n in range(2, 31):
-        rank, _, surj = check_lemma_surjectivity(n)
-        if not surj or rank != 3 * (n + 2):
-            ok = False
-    checks.append((
+        (not check_lemma_surjectivity(n)[2] for n in (0, 1)),
+    )
+    yield _each(
         "multiplication map has full rank 3(n+2) for 2 <= n <= 30",
-        ok,
-    ))
-    return checks
+        (surj and rank == 3 * (n + 2)
+         for n in range(2, 31)
+         for rank, _, surj in [check_lemma_surjectivity(n)]),
+    )
 
 
 def _suite_theta(max_entry=None):
-    checks = []
-
-    m = theta_e6_torus(2, 1, -3).lifts[0][0]
-    checks.append((
-        "torus lift of (2,1,-3) is sigma((1,2,0)[7])",
-        m.kind == "sigma" and m.s == 7 and _wm_twice(m) == (2, 4, 0),
+    lift = theta_e6_torus(2, 1, -3)
+    yield (
+        "torus lift of (2,1,-3) is sigma((1,2,0)[7])", 1,
+        lift.lifts[0][0].kind == "sigma"
+        and _first_lift(lift) == ((2, 4, 0), 7),
+    )
+    yield _each("torus lifts are invariant under global negation", (
+        _lift_keys(theta_e6_torus(a, b, -a - b))
+        == _lift_keys(theta_e6_torus(-a, -b, a + b))
+        for a in range(-5, 6)
+        for b in range(-5, 6)
+        if (a, b) != (0, 0)
     ))
-    ok = True
-    for a in range(-5, 6):
-        for b in range(-5, 6):
-            c = -a - b
-            if (a, b, c) == (0, 0, 0):
-                continue
-            l1, l2 = theta_e6_torus(a, b, c), theta_e6_torus(-a, -b, -c)
-            if [(mm.wm, mm.s) for mm, _ in l1.lifts] != [
-                (mm.wm, mm.s) for mm, _ in l2.lifts
-            ]:
-                ok = False
-    checks.append(("torus lifts are invariant under global negation", ok))
-
-    m = theta_e6_u2(2, 1).lifts[0][0]
-    m2 = theta_e6_u2(3, -1).lifts[0][0]
-    checks.append((
+    yield _each(
         "U(2) lifts of (2,1) and (3,-1) are sigma((0,1)[7]) and "
         "sigma((1,2)[7])",
-        _wm_twice(m) == (0, 2) and m.s == 7
-        and _wm_twice(m2) == (2, 4) and m2.s == 7,
+        [_first_lift(theta_e6_u2(2, 1)) == ((0, 2), 7),
+         _first_lift(theta_e6_u2(3, -1)) == ((2, 4), 7)],
+    )
+    yield _each("U(2) lifts are invariant under (a,b) -> (-b,-a)", (
+        _lift_keys(theta_e6_u2(a, b)) == _lift_keys(theta_e6_u2(-b, -a))
+        for a in range(-5, 6)
+        for b in range(-5, a + 1)
     ))
-    ok = True
-    for a in range(-5, 6):
-        for b in range(-5, a + 1):
-            l1, l2 = theta_e6_u2(a, b), theta_e6_u2(-b, -a)
-            if [(mm.wm, mm.s) for mm, _ in l1.lifts] != [
-                (mm.wm, mm.s) for mm, _ in l2.lifts
-            ]:
-                ok = False
-    checks.append(("U(2) lifts are invariant under (a,b) -> (-b,-a)", ok))
-
-    l1 = theta_e7(2, 1, 1).lifts[0][0]
-    l2 = theta_e7(2, 1, 3).lifts[0][0]
-    checks.append((
+    yield _each(
         "Sp(2) x Sp(1) lifts of ((2,1);1), ((2,1);3) and the vanishing "
         "of ((1,0);2)",
-        _wm_twice(l1) == (2, 2) and l1.s == 8
-        and _wm_twice(l2) == (0, 2) and l2.s == 9
-        and theta_e7(1, 0, 2).zero,
-    ))
-
-    e1 = theta_e8_spin8(2, 1, 1, 0)
-    e2 = theta_e8_spin8(1, 1, 0, 0)
-    e3 = theta_e8_spin8(0, 0, 0, 0)
-    checks.append((
+        [_first_lift(theta_e7(2, 1, 1)) == ((2, 2), 8),
+         _first_lift(theta_e7(2, 1, 3)) == ((0, 2), 9),
+         theta_e7(1, 0, 2).zero],
+    )
+    yield _each(
         "Spin(8) lifts of (2,1,1,0), (1,1,0,0), (0,0,0,0) have the "
         "stated modules and multiplicities",
-        (_wm_twice(e1.lifts[0][0]), e1.lifts[0][1], e1.lifts[0][0].s)
-        == ((2, 2, 2), 1, 13)
-        and (_wm_twice(e2.lifts[0][0]), e2.lifts[0][1], e2.lifts[0][0].s)
-        == ((0, 0, 0), 2, 12)
-        and (_wm_twice(e3.lifts[0][0]), e3.lifts[0][1], e3.lifts[0][0].s)
-        == ((0, 0, 0), 1, 10),
-    ))
-
-    s1 = theta_e8_spin9(2, 1, 1, 0)
-    s2 = theta_e8_spin9(HalfInt(1), HalfInt(1), HalfInt(1), HalfInt(1))
-    checks.append((
+        ((_first_lift(e), e.lifts[0][1]) == want
+         for e, want in (
+             (theta_e8_spin8(2, 1, 1, 0), (((2, 2, 2), 13), 1)),
+             (theta_e8_spin8(1, 1, 0, 0), (((0, 0, 0), 12), 2)),
+             (theta_e8_spin8(0, 0, 0, 0), (((0, 0, 0), 10), 1)),
+         )),
+    )
+    yield _each(
         "Spin(9) lifts of (2,1,1,0) and (1/2,1/2,1/2,1/2) carry their "
         "stated infinitesimal characters",
-        (_wm_twice(s1.lifts[0][0]), s1.lifts[0][0].s) == ((2, 0), 13)
-        and s1.stated_inf_char.twice() == (11, 7, 1)
-        and (_wm_twice(s2.lifts[0][0]), s2.lifts[0][0].s) == ((0, 2), 11)
-        and s2.stated_inf_char.twice() == (8, 6, 2),
-    ))
-
-    f1 = theta_f4(4).lifts[0][0]
-    f2 = theta_f4(3).lifts[0][0]
-    checks.append((
+        ((_first_lift(s), s.stated_inf_char.twice()) == want
+         for s, want in (
+             (theta_e8_spin9(2, 1, 1, 0), (((2, 0), 13), (11, 7, 1))),
+             (theta_e8_spin9(HalfInt(1), HalfInt(1), HalfInt(1), HalfInt(1)),
+              (((0, 2), 11), (8, 6, 2))),
+         )),
+    )
+    yield _each(
         "SU(2) lifts of labels 4 and 3 are sigma((2,0)[5]) and "
         "sigma((1,1)[5])",
-        _wm_twice(f1) == (4, 0) and f1.s == 5
-        and _wm_twice(f2) == (2, 2) and f2.s == 5,
-    ))
-    return checks
+        [_first_lift(theta_f4(4)) == ((4, 0), 5),
+         _first_lift(theta_f4(3)) == ((2, 2), 5)],
+    )
 
 
 def _suite_infchar(max_entry=None):
     bound = 6 if max_entry is None else int(max_entry)
-    checks = []
-
-    def check(label, results):
-        """One line over the crosscheck results; no results is a FAIL."""
-        results = list(results)
-        if not results:
-            checks.append((f"{label} (no cases compared)", False))
-        else:
-            checks.append((label, all(results)))
-
-    check(
+    yield _each(
         "U(2)-lift infinitesimal characters match (a+b+1,a+b-1,a-b+1)/2",
         (infchar_crosscheck("tmain", (a, b))
          for a in range(-bound, bound + 1)
          for b in range(-bound, a + 1)),
     )
-    check(
+    yield _each(
         "Sp(2) x Sp(1)-lift infinitesimal characters match "
         "(a+b+3,a-b+1,c+1)/2",
         (infchar_crosscheck("e7", (a, b, c))
@@ -471,28 +416,20 @@ def _suite_infchar(max_entry=None):
          for c in range(bound + 1)
          if c <= a - b or (c <= a + b and (a + b - c) % 2 == 0)),
     )
-    spin8 = [
-        infchar_crosscheck("e8_spin8", _keys(t))
-        for parity in (0, 1)
-        for t in _dominant_tuples(2 * 4, 4, parity, True)
-    ]
-    spin9 = [
-        infchar_crosscheck("e8_spin9", _keys(t))
-        for parity in (0, 1)
-        for t in _dominant_tuples(2 * bound, 4, parity, False)
-    ]
-    # the Spin(8) range is fixed, so the line counts as empty when the
-    # bounded Spin(9) range is
-    check(
+    yield _each(
         "Spin(8)- and Spin(9)-lift infinitesimal characters match their "
         "stated forms",
-        spin8 + spin9 if spin9 else [],
+        (infchar_crosscheck(which, _keys(t))
+         for which, top, signed in (("e8_spin8", 4, True),
+                                    ("e8_spin9", bound, False))
+         for parity in (0, 1)
+         for t in _dominant_tuples(2 * top, 4, parity, signed)),
     )
-    check(
+    yield _each(
         "SU(2)-lift infinitesimal characters match (n,2,1)/2",
         (infchar_crosscheck("f4", n) for n in range(bound + 1)),
     )
-    check(
+    yield _each(
         "the three cyclic torus lifts share one outer orbit of "
         "infinitesimal characters",
         (infchar_crosscheck("t161", (a, b))
@@ -500,12 +437,10 @@ def _suite_infchar(max_entry=None):
          for b in range(bound + 1)
          if (a, b) != (0, 0)),
     )
-    return checks
 
 
 def _suite_seesaw(max_entry=None):
     nmax = 16 if max_entry is None else int(max_entry)
-    checks = []
     pairs = [
         (HalfInt(0), HalfInt(0)), (HalfInt(2), HalfInt(0)),
         (HalfInt(2), HalfInt(2)), (HalfInt(4), HalfInt(0)),
@@ -514,81 +449,71 @@ def _suite_seesaw(max_entry=None):
     ]
     for b, d in pairs:
         ok, compared = seesaw_truncation_check(b, d, nmax)
-        checks.append((
+        yield (
             f"see-saw K-type identity holds for (b,d)=({b},{d}) up to "
             f"outer label {nmax} ({compared} K-types compared)",
-            ok and compared > 0,
-        ))
-    return checks
+            compared, ok,
+        )
 
 
 def _suite_aq(max_entry=None):
-    checks = []
+    def xy(case_id, lam):  # a G2 minimal type in (x, y) coordinates
+        return aq_data(AqCase("G2", case_id, lam)).minimal_type_xy
 
-    ok = True
+    def u2(case_id, lam):  # a PU(2,1) minimal type as a U(2) weight
+        return aq_data(AqCase("PU21", case_id, lam)).minimal_type_u2
+
+    same = []
     for a in range(2, 21):
         b = max(1, a - 2)
         c = -a - b
         d = aq_data(AqCase("G2", "I", (a, b, c)))
-        ok = ok and d.inf_char == (a + 2, b + 1, c - 3)
-        ok = ok and d.minimal_type_abc == (a + 2, b + 2, c - 4)
-        ok = ok and d.minimal_type_xy == (b - c + 6, a + 2)
-        d = aq_data(AqCase("G2", "II", (-c, -b, -a)))
-        ok = ok and d.minimal_type_xy == (a - b, -c + 4)
-        d = aq_data(AqCase("G2", "III", (b, a, c)))
-        ok = ok and d.minimal_type_xy == (a - c + 8, b)
+        same.append(
+            d.inf_char == (a + 2, b + 1, c - 3)
+            and d.minimal_type_abc == (a + 2, b + 2, c - 4)
+            and d.minimal_type_xy == (b - c + 6, a + 2)
+            and xy("II", (-c, -b, -a)) == (a - b, -c + 4)
+            and xy("III", (b, a, c)) == (a - c + 8, b)
+        )
     for a in range(1, 21):
         lam = (a, a, -2 * a)
-        xys = [aq_data(AqCase("G2", s, lam)).minimal_type_xy
-               for s in ("Ia.1", "Ia.2", "Ia.3")]
-        ok = ok and xys == [(3 * a + 6, a + 2), (3 * a + 7, a + 1),
-                            (3 * a + 8, a)]
-        ok = ok and aq_data(
-            AqCase("G2", "Ib", (2 * a, -a, -a))
-        ).minimal_type_xy == (0, 2 * a + 4)
-        xys = [aq_data(AqCase("G2", s, (a, 0, -a))).minimal_type_xy
-               for s in ("IIa.1", "IIa.2", "IIa.3")]
-        ok = ok and xys == [(a, a + 4), (a + 3, a + 3), (a + 6, a + 2)]
-        ok = ok and aq_data(
-            AqCase("G2", "IIb", (0, a, -a))
-        ).minimal_type_xy == (2 * a + 8, 0)
-    checks.append(("G2 case tables reproduce their displayed closed forms",
-                   ok))
+        same.append(
+            [xy(s, lam) for s in ("Ia.1", "Ia.2", "Ia.3")]
+            == [(3 * a + 6, a + 2), (3 * a + 7, a + 1), (3 * a + 8, a)]
+            and xy("Ib", (2 * a, -a, -a)) == (0, 2 * a + 4)
+            and [xy(s, (a, 0, -a)) for s in ("IIa.1", "IIa.2", "IIa.3")]
+            == [(a, a + 4), (a + 3, a + 3), (a + 6, a + 2)]
+            and xy("IIb", (0, a, -a)) == (2 * a + 8, 0)
+        )
+    yield _each("G2 case tables reproduce their displayed closed forms", same)
 
-    ok = True
+    same = []
     for a in range(2, 21):
         b = max(1, a - 2)
         c = -a - b
         d = aq_data(AqCase("PU21", "I", (a, b, c)))
-        ok = ok and d.inf_char == (a + 1, b, c - 1)
-        ok = ok and d.minimal_type_u2 == (a + 1, c - 1)
-        d = aq_data(AqCase("PU21", "II", (a, c, b)))
-        ok = ok and d.minimal_type_u2 == (a + 1, b + 1)
-        d = aq_data(AqCase("PU21", "III", (b, a, c)))
-        ok = ok and d.minimal_type_u2 == (b - 1, c - 1)
+        same.append(
+            d.inf_char == (a + 1, b, c - 1)
+            and d.minimal_type_u2 == (a + 1, c - 1)
+            and u2("II", (a, c, b)) == (a + 1, b + 1)
+            and u2("III", (b, a, c)) == (b - 1, c - 1)
+        )
     for a in range(1, 21):
         lam = (a, a, -2 * a)
-        u2s = [aq_data(AqCase("PU21", s, lam)).minimal_type_u2
-               for s in ("Ia.1", "Ia.2", "Ia.3")]
-        ok = ok and u2s == [(a, -2 * a - 1), (a - 1, -2 * a - 1),
-                            (a + 1, -2 * a - 1)]
-        ok = ok and aq_data(
-            AqCase("PU21", "Ib", (a, -2 * a, a))
-        ).minimal_type_u2 == (a + 1, a + 1)
-        u2s = [aq_data(AqCase("PU21", s, (2 * a, -a, -a))).minimal_type_u2
-               for s in ("IIa.1", "IIa.2", "IIa.3")]
-        ok = ok and u2s == [(2 * a + 1, -a), (2 * a + 1, -a + 1),
-                            (2 * a + 1, -a - 1)]
-        ok = ok and aq_data(
-            AqCase("PU21", "IIb", (-a, 2 * a, -a))
-        ).minimal_type_u2 == (-a - 1, -a - 1)
-    checks.append((
-        "PU(2,1) case tables reproduce their displayed closed forms",
-        ok,
-    ))
+        same.append(
+            [u2(s, lam) for s in ("Ia.1", "Ia.2", "Ia.3")]
+            == [(a, -2 * a - 1), (a - 1, -2 * a - 1), (a + 1, -2 * a - 1)]
+            and u2("Ib", (a, -2 * a, a)) == (a + 1, a + 1)
+            and [u2(s, (2 * a, -a, -a)) for s in ("IIa.1", "IIa.2", "IIa.3")]
+            == [(2 * a + 1, -a), (2 * a + 1, -a + 1), (2 * a + 1, -a - 1)]
+            and u2("IIb", (-a, 2 * a, -a)) == (-a - 1, -a - 1)
+        )
+    yield _each(
+        "PU(2,1) case tables reproduce their displayed closed forms", same
+    )
 
     rng = random.Random(20240501)
-    ok = True
+    same = []
     for group in ("G2", "PU21"):
         for case_id in CASE_IDS:
             for _ in range(40):
@@ -599,35 +524,29 @@ def _suite_aq(max_entry=None):
                 tot = tuple(
                     sum(w[i] for w in d.u_cap_p_weights) for i in range(3)
                 )
-                if _sub(d.minimal_type_abc, lam) != tot:
-                    ok = False
-                if xy_to_abc(*d.minimal_type_xy) != d.minimal_type_abc:
-                    ok = False
-    checks.append((
+                same.append(
+                    _sub(d.minimal_type_abc, lam) == tot
+                    and xy_to_abc(*d.minimal_type_xy) == d.minimal_type_abc
+                )
+    yield _each(
         "minimal type minus lambda equals the u cap p weight sum and "
         "(x,y) conversion round-trips",
-        ok,
-    ))
+        same,
+    )
 
-    ok = True
-    for a in range(1, 21):
-        segs = ftau_restriction_segments(a)
-        if [s[-1] for s in segs] != [
-            (3 * a + 5, a - 1), (3 * a + 4, a), (3 * a + 3, a + 1)
-        ]:
-            ok = False
-        if [len(s) for s in segs] != [a + 3, a + 2, a + 1]:
-            ok = False
-    checks.append((
+    yield _each(
         "restriction-segment maxima and lengths match the wall tables "
         "for a <= 20",
-        ok,
-    ))
+        ([s[-1] for s in segs]
+         == [(3 * a + 5, a - 1), (3 * a + 4, a), (3 * a + 3, a + 1)]
+         and [len(s) for s in segs] == [a + 3, a + 2, a + 1]
+         for a in range(1, 21)
+         for segs in [ftau_restriction_segments(a)]),
+    )
 
-    ok = True
+    same = []
     for a in range(2, 13):
-        if not theta_unitary("wall", a, (a + 1, a + 1)).zero:
-            ok = False
+        zero = theta_unitary("wall", a, (a + 1, a + 1)).zero
         outs = [
             theta_unitary("wall", a, t)
             for t in ((a - 1, -2 * a - 1), (a, -2 * a - 1),
@@ -635,64 +554,61 @@ def _suite_aq(max_entry=None):
         ]
         matches = g2_modules_with_infchar((a + 1, a, -2 * a - 1), 3 * a + 6)
         apexes = [d.minimal_type_xy for _, d in matches]
-        for r in outs:
-            if not r.conditional or apexes.count(r.minimal_type_xy) != 1:
-                ok = False
-    checks.append((
-        "wall decision outputs are apexes of unique matching modules",
-        ok,
-    ))
+        same.append(zero and all(
+            r.conditional and apexes.count(r.minimal_type_xy) == 1
+            for r in outs
+        ))
+    yield _each(
+        "wall decision outputs are apexes of unique matching modules", same
+    )
 
-    ok = True
+    same = []
     for a in range(2, 9):
         for b in range(1, a):
             c = -a - b
-            if not theta_unitary("regular", (a, b, c), (a + 1, b + 1)).zero:
-                ok = False
+            zero = theta_unitary("regular", (a, b, c), (a + 1, b + 1)).zero
             outs = [
                 theta_unitary("regular", (a, b, c), (a + 1, c - 1)),
                 theta_unitary("regular", (a, b, c), (b - 1, c - 1)),
             ]
             matches = g2_modules_with_infchar((a + 1, b, c - 1), 3 * a + 6)
             apexes = [d.minimal_type_xy for _, d in matches]
-            for r in outs:
-                if apexes.count(r.minimal_type_xy) != 1:
-                    ok = False
-    checks.append((
-        "regular decision outputs are apexes of unique matching modules",
-        ok,
-    ))
+            same.append(zero and all(
+                apexes.count(r.minimal_type_xy) == 1 for r in outs
+            ))
+    yield _each(
+        "regular decision outputs are apexes of unique matching modules", same
+    )
 
-    ok = True
+    same = []
     for a in range(2, 13):
         pu = aq_data(AqCase("PU21", "Ia.1", (a, a, -2 * a))).inf_char
         g2 = aq_data(
             AqCase("G2", "Ia.1", (a - 1, a - 1, -2 * a + 2))
         ).inf_char
         ds = aq_data(AqCase("G2", "Ib", (2 * a - 2, 1 - a, 1 - a)))
-        if pu != g2 or orbit_key(ds.inf_char) != orbit_key(pu):
-            ok = False
-        if ds.minimal_type_xy != (0, 2 * a + 2):
-            ok = False
-    checks.append((
+        same.append(
+            pu == g2 and orbit_key(ds.inf_char) == orbit_key(pu)
+            and ds.minimal_type_xy == (0, 2 * a + 2)
+        )
+    yield _each(
         "wall infinitesimal characters transfer identically across the "
         "dual pair",
-        ok,
-    ))
+        same,
+    )
 
     cs = AqCase("G2", "I", (2, 1, -3))
     d = aq_data(cs)
     gen = d.u_cap_p_weights[0]
     inside = _add(d.minimal_type_abc, gen)
     outside = _sub(d.minimal_type_abc, gen)
-    checks.append((
+    yield _each(
         "cone membership holds at the apex and apex+generator and fails "
         "at apex-generator",
-        cone_contains(cs, d.minimal_type_xy)
-        and cone_contains(cs, abc_to_xy(inside))
-        and not cone_contains(cs, abc_to_xy(outside)),
-    ))
-    return checks
+        [cone_contains(cs, d.minimal_type_xy),
+         cone_contains(cs, abc_to_xy(inside)),
+         not cone_contains(cs, abc_to_xy(outside))],
+    )
 
 
 SUITES = {
@@ -714,21 +630,27 @@ SUITE_ORDER = tuple(SUITES)
 
 
 def run_suite(name: str, max_entry=None):
-    """Run one suite (or 'all'); returns (report lines, all passed)."""
+    """Run one suite (or 'all'); returns (report lines, all passed).
+
+    A line that compared no cases is a FAIL.  A negative max_entry
+    raises ValueError before any suite runs."""
+    if max_entry is not None and int(max_entry) < 0:
+        raise ValueError(f"max-entry must be >= 0, got {max_entry}")
     if name == "all":
-        lines = []
-        ok = True
-        for sub in SUITE_ORDER:
-            sub_lines, sub_ok = run_suite(sub, max_entry)
-            lines.extend(sub_lines)
-            ok = ok and sub_ok
+        runs = [run_suite(sub, max_entry) for sub in SUITE_ORDER]
+        lines = [line for sub_lines, _ in runs for line in sub_lines]
+        ok = all(sub_ok for _, sub_ok in runs)
         lines.append(
             f"{'PASS' if ok else 'FAIL'} all: {len(lines)} properties checked"
         )
         return lines, ok
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    checks = SUITES[name](max_entry)
+    checks = [
+        (f"{label} (no cases compared)", False) if cases == 0
+        else (label, ok)
+        for label, cases, ok in SUITES[name](max_entry)
+    ]
     lines = [
         f"{'PASS' if ok else 'FAIL'} {name}: {label}" for label, ok in checks
     ]

@@ -44,7 +44,7 @@ from quatheta.branchrules import (
     restrict_e7_to_su2_spin12,
 )
 from quatheta.rootdata import HalfInt, Weight, _sys, highest_root_coefficients
-from quatheta.verify import run_suite
+from quatheta.verify import SUITES, run_suite
 
 
 def _report(num, desc, ok, elapsed, budget=None):
@@ -310,3 +310,26 @@ def test_criterion_18_oracle_restriction_at_scale():
                 "entries <= 8 within the default cap (216 restrictions, "
                 "total dimension 1164064)",
             ok, time.perf_counter() - t0, budget=2.0)
+
+
+def test_criterion_19_every_verify_line_compares_cases():
+    # each suite's total case count at its default ranges: a range that
+    # shrinks fails here, not only one that empties
+    t0 = time.perf_counter()
+    want = {
+        "rootdata": 9, "oracle": 15, "appendix-branching": 91,
+        "f4-spin9": 6, "e7d6": 4, "quaternionic": 56, "filtration": 88,
+        "surjectivity": 31, "theta": 199, "infchar": 777, "seesaw": 498,
+        "aq": 1031,
+    }
+    records = {name: list(suite(None)) for name, suite in SUITES.items()}
+    ok = (
+        sum(map(len, records.values())) == 58
+        and all(cases >= 1 for recs in records.values()
+                for _, cases, _ in recs)
+        and {name: sum(cases for _, cases, _ in recs)
+             for name, recs in records.items()} == want
+    )
+    _report(19, "all 58 verify lines compare at least one case, and each "
+                "suite's total case count at its default ranges is pinned",
+            ok, time.perf_counter() - t0)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatheta
-from quatheta import cli
+from quatheta import cli, verify
 from quatheta.aqmodules import AqData
 from quatheta.cli import main
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
@@ -616,23 +616,55 @@ class TestVerifyCounts:
         lines = out.splitlines()
         assert len(lines) == 8
         assert all(line.startswith("FAIL seesaw:") for line in lines)
-        assert all(line.endswith("(0 K-types compared)") for line in lines)
+        assert all(line.endswith("(0 K-types compared) (no cases compared)")
+                   for line in lines)
 
-    def test_appendix_comparing_nothing_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "appendix-branching",
-                           "--max-entry", "-1")
-        assert code == 2
-        assert all(line.startswith("FAIL") and "on 0 dominant" in line
-                   for line in out.splitlines())
+    def test_appendix_negative_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite",
+                             "appendix-branching", "--max-entry", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: max-entry must be >= 0, got -1\n"
 
-    def test_infchar_comparing_nothing_fails(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "infchar",
-                           "--max-entry", "-1")
+    def test_infchar_negative_bound_is_refused(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "infchar",
+                             "--max-entry", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_run_suite_refuses_negative_bound(self):
+        with pytest.raises(ValueError, match="max-entry must be >= 0"):
+            quatheta.run_suite("all", -1)
+
+    def test_filtration_comparing_nothing_fails(self, capsys, monkeypatch):
+        # an emptied enumeration: every range() in the suites yields nothing
+        monkeypatch.setattr(verify, "range", lambda *a: (), raising=False)
+        code, out, _ = run(capsys, "verify", "--suite", "filtration")
         assert code == 2
-        lines = out.splitlines()
-        assert len(lines) == 5
-        assert all(line.startswith("FAIL infchar:")
-                   and line.endswith("(no cases compared)") for line in lines)
+        assert out == (
+            "FAIL filtration: level filtration of (0,b,a) modules matches "
+            "the displayed sum on 0 cases (b <= 3, a <= 6, level <= 3) "
+            "(no cases compared)\n"
+        )
+
+    def test_surjectivity_comparing_nothing_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "range", lambda *a: (), raising=False)
+        code, out, _ = run(capsys, "verify", "--suite", "surjectivity")
+        assert code == 2
+        assert out.splitlines() == [
+            "PASS surjectivity: multiplication-map surjectivity fails for "
+            "n = 0, 1",
+            "FAIL surjectivity: multiplication map has full rank 3(n+2) for "
+            "2 <= n <= 30 (no cases compared)",
+        ]
+
+    def test_record_with_no_cases_fails(self, monkeypatch):
+        monkeypatch.setitem(verify.SUITES, "fake",
+                            lambda max_entry: [("nothing", 0, True)])
+        assert verify.run_suite("fake") == (
+            ["FAIL fake: nothing (no cases compared)"], False
+        )
 
     def test_infchar_empty_torus_range_fails(self, capsys):
         # at bound 0 only (a, b) = (0, 0) is in range, and it is excluded
