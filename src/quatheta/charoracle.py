@@ -2,9 +2,16 @@
 
 The oracle computes the dominant character of an irreducible: its
 dominant weights, found by walking down from the highest weight by
-positive roots through dominant weights only, with multiplicities from
-Freudenthal's recursion, whose sum over each alpha-string stops at the
-string's first non-weight (alpha-strings of weights are unbroken).  Full
+positive roots through dominant weights only (on Dynkin labels: t - alpha
+is dominant iff each label of t is at least alpha's positive pairing
+there), with multiplicities from Freudenthal's recursion.  Its sum over
+each alpha-string stops at the string's first non-weight (alpha-strings
+of weights are unbroken), and only one string per orbit of W_J on the
+positive roots modulo sign is walked, weighted by the orbit's size, J
+being the simple roots orthogonal to the weight (Moody-Patera, Bull. AMS
+(N.S.) 7 (1982), 237-242): W_J fixes the weight, so the string sum is
+W_J-invariant, and it is even on the roots of W_J, whose reflections fix
+the weight too.  Full
 weight multisets are the Weyl orbits of those weights (signed
 permutations for the classical groups, a reflection walk only for F4
 and the E series); they are built only for the pushforward of a
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from operator import sub
 
 from .rootdata import Weight, _Record, _add, _dot, _sub, _sys, _twice_json
 
@@ -267,39 +275,128 @@ def weyl_dim(r: Irrep) -> int:
 
 
 @lru_cache(maxsize=None)
-def _dominant_char(label: str, thw: tuple) -> dict:
-    """Dominant part {doubled coords: mult} of one irreducible's character."""
+def _root_table(label: str) -> tuple:
+    """(steps, moves): tables over the positive roots pos[k] of label,
+    built on first use.
+
+    steps[k] = (pos[k], |pos[k]|^2, its simple-coroot pairings, and the
+    (i, p) among them with p > 0): a dominant t with Dynkin labels c has
+    t - pos[k] dominant iff c[i] >= p for each such (i, p).  moves[j][k]
+    is the index of s_j(pos[k]) up to sign: s_j permutes the positive
+    roots other than alpha_j and negates alpha_j, which it keeps.
+    """
     d = _sys(label)
+    index = {a: k for k, a in enumerate(d.pos)}
+    steps = tuple(
+        (a, _dot(a, a), c, tuple((i, p) for i, p in enumerate(c) if p > 0))
+        for a, c in zip(d.pos, d.pairing)
+    )
+    moves = tuple(
+        tuple(k if a == s else index[tuple(x - c[j] * y for x, y in zip(a, s))]
+              for k, (a, c) in enumerate(zip(d.pos, d.pairing)))
+        for j, s in enumerate(d.simple)
+    )
+    return steps, moves
+
+
+@lru_cache(maxsize=None)
+def _string_orbits(label: str, zeros: tuple) -> tuple:
+    """((k, size), ...): the orbits of W_J on the positive roots modulo
+    sign, J the simple roots indexed by zeros, each as its first index k
+    into pos and its size, in the order of those indices."""
+    moves = [_root_table(label)[1][j] for j in zeros]
+    out, seen = [], set()
+    for k in range(len(_sys(label).pos)):
+        if k in seen:
+            continue
+        orbit, stack = {k}, [k]
+        while stack:
+            u = stack.pop()
+            for move in moves:
+                v = move[u]
+                if v not in orbit:
+                    orbit.add(v)
+                    stack.append(v)
+        seen |= orbit
+        out.append((k, len(orbit)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _dominant_char(label: str, thw: tuple) -> dict:
+    """Dominant part {doubled coords: mult} of one irreducible's character.
+
+    The dominant weights are walked on Dynkin labels: t - alpha is
+    dominant iff each label of t is at least alpha's positive pairings.
+    Freudenthal's sum over the positive roots alpha of
+    f(alpha) = sum_(k >= 1) m(mu + k alpha) (mu + k alpha, alpha)
+    is taken over one alpha per orbit of W_J on the positive roots modulo
+    sign, weighted by the orbit's size, where J is the set of simple
+    roots orthogonal to mu (Moody-Patera, Bull. AMS (N.S.) 7 (1982),
+    237-242).  This is exact: W_J fixes mu and m is W-invariant, so
+    f(w alpha) = f(alpha) for w in W_J; and f(-alpha) = f(alpha) for
+    alpha in the span of J, because s_alpha fixes mu.
+    """
+    d = _sys(label)
+    steps, _ = _root_table(label)
+    top = []
+    for a, n in zip(d.simple, d.simple_norm):
+        c, r = divmod(2 * _dot(thw, a), n)
+        if r:
+            raise AssertionError("highest weight off the weight lattice")
+        top.append(c)
     # the dominant weights under thw: any two dominant mu <= lambda are
     # joined by a chain of dominant weights whose steps are positive roots
     # (Stembridge, Adv. Math. 136 (1998), Cor. 2.7)
+    labels = {thw: tuple(top)}
+    # a set, not labels' keys: ties in the stable sort below keep the
+    # set's iteration order, which fixes the order of the returned dict
     found = {thw}
     frontier = [thw]
     while frontier:
         nxt = []
         for t in frontier:
-            for a in d.pos:
-                v = _sub(t, a)
-                if v not in found and d.in_chamber(v):
-                    found.add(v)
-                    nxt.append(v)
+            c = labels[t]
+            for a, _, pairing, drops in steps:
+                for i, p in drops:
+                    if c[i] < p:
+                        break
+                else:
+                    v = _sub(t, a)
+                    if v not in found:
+                        found.add(v)
+                        labels[v] = tuple(map(sub, c, pairing))
+                        nxt.append(v)
         frontier = nxt
     dom = sorted(found, key=lambda t: -_dot(t, d.rho2))
     lam_rho = _add(thw, d.rho2)
     top_norm = _dot(lam_rho, lam_rho)
     mult = {thw: 1}
+    dominant = {}  # this call's memo of d.dominant_twice
     for mu in dom:
         if mu == thw:
             continue
+        zeros = tuple(i for i, x in enumerate(labels[mu]) if not x)
         total = 0
         # the alpha-string through the weight mu is unbroken (Humphreys,
         # Lie Algebras, 21.3), and every dominant weight above mu already
         # has its multiplicity: the string ends at the first miss
-        for a in d.pos:
+        for k, size in _string_orbits(label, zeros):
+            a, norm, _, _ = steps[k]
             v = _add(mu, a)
-            while m := mult.get(d.dominant_twice(v)):
-                total += m * _dot(v, a)
+            p = _dot(v, a)
+            f = 0
+            while True:
+                u = dominant.get(v)
+                if u is None:
+                    u = dominant[v] = d.dominant_twice(v)
+                m = mult.get(u)
+                if not m:
+                    break
+                f += m * p
+                p += norm
                 v = _add(v, a)
+            total += size * f
         mu_rho = _add(mu, d.rho2)
         denom = top_norm - _dot(mu_rho, mu_rho)
         if denom <= 0 or (2 * total) % denom:
@@ -325,8 +422,10 @@ def _char_single(label: str, thw: tuple) -> dict:
 
 
 def _product(factors) -> dict:
-    """Weight dict of a product irrep from its factors' weight dicts."""
-    mults = {(): 1}
+    """Weight dict of a product irrep from its factors' weight dicts; for
+    one factor, that factor's dict itself, not a copy."""
+    factors = iter(factors)
+    mults = next(factors)
     for fac in factors:
         mults = {
             t1 + t2: m1 * m2
@@ -340,9 +439,11 @@ def char_weights(r: Irrep) -> CharMultiset:
     """Weight multiset of an irrep (or product irrep), refused above
     dim_cap()."""
     _check_cap(r)
-    return CharMultiset(r.labels, _product(
+    mults = _product(
         _char_single(lab, w.twice()) for lab, w in zip(r.labels, r.hws)
-    ))
+    )
+    # the caller owns mults: never hand out _char_single's cached dict
+    return CharMultiset(r.labels, dict(mults) if len(r.labels) == 1 else mults)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +632,6 @@ def _coset_walk(e: EmbeddingMap):
         hpos.update(lo + r + hi for r in h.pos)
     if not hpos <= set(g.pos):
         return None
-    # cartan[i][j] = <alpha_j, alpha_i^vee>
-    cartan = [[2 * _dot(b, a) // n for b in g.simple]
-              for a, n in zip(g.simple, g.simple_norm)]
     words, steps = [()], []
     layer = [(0, g.rho2, g.simple)]  # (index, w rho, w alpha_1..w alpha_r)
     seen = {g.rho2}
@@ -545,8 +643,8 @@ def _coset_walk(e: EmbeddingMap):
                 if u in seen or any(_dot(u, a) < 0 for a in hsimple):
                     continue
                 seen.add(u)
-                moved = tuple(tuple(x - c * y for x, y in zip(im, img))
-                              for im, c in zip(images, cartan[i]))
+                moved = tuple(tuple(x - c[i] * y for x, y in zip(im, img))
+                              for im, c in zip(images, g.cartan))
                 steps.append((k, i, img))
                 words.append(words[k] + (i,))
                 nxt.append((len(words) - 1, u, moved))

@@ -312,8 +312,9 @@ _SIMPLE = {
 }
 
 
-def _positive_roots(simple, norms) -> list:
-    """Positive roots, height by height, from the simple roots.
+def _positive_roots(simple, norms) -> dict:
+    """{positive root: its simple-coroot pairings}, height by height,
+    from the simple roots.
 
     For a positive root beta and a simple root alpha, the alpha-string
     through beta runs from beta - p alpha to beta + q alpha with
@@ -347,15 +348,20 @@ def _positive_roots(simple, norms) -> list:
                     )
                     nxt.append(k + s)
         layer = nxt
-    return [b for b, _ in roots.values()]
+    return dict(roots.values())
 
 
 class _SysData:
     """Interned per-label root data in doubled coordinates; every kernel
-    is integer-only."""
+    is integer-only.
+
+    pairing[k] holds the simple-coroot pairings <pos[k], alpha_i^vee> of
+    the k-th positive root, and cartan[j] those of the j-th simple root:
+    cartan[j][i] = <alpha_j, alpha_i^vee>."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
+        "pairing", "cartan",
     )
 
     def __init__(self, label):
@@ -369,6 +375,8 @@ class _SysData:
         self.simple_norm = tuple(_dot(a, a) for a in simple)
         pos = _positive_roots(simple, self.simple_norm)
         self.pos = tuple(sorted(pos))
+        self.pairing = tuple(map(pos.get, self.pos))
+        self.cartan = tuple(map(pos.get, simple))
         rho2_doubled = [0] * dim  # 2*rho, doubled
         for a in pos:
             rho2_doubled = list(_add(rho2_doubled, a))

@@ -106,6 +106,18 @@ def test_char_weights_golden():
     assert cw.mass() == 2
 
 
+@pytest.mark.parametrize("r", [
+    irrep("B3", 1, 1, 0),
+    irrep(("C1", "C1"), (1,), (2,)),
+])
+def test_char_weights_are_the_callers(r):
+    # a caller may change the dict it gets; no cache may see that
+    first = char_weights(r)
+    want = dict(first.mults)
+    first.mults.clear()
+    assert char_weights(r).mults == want
+
+
 @pytest.mark.parametrize("label,hw", [
     ("B3", (1, 1, 0)),
     ("B3", (h(3), h(1), h(1))),

@@ -8,13 +8,20 @@ import pytest
 
 from quatheta.aqmodules import AqCase, theta_unitary
 from quatheta.branchrules import restrict_e7_to_su2_spin12
-from quatheta.charoracle import _dominant_char
+from quatheta.charoracle import (
+    DEFAULT_DIM_CAP,
+    _dim_single,
+    _dominant_char,
+    _string_orbits,
+)
 from quatheta.rootdata import (
     HalfInt,
     Weight,
     _as_int,
+    _add,
     _dot,
     _neg,
+    _sub,
     _sys,
     dominant_representative,
     highest_root,
@@ -552,6 +559,105 @@ def test_adjoint_zero_weight_multiplicity_is_the_rank(label):
 
 def test_f4_26_zero_weight_multiplicity():
     assert _dominant_char("F4", (2, 0, 0, 0))[(0, 0, 0, 0)] == 2
+
+
+def _freudenthal_reference(label, thw):
+    """Freudenthal's recursion as first written: the dominant weights by
+    in-chamber tests on coordinates, and every positive root's alpha-string
+    walked to its first non-weight.  The reference for _dominant_char,
+    order of the dict included."""
+    d = _sys(label)
+    found = {thw}
+    frontier = [thw]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for a in d.pos:
+                v = _sub(t, a)
+                if v not in found and d.in_chamber(v):
+                    found.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    dom = sorted(found, key=lambda t: -_dot(t, d.rho2))
+    lam_rho = _add(thw, d.rho2)
+    top_norm = _dot(lam_rho, lam_rho)
+    mult = {thw: 1}
+    for mu in dom:
+        if mu == thw:
+            continue
+        total = 0
+        for a in d.pos:
+            v = _add(mu, a)
+            while m := mult.get(d.dominant_twice(v)):
+                total += m * _dot(v, a)
+                v = _add(v, a)
+        mu_rho = _add(mu, d.rho2)
+        denom = top_norm - _dot(mu_rho, mu_rho)
+        assert denom > 0 and (2 * total) % denom == 0
+        mult[mu] = (2 * total) // denom
+    return mult
+
+
+def _dominant_in_box(label, bound):
+    """Every dominant lattice weight of label with doubled entries in
+    [-bound, bound] and dimension within the default cap.  The chamber
+    of each oracle system lies in the non-increasing vectors, and G2's
+    weights in the sum-zero plane."""
+    d = _sys(label)
+    return [
+        t for t in itertools.combinations_with_replacement(
+            range(bound, -bound - 1, -1), d.dim)
+        if d.in_chamber(t) and d.is_integral(t)
+        and (label != "G2" or sum(t) == 0)
+        and _dim_single(label, t) <= DEFAULT_DIM_CAP
+    ]
+
+
+@pytest.mark.parametrize("label", ORACLE_SYSTEMS + ("E6", "E7", "E8"))
+def test_dominant_char_equals_the_reference(label):
+    if label[0] == "E":
+        top = highest_root(label).twice()
+        weights = [tuple(k * x for x in top) for k in range(4)]
+    else:
+        weights = _dominant_in_box(label, 8 if label in ("F4", "B4") else 6)
+    assert len(weights) >= 4
+    for t in weights:
+        assert list(_dominant_char(label, t).items()) == \
+            list(_freudenthal_reference(label, t).items()), t
+
+
+def _root_classes(label):
+    """The orbits of W on the positive roots modulo sign: one per root
+    length in each irreducible component."""
+    return {"B1": 1, "C1": 1, "D2": 2, "G2": 2, "F4": 2}.get(
+        label, 2 if label[0] in "BC" else 1)
+
+
+@pytest.mark.parametrize("label", sorted(ROOT_SYSTEM_TABLE))
+def test_string_orbits(label):
+    d = _sys(label)
+    npos = len(d.pos)
+    for size in range(d.rank + 1):
+        for zeros in itertools.combinations(range(d.rank), size):
+            orbits = _string_orbits(label, zeros)
+            assert sum(n for _, n in orbits) == npos
+            assert [k for k, _ in orbits] == sorted({k for k, _ in orbits})
+    assert _string_orbits(label, ()) == tuple((k, 1) for k in range(npos))
+    every = _string_orbits(label, tuple(range(d.rank)))
+    assert len(every) == _root_classes(label)
+    # each class is the Weyl orbit, up to sign, of its first root
+    pos = set(d.pos)
+    for k, n in every:
+        orbit, stack = {d.pos[k]}, [d.pos[k]]
+        while stack:
+            b = stack.pop()
+            for i in range(d.rank):
+                c = d.reflect_simple(b, i)
+                c = c if c in pos else _neg(c)
+                if c not in orbit:
+                    orbit.add(c)
+                    stack.append(c)
+        assert len(orbit) == n
 
 
 def _orbit(hw, label, max_size=100000):
