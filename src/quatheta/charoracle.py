@@ -11,16 +11,15 @@ positive roots modulo sign is walked, weighted by the orbit's size, J
 being the simple roots orthogonal to the weight (Moody-Patera, Bull. AMS
 (N.S.) 7 (1982), 237-242): W_J fixes the weight, so the string sum is
 W_J-invariant, and it is even on the roots of W_J, whose reflections fix
-the weight too.  Full
-weight multisets are the Weyl orbits of those weights (signed
-permutations for the classical groups, a reflection walk only for F4
-and the E series); they are built only for the pushforward of a
-restriction along a projection (Spin8>Spin7) and for the
-symmetric-power chain, which is the oracle's reference for the K-type
-ledgers (the ledgers themselves never build a level's weights).  An
-equal-rank restriction builds none: its subgroup-dominant weights are
-the w mu, for mu a dominant weight and w a minimal representative of a
-coset W_H w in W_G, and only those are stripped.  Decompositions are
+the weight too.  Full weight multisets are the Weyl orbits of those
+weights, each walked down from its dominant weight layer by layer; they
+are built only for the pushforward of a restriction along a projection
+(Spin8>Spin7) and for the symmetric-power chain, which is the oracle's
+reference for the K-type ledgers (the ledgers themselves never build a
+level's weights).  An equal-rank restriction builds none: its
+subgroup-dominant weights are the w mu, for mu a dominant weight and w a
+minimal representative of a coset W_H w in W_G, and only those are
+stripped.  Decompositions are
 recovered by repeatedly stripping the dominant character of the top
 remaining dominant weight; an IsoDecomp keeps each highest weight as a
 doubled tuple and builds Irreps only when a caller reads .mults or
@@ -32,7 +31,12 @@ dimension of each irreducible computed.
 Irreps of product groups are supported throughout: the group is a tuple
 of labels and the highest weight a matching tuple of Weights.  A weight
 of a product is stored as the concatenation of the factors' doubled
-coordinate vectors.
+coordinate vectors, and _sys(labels) is the product's root data: its
+Weyl dimension, chamber and lattice tests, dominant representatives and
+orbits read it as they read one label's.  Characters are computed
+factor by factor: a product irrep's dominant and full characters are
+_product of its factors' cached ones, each factor's highest weight
+sliced at the record's spans.
 """
 
 from __future__ import annotations
@@ -104,12 +108,15 @@ class Irrep(_Record):
             d = _sys(lab)
             if len(w.coords) != d.dim:
                 raise ValueError(f"{lab} weight needs {d.dim} coordinates")
-            if not d.in_chamber(w.twice()):
+            t = w.twice()
+            if not d.in_chamber(t):
                 raise ValueError(f"{w!r} is not dominant for {lab}")
-            if not d.is_integral(w.twice()):
+            if not d.is_integral(t):
+                why = ("it must lie in the sum-zero plane"
+                       if d.sum_zero and sum(t)
+                       else "its simple-coroot pairings must be integers")
                 raise ValueError(
-                    f"{w!r} is not in the weight lattice of {lab}: "
-                    "its simple-coroot pairings must be integers"
+                    f"{w!r} is not in the weight lattice of {lab}: {why}"
                 )
             fixed.append(w)
         object.__setattr__(self, "group", labels if len(labels) > 1 else labels[0])
@@ -189,23 +196,25 @@ class IsoDecomp:
 
     @property
     def mults(self) -> dict:
-        spans = _spans(self.labels)
-        return {_irrep_twice(spans, t): m for t, m in self.twice_mults.items()}
+        return {_irrep_twice(self.labels, t): m
+                for t, m in self.twice_mults.items()}
 
     def items(self):
-        spans = _spans(self.labels)
-        return [(_irrep_twice(spans, t), m)
+        return [(_irrep_twice(self.labels, t), m)
                 for t, m in sorted(self.twice_mults.items())]
 
     def dimension(self) -> int:
-        spans = _spans(self.labels)
-        return sum(m * _dim_twice(spans, t) for t, m in self.twice_mults.items())
+        # an empty decomposition has no group to look up
+        if not self.twice_mults:
+            return 0
+        label = _sys(self.labels).label
+        return sum(m * _dim_single(label, t)
+                   for t, m in self.twice_mults.items())
 
     def to_json(self):
-        spans = _spans(self.labels)
         out = []
         for t, m in sorted(self.twice_mults.items()):
-            hw = [_twice_json(t[a:b]) for _, a, b in spans]
+            hw = [_twice_json(t[a:b]) for _, a, b in _sys(self.labels).spans]
             out.append({"hw": hw[0] if len(hw) == 1 else hw, "mult": m})
         return out
 
@@ -220,23 +229,14 @@ class IsoDecomp:
         return f"IsoDecomp({self.mults!r})"
 
 
-def _spans(labels: tuple) -> tuple:
-    """(label, start, stop) of each factor's slice of a concatenated
-    doubled weight."""
-    out, i = [], 0
-    for lab in labels:
-        n = _sys(lab).dim
-        out.append((lab, i, i + n))
-        i += n
-    return tuple(out)
-
-
-def _irrep_twice(spans: tuple, t: tuple) -> Irrep:
-    """The (validated) Irrep of a concatenated doubled highest weight."""
-    hws = tuple(Weight.from_twice(t[a:b], lab) for lab, a, b in spans)
-    if len(hws) == 1:
-        return Irrep(spans[0][0], hws[0])
-    return Irrep(tuple(lab for lab, _, _ in spans), hws)
+def _irrep_twice(labels, t: tuple) -> Irrep:
+    """The (validated) Irrep of a concatenated doubled highest weight of
+    the group of labels (a label or a tuple of them)."""
+    spans = _sys(labels).spans
+    return Irrep(
+        tuple(lab for lab, _, _ in spans),
+        tuple(Weight.from_twice(t[a:b], lab) for lab, a, b in spans),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,10 @@ def _irrep_twice(spans: tuple, t: tuple) -> Irrep:
 
 
 @lru_cache(maxsize=None)
-def _dim_single(label: str, thw: tuple) -> int:
+def _dim_single(label, thw: tuple) -> int:
+    """Weyl's dimension formula, for a label or a product of labels;
+    callers pass the record's own label, so that a one-label tuple and
+    its label share entries."""
     d = _sys(label)
     if d.rank == 0:
         return 1
@@ -259,15 +262,8 @@ def _dim_single(label: str, thw: tuple) -> int:
     return q
 
 
-def _dim_twice(spans: tuple, t: tuple) -> int:
-    n = 1
-    for lab, a, b in spans:
-        n *= _dim_single(lab, t[a:b])
-    return n
-
-
 def weyl_dim(r: Irrep) -> int:
-    return _dim_twice(_spans(r.labels), r.twice_concat())
+    return _dim_single(_sys(r.labels).label, r.twice_concat())
 
 
 # ---------------------------------------------------------------------------
@@ -466,40 +462,27 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
     The dominant keys go to _strip_tops, the one stripping kernel.  Tops
     stay doubled tuples; no Irrep is built.
     """
-    spans = _spans(c.labels)
-    systems = [_sys(lab) for lab in c.labels]
-    reps = [{} for _ in spans]  # per factor: slice -> dominant slice
-
-    def representative(t):
-        u = ()
-        for (_, a, b), d, seen in zip(spans, systems, reps):
-            s = t[a:b]
-            r = seen.get(s)
-            if r is None:
-                r = seen[s] = d.dominant_twice(s)
-            u += r
-        return u
-
+    d = _sys(c.labels)
     rem = {}
     moved = []
     for t, m in c.mults.items():
         if m:
-            u = representative(t)
+            u = d.dominant_twice(t)
             if u == t:
                 rem[t] = m
             else:
                 moved.append((u, m))
     if any(rem.get(u) != m for u, m in moved):
         raise AssertionError("character is not Weyl-invariant")
-    out, total = _strip_tops(spans, systems, rem)
+    out, total = _strip_tops(d, rem)
     if total != sum(c.mults.values()):
         raise AssertionError("stripping left a residue with no dominant key")
     return IsoDecomp._of_twice(c.labels, out)
 
 
-def _strip_tops(spans: tuple, systems: list, rem: dict) -> tuple:
-    """Strip {dominant key: mult} in place; returns the stripped
-    {top: mult} and the total dimension it accounts for.
+def _strip_tops(d, rem: dict) -> tuple:
+    """Strip {dominant key: mult} of the root data d in place; returns
+    the stripped {top: mult} and the total dimension it accounts for.
 
     The keys are ordered once, by rho-pairing with a lexicographic
     tiebreak, and each step takes the first still present: stripping only
@@ -507,8 +490,7 @@ def _strip_tops(spans: tuple, systems: list, rem: dict) -> tuple:
     the weight lattice raises Irrep's error; one above dim_cap() raises
     OracleCapError.
     """
-    rho2 = sum((d.rho2 for d in systems), ())
-    tops = sorted(rem, key=lambda t: (_dot(t, rho2), t), reverse=True)
+    tops = sorted(rem, key=lambda t: (_dot(t, d.rho2), t), reverse=True)
     cap = dim_cap()
     out = {}
     total = 0
@@ -518,14 +500,13 @@ def _strip_tops(spans: tuple, systems: list, rem: dict) -> tuple:
             continue
         if m < 0:
             raise AssertionError("negative multiplicity while stripping")
-        if not all(d.is_integral(top[a:b])
-                   for (_, a, b), d in zip(spans, systems)):
-            _irrep_twice(spans, top)  # raises Irrep's lattice error
-        dim = _dim_twice(spans, top)
+        if not d.is_integral(top):
+            _irrep_twice(d.label, top)  # raises Irrep's lattice error
+        dim = _dim_single(d.label, top)
         _check_dim(dim, cap)
         out[top] = m
         total += m * dim
-        dom = _product(_dominant_char(lab, top[a:b]) for lab, a, b in spans)
+        dom = _product(_dominant_char(lab, top[a:b]) for lab, a, b in d.spans)
         for t, fm in dom.items():
             nm = rem.get(t, 0) - m * fm
             if nm < 0:
@@ -556,6 +537,8 @@ class EmbeddingMap(_Record):
     __slots__ = ("name", "source", "targets", "coords")
 
     def __init__(self, name: str, source: str, targets: tuple, coords: tuple):
+        # per factor: EMBEDDINGS is built on import, and a product record
+        # is first needed by a restriction
         ntarget = sum(_sys(lab).dim for lab in targets)
         if len(coords) != ntarget:
             raise ValueError(f"{name}: need {ntarget} coordinates")
@@ -625,12 +608,8 @@ def _coset_walk(e: EmbeddingMap):
     g = _sys(e.source)
     if e.coords != tuple(range(g.dim)):
         return None
-    hsimple, hpos = [], set()  # the target factors' roots, in their slices
-    for lab, a, b in _spans(e.targets):
-        h, lo, hi = _sys(lab), (0,) * a, (0,) * (g.dim - b)
-        hsimple += [lo + r + hi for r in h.simple]
-        hpos.update(lo + r + hi for r in h.pos)
-    if not hpos <= set(g.pos):
+    h = _sys(e.targets)
+    if not set(h.pos) <= set(g.pos):
         return None
     words, steps = [()], []
     layer = [(0, g.rho2, g.simple)]  # (index, w rho, w alpha_1..w alpha_r)
@@ -640,7 +619,7 @@ def _coset_walk(e: EmbeddingMap):
         for k, v, images in layer:
             for i, img in enumerate(images):
                 u = _sub(v, img)
-                if u in seen or any(_dot(u, a) < 0 for a in hsimple):
+                if u in seen or not h.in_chamber(u):
                     continue
                 seen.add(u)
                 moved = tuple(tuple(x - c[i] * y for x, y in zip(im, img))
@@ -669,8 +648,7 @@ def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
             points.append(tuple(x - c * y for x, y in zip(v, img)) if c else v)
         for u in set(points):
             rem[u] = rem.get(u, 0) + m
-    spans = _spans(e.targets)
-    out, _ = _strip_tops(spans, [_sys(lab) for lab, _, _ in spans], rem)
+    out, _ = _strip_tops(_sys(e.targets), rem)
     return IsoDecomp._of_twice(e.targets, out)
 
 

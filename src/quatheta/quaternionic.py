@@ -36,9 +36,8 @@ from .charoracle import (
     IsoDecomp,
     _check_cap,
     _check_dim,
-    _dim_twice,
+    _dim_single,
     _irrep_twice,
-    _spans,
     char_weights,
     dim_cap,
     strip_dominant,
@@ -165,9 +164,10 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
     (Humphreys, Lie Algebras, 24) multiplies an irreducible lambda by
     p_j: each weight nu of V, of multiplicity m, adds sign * m to the
     irreducible dom(lambda + j nu + rho) - rho, and nothing when
-    lambda + j nu + rho is singular (_SysData.sign_and_chamber).  Levels
-    are held shifted by rho, and the kernel's answers are memoized on the
-    whole concatenated vector for the call.
+    lambda + j nu + rho is singular.  One sign_and_chamber call on the
+    root data of base's group answers both, for a product of factors as
+    for one label.  Levels are held shifted by rho, and those answers
+    are memoized for the call.
 
     Every level is checked as it is made: the division by k is exact
     with a positive quotient, each irreducible is within dim_cap() (the
@@ -175,22 +175,10 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
     would refuse it), and the dimensions add up to C(k+n-1, k) dim W,
     n = dim V.
     """
-    spans = _spans(base.labels)
-    systems = [_sys(lab) for lab, _, _ in spans]
-    rho2 = sum((d.rho2 for d in systems), ())
+    d = _sys(base.labels)
+    rho2 = d.rho2
     n, wdim, cap = base.mass(), weyl_dim(w), dim_cap()
     memo = {}  # lambda + j nu + rho -> (sign, dominant image), or 0
-
-    def chamber(v):
-        sign, top = 1, ()
-        for (_, a, b), d in zip(spans, systems):
-            hit = d.sign_and_chamber(v[a:b])
-            if hit is None:
-                return 0
-            sign *= hit[0]
-            top += hit[1]
-        return sign, top
-
     adams = [  # adams[j - 1] holds the weights of p_j
         [(tuple(j * x for x in nu), m) for nu, m in base.mults.items()]
         for j in range(1, kmax + 1)
@@ -206,7 +194,7 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
                         v = _add(lam, nu)
                         hit = memo.get(v)
                         if hit is None:
-                            hit = memo[v] = chamber(v)
+                            hit = memo[v] = d.sign_and_chamber(v) or 0
                         if hit:
                             top = hit[1]
                             acc[top] = acc.get(top, 0) + hit[0] * m * c
@@ -221,8 +209,8 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
                     level[t] = q
             shifted.append(level)
         twice = {_sub(t, rho2): m for t, m in shifted[k].items()}
-        dims = {t: _dim_twice(spans, t) for t in twice}
-        over = [t for t, d in dims.items() if d > cap]
+        dims = {t: _dim_single(d.label, t) for t in twice}
+        over = [t for t, dim in dims.items() if dim > cap]
         if over:
             _check_dim(dims[max(over, key=lambda t: (_dot(t, rho2), t))], cap)
         size = comb(k + n - 1, k) * wdim
@@ -286,7 +274,7 @@ def _cartan_component(vm: Irrep, w: Irrep, k: int) -> Irrep:
     """The irreducible of highest weight k vm + w: it occurs once in
     S^k(V_M) (x) W."""
     t = tuple(k * a + b for a, b in zip(vm.twice_concat(), w.twice_concat()))
-    return _irrep_twice(_spans(vm.labels), t)
+    return _irrep_twice(vm.labels, t)
 
 
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:

@@ -3,9 +3,12 @@
 Weights live in an ambient coordinate space per system (Bourbaki
 conventions), with every coordinate a half-integer.  Root data has one
 representation, _SysData (interned by _sys): ambient dimension, simple
-roots, positive roots and rho, all as doubled integer tuples.  HalfInt
-and Weight exist for input and output only: a HalfInt stores the doubled
-value and is parsed, compared, hashed and printed, with no arithmetic.
+roots, positive roots and rho, all as doubled integer tuples.  A product
+group, a tuple of labels, is one more such record: its weights are the
+concatenated factor weights, and its roots each factor's, padded with
+zeros outside that factor's slice.  HalfInt and Weight exist for input
+and output only: a HalfInt stores the doubled value and is parsed,
+compared, hashed and printed, with no arithmetic.
 Nothing in this package touches floating point.
 
 Supported system labels:
@@ -31,15 +34,16 @@ the package rely on this realisation (rho = (2,1,-3)).
 
 The root-data kernels behind the character oracle are integer-only, on
 doubled coordinates: simple reflections divide with divmod, and the
-weight lattice is "every simple-coroot pairing is an integer".  Dominant
-representatives and Weyl orbits are closed forms (sorting and signed
-permutations) for the classical groups and G2; F4 and the E series take
-the closed form of a classical parabolic subsystem plus reflections in
-one simple root, and walk their orbits down from the dominant
-representative.  Fraction appears only at the API edge: HalfInt accepts
-it, and compares and hashes equal to it, recognising it through
-sys.modules without importing fractions (a Fraction can only exist once
-that module is loaded).
+weight lattice is "every simple-coroot pairing is an integer" (for G2,
+inside the sum-zero plane).  Dominant representatives are closed forms
+(sorting and signed permutations) for the classical groups and G2; F4
+and the E series take the closed form of a classical parabolic
+subsystem plus reflections in one simple root.  Every Weyl orbit is
+walked down from its dominant representative, layer by layer.  Fraction
+appears only at the API edge: HalfInt accepts it, and compares and
+hashes equal to it, recognising it through sys.modules without
+importing fractions (a Fraction can only exist once that module is
+loaded).
 
 The package's value records derive from _Record: slotted, frozen
 classes with explicit constructors, so importing the package needs
@@ -50,8 +54,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
-from itertools import chain, islice, product
-from math import prod
+from itertools import islice
 from operator import add, attrgetter, mul, sub
 
 
@@ -352,22 +355,49 @@ def _positive_roots(simple, norms) -> dict:
 
 
 class _SysData:
-    """Interned per-label root data in doubled coordinates; every kernel
-    is integer-only.
+    """Interned root data in doubled coordinates, of one label or of a
+    product group; every kernel is integer-only.
 
     pairing[k] holds the simple-coroot pairings <pos[k], alpha_i^vee> of
     the k-th positive root, and cartan[j] those of the j-th simple root:
-    cartan[j][i] = <alpha_j, alpha_i^vee>."""
+    cartan[j][i] = <alpha_j, alpha_i^vee>.  spans lists (label, start,
+    stop) for each factor's slice of a weight; a one-label record has one
+    span.  A product record (label a tuple of labels) has each factor's
+    simple and positive roots, pairings, Cartan rows and rho in that
+    factor's slice, so every kernel but dominant_twice reads it as it
+    reads one label; factors holds the factor records, empty for one
+    label.  sum_zero lists the slices whose coordinates must sum to zero
+    for a weight of the lattice: G2 lives in the sum-zero plane of its
+    ambient space."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
-        "pairing", "cartan",
+        "pairing", "cartan", "spans", "factors", "sum_zero",
     )
 
     def __init__(self, label):
-        if label not in _SIMPLE:
+        if isinstance(label, tuple):
+            # each factor's simple roots, padded with zeros outside its
+            # slice; they are orthogonal across factors, so their closure
+            # below is the factors' positive roots, each in its slice
+            self.factors = tuple(map(_sys, label))
+            dim = sum(d.dim for d in self.factors)
+            spans, simple, sum_zero, a = [], [], [], 0
+            for lab, d in zip(label, self.factors):
+                b = a + d.dim
+                spans.append((lab, a, b))
+                simple += ((0,) * a + r + (0,) * (dim - b) for r in d.simple)
+                sum_zero += ((a + x, a + y) for x, y in d.sum_zero)
+                a = b
+            simple = tuple(simple)
+            self.spans, self.sum_zero = tuple(spans), tuple(sum_zero)
+        elif label in _SIMPLE:
+            dim, simple = _SIMPLE[label]
+            self.spans = ((label, 0, dim),)
+            self.factors = ()
+            self.sum_zero = ((0, dim),) if label == "G2" else ()
+        else:
             raise ValueError(f"unsupported root system label {label!r}")
-        dim, simple = _SIMPLE[label]
         self.label = label
         self.dim = dim
         self.rank = len(simple)
@@ -389,12 +419,13 @@ class _SysData:
         return all(_dot(tvec, a) >= 0 for a in self.simple)
 
     def is_integral(self, tvec) -> bool:
-        """True iff every simple-coroot pairing 2<w,a>/<a,a> is an integer,
-        i.e. the vector lies in the weight lattice."""
+        """True iff the vector lies in the weight lattice: every
+        simple-coroot pairing 2<w,a>/<a,a> is an integer, and each
+        sum_zero slice sums to zero."""
         return all(
             2 * _dot(tvec, a) % n == 0
             for a, n in zip(self.simple, self.simple_norm)
-        )
+        ) and not any(sum(tvec[a:b]) for a, b in self.sum_zero)
 
     def reflect_simple(self, tvec, i: int):
         a = self.simple[i]
@@ -404,7 +435,13 @@ class _SysData:
         return tuple(x - p * y for x, y in zip(tvec, a))
 
     def dominant_twice(self, t):
-        """Dominant Weyl representative of a doubled coordinate vector."""
+        """Dominant Weyl representative of a doubled coordinate vector;
+        a product's is its factors' representatives, slice by slice."""
+        if self.factors:
+            u = ()
+            for d, (_, a, b) in zip(self.factors, self.spans):
+                u += d.dominant_twice(t[a:b])
+            return u
         if self.rank == 0:
             return tuple(t)
         fam = self.label[0]
@@ -464,40 +501,12 @@ class _SysData:
         """Weyl orbit of a dominant doubled vector (in the weight lattice),
         refused as soon as it grows past max_size.
 
-        The classical groups and G2 list their orbits in closed form, each
-        element made once: W(A) permutes the coordinates, W(B) and W(C)
-        permute them and change any signs, W(D) changes an even number of
-        signs (any number once an entry is 0), and W(G2) permutes t and
-        -t.  F4 and the E series walk down from dom, applying s_i only
-        where <u, alpha_i> > 0: each such step lengthens the shortest Weyl
+        The orbit is walked down from dom, applying s_i only where
+        <u, alpha_i> > 0: each such step lengthens the shortest Weyl
         element reaching u by one, so the layers are disjoint and each is
         built once.
         """
-        fam = self.label[0]
-        if self.rank == 0:
-            elems = (dom,)
-        elif fam == "A":
-            elems = _perms(dom)
-        elif fam == "G":
-            neg = _neg(dom)
-            elems = _perms(dom)
-            if sorted(neg) != sorted(dom):
-                elems = chain(elems, _perms(neg))
-        elif fam in "BCD":
-            mags = tuple(map(abs, dom))
-            if fam == "D" and 0 not in mags:
-                # W(D) keeps the product of the signs: dom's
-                sgn = -1 if sum(1 for x in dom if x < 0) % 2 else 1
-                signs = [s + (sgn * prod(s),)
-                         for s in product((1, -1), repeat=self.dim - 1)]
-                elems = (tuple(map(mul, p, s))
-                         for p in _perms(mags) for s in signs)
-            else:
-                elems = (u for p in _perms(mags) for u in
-                         product(*((x, -x) if x else (0,) for x in p)))
-        else:
-            elems = self._walk(dom)
-        out = list(islice(elems, max_size + 1))
+        out = list(islice(self._walk(dom), max_size + 1))
         if len(out) > max_size:
             raise ValueError("orbit too large")
         return out
@@ -529,20 +538,12 @@ def _d_chamber(t, reverse: bool) -> list:
     return mags
 
 
-def _perms(vals):
-    """The distinct permutations of a tuple, each made once, in the
-    order of its entries."""
-    if len(vals) <= 1:
-        yield vals
-        return
-    for x in dict.fromkeys(vals):
-        i = vals.index(x)
-        for rest in _perms(vals[:i] + vals[i + 1:]):
-            yield (x, *rest)
-
-
 @lru_cache(maxsize=None)
-def _sys(label: str) -> _SysData:
+def _sys(label) -> _SysData:
+    """The interned root data of a label, or of the product group of a
+    tuple of labels; a one-label tuple is that label."""
+    if isinstance(label, tuple) and len(label) == 1:
+        return _sys(label[0])
     return _SysData(label)
 
 

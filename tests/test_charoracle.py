@@ -68,6 +68,18 @@ class TestIrrep:
         with pytest.raises(ValueError, match="weight lattice"):
             irrep(label, hw)
 
+    @pytest.mark.parametrize("hw", [(3, 3, 0), (4, 3, -1)])
+    def test_rejects_g2_weight_off_the_sum_zero_plane(self, hw):
+        # dominant, with integral simple-coroot pairings, yet no weight:
+        # G2's roots span the plane where the coordinates sum to zero
+        d = _sys("G2")
+        t = tuple(2 * x for x in hw)
+        assert d.in_chamber(t) and not d.is_integral(t)
+        with pytest.raises(ValueError, match="sum-zero plane"):
+            irrep("G2", hw)
+        with pytest.raises(ValueError, match="sum-zero plane"):
+            strip_dominant(CharMultiset(("G2",), {t: 1}))
+
     def test_accepts_half_integral_lattice_weights(self):
         assert weyl_dim(irrep("A2", (h(1), h(1), h(-1)))) == 3
         assert weyl_dim(irrep("F4", (h(3), h(1), h(1), h(1)))) > 0
@@ -246,6 +258,17 @@ def test_iso_decomp_constructions_agree(want):
     assert stripped.mults == want
     assert stripped.dimension() == sum(m * weyl_dim(r) for r, m in want.items())
     assert IsoDecomp({}) == strip_dominant(CharMultiset(labels, {}))
+
+
+def test_empty_decomposition_needs_no_root_data():
+    before = _sys.cache_info()
+    dec = IsoDecomp({})
+    assert dec.to_json() == []
+    assert dec.dimension() == 0
+    assert dec.mults == {}
+    assert dec.items() == []
+    after = _sys.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_iso_decomp_inequality():

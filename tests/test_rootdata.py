@@ -10,11 +10,13 @@ from quatheta.aqmodules import AqCase, theta_unitary
 from quatheta.branchrules import restrict_e7_to_su2_spin12
 from quatheta.charoracle import (
     DEFAULT_DIM_CAP,
+    EMBEDDINGS,
     _dim_single,
     _dominant_char,
     _string_orbits,
 )
 from quatheta.rootdata import (
+    _QUAT_ROWS,
     HalfInt,
     Weight,
     _as_int,
@@ -354,6 +356,113 @@ def test_orbit_refusal_stops_early():
     with pytest.raises(ValueError, match="orbit too large"):
         d.orbit(d.rho2, 100)
     assert 50 * peak(100) < peak(23040)
+
+
+# ---------------------------------------------------------------------------
+# product records against the per-factor reference
+
+
+def _ref_spans(labels):
+    """(label, start, stop) of each factor's slice, factor by factor."""
+    out, i = [], 0
+    for lab in labels:
+        n = _sys(lab).dim
+        out.append((lab, i, i + n))
+        i += n
+    return tuple(out)
+
+
+def _ref_dominant(spans, t):
+    """Each factor's dominant representative of its slice."""
+    u = ()
+    for lab, a, b in spans:
+        u += _sys(lab).dominant_twice(t[a:b])
+    return u
+
+
+def _ref_sign_and_chamber(spans, v):
+    """The factors' (sign, chamber) answers, multiplied and concatenated;
+    None when any slice is singular."""
+    sign, top = 1, ()
+    for lab, a, b in spans:
+        hit = _sys(lab).sign_and_chamber(v[a:b])
+        if hit is None:
+            return None
+        sign *= hit[0]
+        top += hit[1]
+    return sign, top
+
+
+def _ref_dim(spans, t):
+    """The product of the factors' Weyl formulas on their slices."""
+    n = 1
+    for lab, a, b in spans:
+        n *= _dim_single(lab, t[a:b])
+    return n
+
+
+# every multi-factor group the package names: the targets of the pinned
+# embeddings and the factors of M in the quaternionic rows
+PRODUCT_LABELS = sorted(
+    labels
+    for labels in {e.targets for e in EMBEDDINGS.values()}
+    | {row[2] for row in _QUAT_ROWS.values()}
+    if len(labels) > 1
+)
+
+
+def test_product_labels_cover_the_package():
+    assert PRODUCT_LABELS == [
+        ("B1", "Spin2"), ("B2", "Spin2"), ("C1", "C1"), ("C1", "C1", "C1"),
+        ("C2", "C1"), ("D2", "Spin2"), ("D3", "Spin2"),
+    ]
+
+
+@pytest.mark.parametrize("labels", PRODUCT_LABELS, ids="x".join)
+def test_product_record_matches_its_factors(labels):
+    d, spans = _sys(labels), _ref_spans(labels)
+    factors = [_sys(lab) for lab in labels]
+    assert d.label == labels
+    assert d.spans == spans
+    assert d.dim == sum(f.dim for f in factors) == spans[-1][2]
+    assert d.rank == sum(f.rank for f in factors)
+    assert d.rho2 == sum((f.rho2 for f in factors), ())
+    assert len(d.pos) == sum(len(f.pos) for f in factors)
+    # pairings and Cartan rows are those of the padded roots
+    for roots, rows in ((d.pos, d.pairing), (d.simple, d.cartan)):
+        assert rows == tuple(
+            tuple(2 * _dot(r, a) // n for a, n in zip(d.simple, d.simple_norm))
+            for r in roots
+        )
+    box = list(itertools.product(range(-3, 4), repeat=d.dim))
+    dominant = 0
+    for t in box:
+        assert d.dominant_twice(t) == _ref_dominant(spans, t)
+        assert d.sign_and_chamber(t) == _ref_sign_and_chamber(spans, t)
+        integral = all(_sys(lab).is_integral(t[a:b]) for lab, a, b in spans)
+        assert d.is_integral(t) == integral
+        assert d.in_chamber(t) == (_ref_dominant(spans, t) == t)
+        if not integral:
+            continue
+        assert _dim_single(d.label, t) == _ref_dim(spans, t)
+        if not d.in_chamber(t):
+            continue
+        dominant += 1
+        orbit = d.orbit(t, 10 ** 4)
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == {
+            sum(parts, ())
+            for parts in itertools.product(*(
+                _sys(lab).orbit(t[a:b], 10 ** 4) for lab, a, b in spans
+            ))
+        }
+    assert dominant >= 4
+
+
+@pytest.mark.parametrize("label", ["B4", "C1", "G2", "Spin2"])
+def test_one_label_tuple_is_that_label(label):
+    assert _sys((label,)) is _sys(label)
+    assert _sys(label).spans == ((label, 0, _sys(label).dim),)
 
 
 def _lattice_vectors(label, count, seed):
