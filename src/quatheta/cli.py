@@ -101,78 +101,58 @@ def _fmt_tuple(t) -> str:
 
 
 def _cmd_branch(args) -> int:
+    # each rule builds its parameter's JSON key and value, the JSON
+    # components and the text lines
     rule = args.rule
     if rule == "f4-spin9":
         if args.ab is None:
             raise ValueError("--rule f4-spin9 needs --ab a,b")
         a, b = args.ab
-        rows = sorted(f4_to_spin9_table(a, b).items(), reverse=True)
+        key, value = "ab", [a, b]
         comps = [
             {"w": _coords_json(w), "mult": m,
              "dim": weyl_dim(irrep("B4", w))}
-            for w, m in rows
+            for w, m in sorted(f4_to_spin9_table(a, b).items(), reverse=True)
         ]
-        if args.json:
-            _print_json({"rule": rule, "ab": [a, b], "components": comps})
-        else:
-            for c in comps:
-                print(f"{_fmt_tuple(c['w'])} x{c['mult']} dim {c['dim']}")
-        return 0
-    if rule == "e7-su2spin12":
+        lines = [
+            f"{_fmt_tuple(c['w'])} x{c['mult']} dim {c['dim']}" for c in comps
+        ]
+    elif rule == "e7-su2spin12":
         if args.k is None:
             raise ValueError("--rule e7-su2spin12 needs --k")
         rows = restrict_e7_to_su2_spin12(args.k)
-        comps = [
-            {"su2": m, "spin12": w.to_json()} for m, w in rows
-        ]
-        if args.json:
-            _print_json({"rule": rule, "k": args.k, "components": comps})
-        else:
-            for m, w in rows:
-                print(f"su2 ({m})  spin12 {_fmt_tuple(w.coords)}")
-        return 0
-    if args.lam is None:
-        raise ValueError(f"--rule {rule} needs --lam")
-    lam = args.lam
-    if rule == "sp":
-        table = branch_sp(lam)
-        comps = [
-            {"mu": _coords_json(mu),
-             "su2": {str(k): m for k, m in sorted(cg.items()) if m}}
-            for mu, cg in sorted(table.items())
-        ]
-        comps = [c for c in comps if c["su2"]]
-        if args.json:
-            _print_json({
-                "rule": rule, "lam": _coords_json(lam),
-                "components": comps,
-            })
-        else:
-            for c in comps:
-                body = ", ".join(f"({k}) x{m}" for k, m in c["su2"].items())
-                print(f"{_fmt_tuple(c['mu'])} : {body}")
-        return 0
-    # spin-odd, spin-even
-    fn = branch_spin_odd if rule == "spin-odd" else branch_spin_even
-    table = fn(lam)
-    comps = []
-    for mu, mod in sorted(table.items()):
-        entries = [
-            [*_twice_json((t,)), m] for t, m in mod.entries if m
-        ]
-        if entries:
-            comps.append({
-                "mu": _coords_json(mu), "spin2": entries,
-            })
-    if args.json:
-        _print_json({
-            "rule": rule, "lam": _coords_json(lam),
-            "components": comps,
-        })
+        key, value = "k", args.k
+        comps = [{"su2": m, "spin12": w.to_json()} for m, w in rows]
+        lines = [f"su2 ({m})  spin12 {_fmt_tuple(w.coords)}" for m, w in rows]
     else:
-        for c in comps:
-            body = ", ".join(f"({w}) x{m}" for w, m in c["spin2"])
-            print(f"{_fmt_tuple(c['mu'])} : {body}")
+        if args.lam is None:
+            raise ValueError(f"--rule {rule} needs --lam")
+        key, value = "lam", _coords_json(args.lam)
+        if rule == "sp":
+            comps = [
+                {"mu": _coords_json(mu),
+                 "su2": {str(k): m for k, m in sorted(cg.items())}}
+                for mu, cg in sorted(branch_sp(args.lam).items())
+            ]
+            terms = [c["su2"].items() for c in comps]
+        else:
+            fn = branch_spin_odd if rule == "spin-odd" else branch_spin_even
+            comps = [
+                {"mu": _coords_json(mu),
+                 "spin2": [[*_twice_json((t,)), m] for t, m in mod.entries]}
+                for mu, mod in sorted(fn(args.lam).items())
+            ]
+            terms = [c["spin2"] for c in comps]
+        lines = [
+            f"{_fmt_tuple(c['mu'])} : "
+            + ", ".join(f"({w}) x{m}" for w, m in ts)
+            for c, ts in zip(comps, terms)
+        ]
+    if args.json:
+        _print_json({"rule": rule, key: value, "components": comps})
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 

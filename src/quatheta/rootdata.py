@@ -25,8 +25,8 @@ Only the simple roots are written down (_SIMPLE, in the coordinates of
 Bourbaki's Plates I-IX): e_i - e_(i+1) plus one end root for the
 classical families, Bourbaki's E8 simple roots (the first six and seven
 for E6 and E7), F4 from Plate VIII, and G2 in the realisation below.
-The positive roots are their closure under root strings, built height
-by height.
+The positive roots are their closure under the simple reflections
+that raise a root.
 
 G2 is realised inside the sum-zero plane of Z^3 with simple roots
 (1,-1,0) and (-1,2,-1); the compact dual pair computations elsewhere in
@@ -316,42 +316,33 @@ _SIMPLE = {
 
 
 def _positive_roots(simple, norms) -> dict:
-    """{positive root: its simple-coroot pairings}, height by height,
-    from the simple roots.
+    """{positive root: its simple-coroot pairings}: the closure of the
+    simple roots under each s_i that raises a root.
 
-    For a positive root beta and a simple root alpha, the alpha-string
-    through beta runs from beta - p alpha to beta + q alpha with
-    p - q = <beta, alpha^vee>; the roots below beta are already known, so
-    beta + alpha is a root iff p > <beta, alpha^vee>.  Every root of
-    height h + 1 is such a beta + alpha with beta of height h.
-
-    A root is keyed by its simple-root coefficients, the digits of a
-    base-16 integer.  No coefficient exceeds 6 (E8), so a step below zero
-    leaves a digit 15 that no root has, and the string walk stops there.
+    A positive root beta that is not simple pairs positively with some
+    simple root alpha_i, and s_i beta is a positive root of lower height
+    (Humphreys, Lie Algebras, 10.2); so every positive root is reached
+    from a simple root by reflections s_i with <beta, alpha_i^vee> = c < 0.
+    s_i beta = beta - c alpha_i, and its pairings are beta's minus c
+    times alpha_i's Cartan row: no dot product is recomputed.
     """
     cartan = [
         tuple(2 * _dot(b, a) // n for a, n in zip(simple, norms))
         for b in simple
     ]
-    steps = [16 ** i for i in range(len(simple))]
-    # key -> (root, its simple-coroot pairings)
-    roots = {s: (a, c) for s, a, c in zip(steps, simple, cartan)}
-    layer = list(roots)
-    while layer:
-        nxt = []
-        for k in layer:
-            b, pairing = roots[k]
-            for i, s in enumerate(steps):
-                p = 0
-                while k - (p + 1) * s in roots:
-                    p += 1
-                if p > pairing[i] and k + s not in roots:
-                    roots[k + s] = (
-                        _add(b, simple[i]), tuple(map(add, pairing, cartan[i]))
+    roots = dict(zip(simple, cartan))
+    todo = list(roots)
+    for b in todo:  # grows as roots are found
+        pairing = roots[b]
+        for i, c in enumerate(pairing):
+            if c < 0:
+                r = tuple(x - c * y for x, y in zip(b, simple[i]))
+                if r not in roots:
+                    roots[r] = tuple(
+                        x - c * y for x, y in zip(pairing, cartan[i])
                     )
-                    nxt.append(k + s)
-        layer = nxt
-    return dict(roots.values())
+                    todo.append(r)
+    return roots
 
 
 class _SysData:
@@ -585,14 +576,21 @@ def dominant_representative(w: Weight) -> Weight:
     """The dominant Weyl-chamber representative of the orbit of w.
 
     Classical families use the signed-permutation normal form and G2
-    sorts up to sign.  F4 and the E series apply the closed form of a
-    classical parabolic subsystem and reflect in the one remaining
-    simple root until it pairs non-negatively; that reflection requires
-    w to be in the weight lattice (integral simple pairings) and raises
-    ValueError otherwise.
+    sorts up to sign, which is a Weyl action only on the sum-zero plane:
+    a G2 weight off it raises ValueError.  F4 and the E series apply the
+    closed form of a classical parabolic subsystem and reflect in the
+    one remaining simple root until it pairs non-negatively; that
+    reflection requires w to be in the weight lattice (integral simple
+    pairings) and raises ValueError otherwise.
     """
     d = _sys(w.system)
-    return Weight.from_twice(d.dominant_twice(w.twice()), w.system)
+    t = w.twice()
+    if any(sum(t[a:b]) for a, b in d.sum_zero):
+        raise ValueError(
+            f"{w!r} has no dominant representative for {w.system}: "
+            "it must lie in the sum-zero plane"
+        )
+    return Weight.from_twice(d.dominant_twice(t), w.system)
 
 
 # ---------------------------------------------------------------------------

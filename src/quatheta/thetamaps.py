@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rootdata import (
-    HalfInt, Weight, _Record, _add, _as_int, _sys, dominant_representative,
-)
+from .rootdata import HalfInt, Weight, _Record, _add, _as_int, _sys
 from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
@@ -291,86 +289,52 @@ def theta_f4(n: int, sign: str | None = None) -> ThetaLift:
 # infinitesimal-character cross-checks
 
 
-def _dom(system: str, twice_vec) -> Weight:
-    return dominant_representative(Weight.from_twice(twice_vec, system))
-
-
-def _d4_outer_orbit(w: Weight) -> set:
-    """Dominant representatives of the outer-automorphism orbit of a
-    D4 weight: the group generated by the vector/half-spin swap and the
-    last-coordinate flip (order 6)."""
-
-    def apply_swap(t):
-        s = (t[0] + t[1] + t[2] + t[3], t[0] + t[1] - t[2] - t[3],
-             t[0] - t[1] + t[2] - t[3], t[0] - t[1] - t[2] + t[3])
-        if any(x % 2 for x in s):
-            return None
-        return tuple(x // 2 for x in s)
-
-    def apply_flip(t):
-        return (t[0], t[1], t[2], -t[3])
-
-    seen = set()
-    frontier = [dominant_representative(w).twice()]
-    while frontier:
-        t = frontier.pop()
-        if t in seen:
-            continue
-        seen.add(t)
-        for img in (apply_swap(t), apply_flip(t)):
-            if img is not None:
-                td = _dom("D4", img).twice()
-                if td not in seen:
-                    frontier.append(td)
-    return {Weight.from_twice(t, "D4") for t in seen}
-
-
 def infchar_crosscheck(which: str, params) -> bool:
     """Check a theorem's displayed infinitesimal-character formula
     against the general mu + s alpha0/2 + rho evaluation of the lifted
     module; Weyl-canonicalized equality.
 
     which: 'tmain', 'e7', 'e8_spin9', 'e8_spin8', 'f4', or 't161'.
+    't161' asks whether the three cyclic torus lifts have characters in
+    one orbit of W(D4) extended by the outer automorphisms of D4: that
+    group is W(F4), which has D4's weight lattice.
     """
-    if which == "tmain":
-        a, b = map(_as_int, params)
-        lift = theta_e6_u2(a, b)
-        want = _dom("B3", (a + b + 1, a + b - 1, a - b + 1))
-        return all(inf_char(m) == want for m in lift.modules())
-    if which == "e7":
-        a, b, c = map(_as_int, params)
-        lift = theta_e7(a, b, c)
-        if lift.zero:
-            return True
-        want = _dom("B3", (a + b + 3, a - b + 1, c + 1))
-        return all(inf_char(m) == want for m in lift.modules())
-    if which == "e8_spin9":
-        lift = theta_e8_spin9(*params)
-        want = dominant_representative(lift.stated_inf_char)
-        return all(inf_char(m) == want for m in lift.modules())
-    if which == "e8_spin8":
-        a, b, c, d = map(HalfInt.of, params)
-        lift = theta_e8_spin8(a, b, c, d)
-        lam2 = tuple(x.twice for x in (a, b, c, d))
-        want = _dom("D4", _add(lam2, _sys("D4").rho2))
-        return all(inf_char(m) == want for m in lift.modules())
-    if which == "f4":
-        n = _as_int(params[0] if isinstance(params, (tuple, list)) else params)
-        lift = theta_f4(n)
-        want = _dom("B3", (n, 2, 1))
-        return all(inf_char(m) == want for m in lift.modules())
     if which == "t161":
         a, b = map(_as_int, params)
         if a < 0 or b < 0 or (a, b) == (0, 0):
             raise ValueError("need a, b >= 0, not both zero")
         s = 4 + a + b
-        chars = [
-            inf_char(_sigma("Spin(4,4)", wm, s))
+        f4 = _sys("F4")
+        return len({
+            f4.dominant_twice(inf_char(_sigma("Spin(4,4)", wm, s)).twice())
             for wm in ((b, a, 0), (0, b, a), (a, 0, b))
-        ]
-        orbit = _d4_outer_orbit(chars[0])
-        return all(ch in orbit for ch in chars)
-    raise ValueError(f"unknown cross-check {which!r}")
+        }) == 1
+    # (lift, its ambient system, the displayed character doubled)
+    if which == "tmain":
+        a, b = map(_as_int, params)
+        lift = theta_e6_u2(a, b)
+        system, shown = "B3", (a + b + 1, a + b - 1, a - b + 1)
+    elif which == "e7":
+        a, b, c = map(_as_int, params)
+        lift = theta_e7(a, b, c)
+        system, shown = "B3", (a + b + 3, a - b + 1, c + 1)
+    elif which == "e8_spin9":
+        lift = theta_e8_spin9(*params)
+        system, shown = "B3", lift.stated_inf_char.twice()
+    elif which == "e8_spin8":
+        a, b, c, d = map(HalfInt.of, params)
+        lift = theta_e8_spin8(a, b, c, d)
+        lam2 = tuple(x.twice for x in (a, b, c, d))
+        system, shown = "D4", _add(lam2, _sys("D4").rho2)
+    elif which == "f4":
+        n = _as_int(params[0] if isinstance(params, (tuple, list)) else params)
+        lift = theta_f4(n)
+        system, shown = "B3", (n, 2, 1)
+    else:
+        raise ValueError(f"unknown cross-check {which!r}")
+    want = _sys(system).dominant_twice(shown)
+    # a vanishing lift (e7) has no module to disagree
+    return all(inf_char(m).twice() == want for m in lift.modules())
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,8 @@ from quatheta.thetamaps import ThetaLift, theta_e6_u2
 # subprocesses import the same quatheta as this test run
 SRC = os.path.dirname(os.path.dirname(quatheta.__file__))
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+VERIFY_ALL_GOLDEN = os.path.join(
+    os.path.dirname(__file__), "golden", "verify_all.txt")
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
@@ -259,6 +261,13 @@ class TestDeterminism:
         _, b, _ = run(capsys, "verify", "--suite", "quaternionic")
         assert a == b
 
+    def test_verify_all_matches_the_golden_file(self, capsys):
+        # the verify report is a contract: a change to any of its lines
+        # shows up as a change to tests/golden/verify_all.txt
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        with open(VERIFY_ALL_GOLDEN, encoding="utf-8") as fh:
+            assert (code, out) == (0, fh.read())
+
     def test_plot_byte_identical(self, capsys):
         args = ("plot", "--figure", "cones", "--group", "g2",
                 "--lambda=2,1,-3")
@@ -378,6 +387,32 @@ class TestBranchCommand:
             '"su2": 1}, '
             '{"spin12": [2, 0, 0, 0, 0, 0], "su2": 2}], '
             '"k": 2, "rule": "e7-su2spin12"}\n'
+        )
+
+    def test_spin_even_text(self, capsys):
+        code, out, _ = run(capsys, "branch", "--rule", "spin-even",
+                           "--lam", "2,1,1")
+        assert code == 0
+        assert out.splitlines() == [
+            "(1,-1) : (-2) x1, (0) x1",
+            "(1,0) : (-1) x1, (1) x1",
+            "(1,1) : (0) x1, (2) x1",
+            "(2,-1) : (-1) x1",
+            "(2,0) : (0) x1",
+            "(2,1) : (1) x1",
+        ]
+
+    def test_spin_even_json(self, capsys):
+        code, out, _ = run(capsys, "branch", "--rule", "spin-even",
+                           "--lam", "3/2,1/2,1/2", "--json")
+        assert code == 0
+        assert out == (
+            '{"components": ['
+            '{"mu": ["1/2", "-1/2"], "spin2": [["-3/2", 1], ["1/2", 1]]}, '
+            '{"mu": ["1/2", "1/2"], "spin2": [["-1/2", 1], ["3/2", 1]]}, '
+            '{"mu": ["3/2", "-1/2"], "spin2": [["-1/2", 1]]}, '
+            '{"mu": ["3/2", "1/2"], "spin2": [["1/2", 1]]}], '
+            '"lam": ["3/2", "1/2", "1/2"], "rule": "spin-even"}\n'
         )
 
     def test_e7_family_needs_k(self, capsys):

@@ -3,6 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -17,6 +18,7 @@ from quatheta.charoracle import (
 )
 from quatheta.rootdata import (
     _QUAT_ROWS,
+    _SIMPLE,
     HalfInt,
     Weight,
     _as_int,
@@ -291,14 +293,23 @@ def _descend(d, t):
         t = d.reflect_simple(t, i)
 
 
-def _walk_orbit(d, dom):
-    """Weyl orbit by the layer walk down from a dominant vector."""
-    out, layer = {dom}, {dom}
-    while layer:
-        layer = {d.reflect_simple(u, i)
-                 for u in layer for i, a in enumerate(d.simple)
-                 if sum(x * y for x, y in zip(u, a)) > 0}
-        out |= layer
+def _closed_form_orbit(label, dom):
+    """The Weyl orbit of dom from the group's description as signed
+    permutations: permutations (A), signed permutations (B, C), those
+    with an even number of sign changes (D), permutations and -1 on the
+    sum-zero plane (G2); Spin2's Weyl group is trivial."""
+    if label == "Spin2":
+        return {dom}
+    perms = set(itertools.permutations(dom))
+    if label[0] == "A":
+        return perms
+    if label == "G2":
+        return perms | {_neg(t) for t in perms}
+    out = set()
+    for signs in itertools.product((1, -1), repeat=len(dom)):
+        if label[0] == "D" and signs.count(-1) % 2:
+            continue
+        out |= {tuple(map(mul, signs, t)) for t in perms}
     return out
 
 
@@ -323,6 +334,7 @@ def _orbit_inputs(label):
     sorted(set(ROOT_SYSTEM_TABLE) - {"F4", "E6", "E7", "E8"}) + ["Spin2"],
 )
 def test_closed_form_orbit_matches_walk(label):
+    # orbit walks by simple reflections; the closed form uses none
     d = _sys(label)
     inputs = _orbit_inputs(label)
     assert len(inputs) >= 3
@@ -333,7 +345,7 @@ def test_closed_form_orbit_matches_walk(label):
     for dom in inputs:
         orbit = d.orbit(dom, 10 ** 6)
         assert len(orbit) == len(set(orbit))
-        assert set(orbit) == _walk_orbit(d, dom)
+        assert set(orbit) == _closed_form_orbit(label, dom)
 
 
 def test_orbit_refusal_stops_early():
@@ -459,6 +471,50 @@ def test_product_record_matches_its_factors(labels):
     assert dominant >= 4
 
 
+def _ref_positive_roots(simple, norms) -> dict:
+    """{positive root: its simple-coroot pairings}, height by height, by
+    root strings: for a positive root beta and a simple root alpha, the
+    alpha-string through beta runs from beta - p alpha to beta + q alpha
+    with p - q = <beta, alpha^vee>, so beta + alpha is a root iff
+    p > <beta, alpha^vee>.  A root is keyed by its simple-root
+    coefficients, the digits of a base-16 integer (none exceeds 6)."""
+    cartan = [
+        tuple(2 * _dot(b, a) // n for a, n in zip(simple, norms))
+        for b in simple
+    ]
+    steps = [16 ** i for i in range(len(simple))]
+    roots = {s: (a, c) for s, a, c in zip(steps, simple, cartan)}
+    layer = list(roots)
+    while layer:
+        nxt = []
+        for k in layer:
+            b, pairing = roots[k]
+            for i, s in enumerate(steps):
+                p = 0
+                while k - (p + 1) * s in roots:
+                    p += 1
+                if p > pairing[i] and k + s not in roots:
+                    roots[k + s] = (
+                        _add(b, simple[i]),
+                        tuple(x + y for x, y in zip(pairing, cartan[i])),
+                    )
+                    nxt.append(k + s)
+        layer = nxt
+    return dict(roots.values())
+
+
+@pytest.mark.parametrize("label", sorted(_SIMPLE) + PRODUCT_LABELS, ids=str)
+def test_positive_roots_match_root_strings(label):
+    d = _sys(label)
+    ref = _ref_positive_roots(d.simple, d.simple_norm)
+    pos = tuple(sorted(ref))
+    assert d.pos == pos
+    assert d.pairing == tuple(map(ref.get, pos))
+    assert d.cartan == tuple(map(ref.get, d.simple))
+    total = [sum(col) for col in zip(*pos)] or [0] * d.dim
+    assert d.rho2 == tuple(t // 2 for t in total)
+
+
 @pytest.mark.parametrize("label", ["B4", "C1", "G2", "Spin2"])
 def test_one_label_tuple_is_that_label(label):
     assert _sys((label,)) is _sys(label)
@@ -561,6 +617,16 @@ def test_highest_root_values():
 def test_dominant_representative_golden():
     w = Weight((-1, 3, 2), "B3")
     assert dominant_representative(w).coords == (3, 2, 1)
+
+
+def test_dominant_representative_refuses_g2_off_the_plane():
+    # sorting up to sign is the action of W(G2) only on the sum-zero plane
+    for coords in ((1, 0, 0), (3, 3, 0)):
+        with pytest.raises(ValueError, match="sum-zero plane"):
+            dominant_representative(Weight(coords, "G2"))
+    # on the plane but off the lattice, (3/2, -5/2, 1) still sorts
+    w = Weight.from_twice((3, -5, 2), "G2")
+    assert dominant_representative(w).twice() == (3, 2, -5)
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2", "F4"])

@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from quatheta.quaternionic import QuatModule
-from quatheta.rootdata import HalfInt
+from quatheta.quaternionic import QuatModule, inf_char
+from quatheta.rootdata import HalfInt, Weight, _sys, dominant_representative
 from quatheta.thetamaps import (
     ThetaLift,
     infchar_crosscheck,
@@ -251,6 +252,87 @@ class TestInfcharCrosscheck:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             infchar_crosscheck("nope", (1,))
+
+
+def _d4_outer_orbit(w: Weight) -> set:
+    """Dominant representatives of the outer-automorphism orbit of a
+    D4 weight: the group generated by the vector/half-spin swap and the
+    last-coordinate flip (order 6), closed by search."""
+
+    def apply_swap(t):
+        s = (t[0] + t[1] + t[2] + t[3], t[0] + t[1] - t[2] - t[3],
+             t[0] - t[1] + t[2] - t[3], t[0] - t[1] - t[2] + t[3])
+        if any(x % 2 for x in s):
+            return None
+        return tuple(x // 2 for x in s)
+
+    def apply_flip(t):
+        return (t[0], t[1], t[2], -t[3])
+
+    def dom(t):
+        return dominant_representative(Weight.from_twice(t, "D4")).twice()
+
+    seen = set()
+    frontier = [dominant_representative(w).twice()]
+    while frontier:
+        t = frontier.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        for img in (apply_swap(t), apply_flip(t)):
+            if img is not None and dom(img) not in seen:
+                frontier.append(dom(img))
+    return {Weight.from_twice(t, "D4") for t in seen}
+
+
+class TestT161:
+    """t161 reads one W(F4) representative where the reference searches
+    the D4 outer-automorphism orbit."""
+
+    def test_outer_orbit_is_the_f4_orbit(self):
+        # dominant D4 weights, doubled entries in [-6, 6], integral and
+        # half-integral, the last entry signed
+        weights = [
+            t for t in itertools.product(range(-6, 7), repeat=4)
+            if len({x % 2 for x in t}) == 1
+            and t[0] >= t[1] >= t[2] >= abs(t[3])
+        ]
+        assert any(t[3] < 0 for t in weights)
+        assert any(t[0] % 2 for t in weights)
+        f4 = _sys("F4")
+        key = {t: f4.dominant_twice(t) for t in weights}
+        same = 0
+        for u in weights:
+            orbit = {
+                w.twice() for w in _d4_outer_orbit(Weight.from_twice(u, "D4"))
+            }
+            for v in weights:
+                assert (v in orbit) == (key[u] == key[v]), (u, v)
+                same += v in orbit
+        assert same > 2 * len(weights)  # some orbits merge D4 classes
+
+    def test_t161_agrees_with_the_outer_orbit(self):
+        checked = 0
+        for a, b in itertools.product(range(13), repeat=2):
+            if (a, b) == (0, 0):
+                with pytest.raises(ValueError, match="not both zero"):
+                    infchar_crosscheck("t161", (a, b))
+                continue
+            chars = [
+                inf_char(QuatModule(
+                    "Spin(4,4)", tuple((x,) for x in wm), 4 + a + b, "sigma"
+                ))
+                for wm in ((b, a, 0), (0, b, a), (a, 0, b))
+            ]
+            orbit = _d4_outer_orbit(chars[0])
+            want = all(ch in orbit for ch in chars)
+            assert infchar_crosscheck("t161", (a, b)) == want
+            checked += want
+        assert checked == 168
+
+    def test_t161_refuses_negative_entries(self):
+        with pytest.raises(ValueError, match="need a, b >= 0"):
+            infchar_crosscheck("t161", (-1, 2))
 
 
 class TestSeesaw:
