@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, gcd
+from operator import add
 
 from .rootdata import (
     HalfInt,
@@ -37,7 +38,6 @@ from .charoracle import (
     _check_cap,
     _check_dim,
     _dim_single,
-    _irrep_twice,
     char_weights,
     dim_cap,
     strip_dominant,
@@ -165,9 +165,11 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
     p_j: each weight nu of V, of multiplicity m, adds sign * m to the
     irreducible dom(lambda + j nu + rho) - rho, and nothing when
     lambda + j nu + rho is singular.  One sign_and_chamber call on the
-    root data of base's group answers both, for a product of factors as
-    for one label.  Levels are held shifted by rho, and those answers
-    are memoized for the call.
+    root data of base's group answers both: the classical families and
+    the SU(2) factors read the sign from the chamber's closed forms, a
+    product multiplies its factors' signs, and G2, F4 and E count the
+    positive roots pairing negatively.  Levels are held shifted by rho,
+    and those answers are memoized for the call.
 
     Every level is checked as it is made: the division by k is exact
     with a positive quotient, each irreducible is within dim_cap() (the
@@ -189,9 +191,10 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
         if k:
             acc = {}
             for j in range(1, k + 1):
+                p_j = adams[j - 1]
                 for lam, c in shifted[k - j].items():
-                    for nu, m in adams[j - 1]:
-                        v = _add(lam, nu)
+                    for nu, m in p_j:
+                        v = tuple(map(add, lam, nu))
                         hit = memo.get(v)
                         if hit is None:
                             hit = memo[v] = d.sign_and_chamber(v) or 0
@@ -270,28 +273,25 @@ class KTypeLedger(_Record):
         return KTypeLedger(mod, tuple(levels))
 
 
-def _cartan_component(vm: Irrep, w: Irrep, k: int) -> Irrep:
-    """The irreducible of highest weight k vm + w: it occurs once in
-    S^k(V_M) (x) W."""
-    t = tuple(k * a + b for a, b in zip(vm.twice_concat(), w.twice_concat()))
-    return _irrep_twice(vm.labels, t)
-
-
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:
     """K-type ledger of A(G, W[s]) up to level kmax.
 
-    V_M, W and each level's Cartan component are checked against
-    dim_cap() before any level is computed, so a ledger refused there
-    costs no level product; _sym_levels checks every other irreducible
-    as its level is made.
+    V_M, W and each level's Cartan component, the irreducible of
+    highest weight k vm + w that occurs once in S^k(V_M) (x) W, are
+    checked against dim_cap() before any level is computed, so a ledger
+    refused there costs no level product; _sym_levels checks every other
+    irreducible as its level is made.
     """
     if kmax < 0:
         raise ValueError("need kmax >= 0")
     vm, w = _vm_irrep(m.structure()), m.m_irrep()
     base = char_weights(vm)
     _check_cap(w)
+    label, cap = _sys(vm.labels).label, dim_cap()
+    vm2, w2 = vm.twice_concat(), w.twice_concat()
     for k in range(1, kmax + 1):
-        _check_cap(_cartan_component(vm, w, k))
+        t = tuple(k * a + b for a, b in zip(vm2, w2))
+        _check_dim(_dim_single(label, t), cap)
     return KTypeLedger(m, tuple(
         (m.s + k - 2, dec)
         for k, dec in enumerate(_sym_levels(base, w, kmax))

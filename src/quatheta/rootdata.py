@@ -355,15 +355,18 @@ class _SysData:
     stop) for each factor's slice of a weight; a one-label record has one
     span.  A product record (label a tuple of labels) has each factor's
     simple and positive roots, pairings, Cartan rows and rho in that
-    factor's slice, so every kernel but dominant_twice reads it as it
-    reads one label; factors holds the factor records, empty for one
-    label.  sum_zero lists the slices whose coordinates must sum to zero
-    for a weight of the lattice: G2 lives in the sum-zero plane of its
-    ambient space."""
+    factor's slice, so every kernel but dominant_twice and
+    sign_and_chamber reads it as it reads one label; factors holds the
+    factor records, empty for one label.  parts lists (record, start,
+    stop) per factor for sign_and_chamber, the record None for a
+    one-coordinate rank-one factor (B1, C1), which it answers inline; a
+    B1 or C1 record is one such part, any other label none.  sum_zero
+    lists the slices whose coordinates must sum to zero for a weight of
+    the lattice: G2 lives in the sum-zero plane of its ambient space."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
-        "pairing", "cartan", "spans", "factors", "sum_zero",
+        "pairing", "cartan", "spans", "factors", "sum_zero", "parts",
     )
 
     def __init__(self, label):
@@ -382,11 +385,16 @@ class _SysData:
                 a = b
             simple = tuple(simple)
             self.spans, self.sum_zero = tuple(spans), tuple(sum_zero)
+            self.parts = tuple(
+                (None if d.dim == 1 and d.rank else d, a, b)
+                for d, (_, a, b) in zip(self.factors, spans)
+            )
         elif label in _SIMPLE:
             dim, simple = _SIMPLE[label]
             self.spans = ((label, 0, dim),)
             self.factors = ()
             self.sum_zero = ((0, dim),) if label == "G2" else ()
+            self.parts = ((None, 0, 1),) if dim == 1 and simple else ()
         else:
             raise ValueError(f"unsupported root system label {label!r}")
         self.label = label
@@ -476,9 +484,54 @@ class _SysData:
     def sign_and_chamber(self, v):
         """(sign, dominant_twice(v)) for a regular v, None for a singular
         one: v is singular iff <v, alpha> = 0 for some positive root, and
-        the w with w v dominant has sign (-1)^#{alpha > 0 : <v, alpha> < 0}
-        (the length of w counts those roots), so no reflection is
-        tracked."""
+        the sign is det w = (-1)^l(w) for the w with w v dominant.
+
+        The classical families read both off dominant_twice's closed
+        forms, with no positive root visited.  W(A) permutes, so the sign
+        is that of the permutation sorting v downward, and v is singular
+        iff two entries tie.  W(B) = W(C) permutes and changes signs: the
+        sign of sorting |v|, times -1 per negative entry, and v is
+        singular iff an entry is 0 or two |entries| tie.  W(D) changes
+        signs in pairs, so the sign is that of sorting |v| alone, and v
+        is singular iff two |entries| tie.  A one-coordinate rank-one
+        factor (B1, C1), alone or in a product, is answered inline: the
+        sign of its coordinate, singular at 0.  A product multiplies its
+        factors' signs.  G2, F4, E and Spin2 count the positive roots
+        that pair negatively with v (l(w) counts them).
+        """
+        if self.parts:
+            sign, top = 1, []
+            for d, a, b in self.parts:
+                if d is None:
+                    x = v[a]
+                    if not x:
+                        return None
+                    if x < 0:
+                        sign, x = -sign, -x
+                    top.append(x)
+                else:
+                    hit = d.sign_and_chamber(v[a:b])
+                    if hit is None:
+                        return None
+                    sign *= hit[0]
+                    top += hit[1]
+            return sign, tuple(top)
+        fam = self.label[0]
+        if fam == "A":
+            sign = _sort_sign(v)
+            return (sign, tuple(sorted(v, reverse=True))) if sign else None
+        if fam in ("B", "C", "D"):
+            mags = tuple(map(abs, v))
+            sign = _sort_sign(mags)
+            if not sign:
+                return None
+            if fam == "D":
+                return sign, tuple(_d_chamber(v, reverse=True))
+            if 0 in mags:
+                return None
+            if sum(1 for x in v if x < 0) % 2:
+                sign = -sign
+            return sign, tuple(sorted(mags, reverse=True))
         sign = 1
         for a in self.pos:
             p = _dot(v, a)
@@ -516,6 +569,19 @@ class _SysData:
                             nxt.add(v)
                             yield v
             layer = nxt
+
+
+def _sort_sign(t) -> int:
+    """The sign of the permutation that sorts t downward, 0 if two
+    entries tie."""
+    sign = 1
+    for i, x in enumerate(t):
+        for y in t[i + 1:]:
+            if x <= y:
+                if x == y:
+                    return 0
+                sign = -sign
+    return sign
 
 
 def _d_chamber(t, reverse: bool) -> list:

@@ -588,6 +588,24 @@ class TestKtypesCommand:
                         "--s", "4", "--kmax", "0", "--sigma")
         assert json.loads(out)["module"]["quotient"] is True
 
+    # one ledger per family of M: SU(2)^3, SU(2), SU(2) x Spin(3), Sp(3),
+    # SU(6) and Spin(12); each golden is the stdout of its argv at --s 4
+    @pytest.mark.parametrize("name,g,wm,kmax", [
+        ("ktypes_spin44_0_0_0_k11.json", "Spin(4,4)", "0;0;0", 11),
+        ("ktypes_g22_16_k4.json", "G2_2", "16", 4),
+        ("ktypes_spin43_3_2_k3.json", "Spin(4,3)", "3;2", 3),
+        ("ktypes_f44_0_0_0_k3.json", "F4_4", "0,0,0", 3),
+        ("ktypes_e64_0_k2.json", "E6_4", "0,0,0,0,0,0", 2),
+        ("ktypes_e74_0_k2.json", "E7_4", "0,0,0,0,0,0", 2),
+    ])
+    def test_ledger_matches_its_golden(self, capsys, name, g, wm, kmax):
+        code, out, err = run(capsys, "ktypes", "--g", g, "--wm", wm,
+                             "--s", "4", "--kmax", str(kmax))
+        assert (code, err) == (0, "")
+        path = os.path.join(os.path.dirname(__file__), "golden", name)
+        with open(path) as f:
+            assert out == f.read()
+
 
 class TestErrorsReachTheUserAsOneLine:
     @pytest.mark.parametrize("argv", [

@@ -471,6 +471,52 @@ def test_product_record_matches_its_factors(labels):
     assert dominant >= 4
 
 
+def _ref_sign_by_roots(d, v):
+    """(-1)^#{alpha > 0 : <v, alpha> < 0} and dominant_twice(v), None on
+    a zero pairing: the definition, one positive root at a time."""
+    sign = 1
+    for a in d.pos:
+        p = _dot(v, a)
+        if not p:
+            return None
+        if p < 0:
+            sign = -sign
+    return sign, d.dominant_twice(v)
+
+
+def _signed_permutations(mags):
+    return {
+        tuple(s * x for s, x in zip(signs, p))
+        for p in itertools.permutations(mags)
+        for signs in itertools.product((1, -1), repeat=len(mags))
+    }
+
+
+@pytest.mark.parametrize(
+    "label", ["C1", "C3", "A5", "D6", "B3"] + PRODUCT_LABELS, ids=str)
+def test_sign_and_chamber_counts_the_negative_roots(label):
+    # a box holds ties and zeros.  The signed permutations of 0..n-1 are
+    # the W(D_n)-orbit of a regular vector, each element once, and hold 0
+    # entries under odd numbers of negatives; those of 1..n (dimension
+    # up to 4, which takes in B3 and C3) are a regular W(B_n)-orbit
+    d = _sys(label)
+    n = d.dim
+    r = 2 if n <= 4 else 1
+    vecs = set(itertools.product(range(-r, r + 1), repeat=n))
+    vecs |= _signed_permutations(range(n))
+    if n <= 4:
+        vecs |= _signed_permutations(range(1, n + 1))
+    answers = {v: d.sign_and_chamber(v) for v in vecs}
+    for v, hit in answers.items():
+        assert hit == _ref_sign_by_roots(d, v), v
+    assert {hit and hit[0] for hit in answers.values()} == {None, 1, -1}
+    if label == "D6":
+        assert any(
+            answers[v] and 0 in v and sum(x < 0 for x in v) % 2
+            for v in vecs
+        )
+
+
 def _ref_positive_roots(simple, norms) -> dict:
     """{positive root: its simple-coroot pairings}, height by height, by
     root strings: for a positive root beta and a simple root alpha, the
