@@ -20,7 +20,8 @@ weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
 keys are epsilon-coordinate tuples of HalfInt.  The rules compute on
 doubled integer coordinates: input is parsed once by _twice, and HalfInt
 is built only for the keys they return (for F4 -> Spin(9), only for the
-constituents that occur).
+constituents that occur), each coordinate looked up in rootdata's
+interning table _half, so a key shares its HalfInts with every other.
 """
 
 from __future__ import annotations
@@ -28,17 +29,13 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .rootdata import HalfInt, Weight, _Record, _as_int
+from .rootdata import HalfInt, Weight, _Record, _as_int, _half
 
 
 def _twice(seq) -> tuple:
     """Doubled coordinates of a weight given as ints, Fractions, strings
     or HalfInts."""
     return tuple(HalfInt.of(c).twice for c in seq)
-
-
-def _keys(tvec) -> tuple:
-    return tuple(map(HalfInt, tvec))
 
 
 def _steps(lo: int, hi: int, parity: int) -> range:
@@ -130,9 +127,9 @@ def _interlacing_boxes(lam: tuple, parity: int) -> list:
             width = (hi - max(nxt, m)) // 2 + 1
             boxed = counts if width == 1 else _box(counts, width)
             if i < n - 2:
-                walk(i + 1, key + (HalfInt(m),), m, low + m - 2 * hi, boxed)
+                walk(i + 1, key + (_half(m),), m, low + m - 2 * hi, boxed)
             else:
-                out.append((key + (HalfInt(m),), m, low + m - 2 * hi, boxed))
+                out.append((key + (_half(m),), m, low + m - 2 * hi, boxed))
 
     walk(0, (), lam[0], sum(lam), [1])
     return out
@@ -251,7 +248,7 @@ def branch_spin_even(lam) -> dict:
                 pos, neg = neg, pos
         out[key] = Spin2Module(pos)
         if last:
-            out[key[:-1] + (HalfInt(-last),)] = Spin2Module(neg)
+            out[key[:-1] + (_half(-last),)] = Spin2Module(neg)
     return out
 
 
@@ -312,5 +309,5 @@ def f4_to_spin9_table(a: int, b: int) -> dict:
                 for t3 in range(t2, parity - 1, -2):
                     for t4, m in col:
                         if t4 <= t3:
-                            out[_keys((t1, t2, t3, t4))] = m
+                            out[tuple(map(_half, (t1, t2, t3, t4)))] = m
     return out

@@ -8,7 +8,10 @@ group, a tuple of labels, is one more such record: its weights are the
 concatenated factor weights, and its roots each factor's, padded with
 zeros outside that factor's slice.  HalfInt and Weight exist for input
 and output only: a HalfInt stores the doubled value and is parsed,
-compared, hashed and printed, with no arithmetic.
+compared, hashed and printed, with no arithmetic.  The package turns a
+doubled int into a HalfInt through one interning table, _half, so equal
+coordinates share one object (tuple comparison and dict probing then
+stop at identity), and each HalfInt computes its hash once, when built.
 Nothing in this package touches floating point.
 
 Supported system labels:
@@ -66,7 +69,11 @@ class _Record:
     """Base of the package's frozen value records.
 
     A subclass names its fields in __slots__ (they extend _fields) and
-    sets them in its __init__ with object.__setattr__.  The base gives
+    sets them in its __init__ with object.__setattr__.  A slot whose
+    name starts with an underscore is private state, not a field: it is
+    left out of _fields, and so out of equality, the repr and
+    __reduce__, and the subclass's __init__ sets it again on a rebuild.
+    The base gives
     the rest of a frozen dataclass: assignment and deletion raise
     AttributeError, equality and hashing go by the field tuple within
     one exact class, the repr is Name(field=value, ...), and __reduce__
@@ -78,7 +85,10 @@ class _Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields += cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(
+            name for name in cls.__dict__.get("__slots__", ())
+            if not name.startswith("_")
+        )
         get = attrgetter(*cls._fields)
         cls._values = staticmethod(
             get if len(cls._fields) > 1 else lambda self: (get(self),)
@@ -124,12 +134,25 @@ def _is_fraction(x) -> bool:
 
 
 class HalfInt(_Record):
-    """An element of (1/2)Z stored as its doubled value."""
+    """An element of (1/2)Z stored as its doubled value.
 
-    __slots__ = ("twice",)
+    HalfInt(t) builds a fresh object; _half(t) returns the shared one.
+    The hash, equal to that of the int or Fraction of the same value,
+    is computed once into the private slot _hash, which is not a field.
+    """
+
+    __slots__ = ("twice", "_hash")
 
     def __init__(self, twice: int):
         object.__setattr__(self, "twice", twice)
+        # agree with int/Fraction hashing so mixed-type dict keys work
+        if twice % 2 == 0:
+            h = hash(twice // 2)
+        else:
+            h = abs(twice) * _INV2 % _MODULUS
+            if twice < 0:
+                h = -2 if h == 1 else -h  # hash values are never -1
+        object.__setattr__(self, "_hash", h)
 
     @staticmethod
     def of(x) -> "HalfInt":
@@ -138,11 +161,11 @@ class HalfInt(_Record):
         if isinstance(x, bool):
             raise TypeError("bool is not a weight coordinate")
         if isinstance(x, int):
-            return HalfInt(2 * x)
+            return _half(2 * x)
         if _is_fraction(x):
             if x.denominator not in (1, 2):
                 raise ValueError(f"{x} is not a half-integer")
-            return HalfInt(int(x * 2))
+            return _half(int(x * 2))
         if isinstance(x, str):
             return HalfInt.parse(x)
         raise TypeError(f"cannot interpret {x!r} as a half-integer")
@@ -153,9 +176,9 @@ class HalfInt(_Record):
         num, slash, den = s.partition("/")
         try:
             if not slash:
-                return HalfInt(2 * int(s))
+                return _half(2 * int(s))
             if den.strip() == "2":
-                return HalfInt(int(num))
+                return _half(int(num))
         except ValueError:
             pass
         raise ValueError(f"bad half-integer literal {s!r}")
@@ -191,14 +214,7 @@ class HalfInt(_Record):
         return self.twice >= self._cmp_twice(other)
 
     def __hash__(self):
-        # agree with int/Fraction hashing so mixed-type dict keys work
-        t = self.twice
-        if t % 2 == 0:
-            return hash(t // 2)
-        h = abs(t) * _INV2 % _MODULUS
-        if t > 0:
-            return h
-        return -2 if h == 1 else -h  # hash values are never -1
+        return self._hash
 
     def __str__(self):
         if self.twice % 2 == 0:
@@ -206,6 +222,19 @@ class HalfInt(_Record):
         return f"{self.twice}/2"
 
     __repr__ = __str__
+
+
+class _HalfTable(dict):
+    """doubled int -> its HalfInt, built on the first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, twice):
+        self[twice] = h = HalfInt(twice)
+        return h
+
+
+_half = _HalfTable().__getitem__  # the one HalfInt of a doubled int
 
 
 def _as_int(x) -> int:
@@ -240,7 +269,7 @@ class Weight(_Record):
 
     @staticmethod
     def from_twice(tvec, system: str) -> "Weight":
-        return Weight(tuple(HalfInt(t) for t in tvec), system)
+        return Weight(tuple(map(_half, tvec)), system)
 
     def to_json(self) -> list:
         return _twice_json(self.twice())

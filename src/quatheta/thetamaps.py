@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 
-from .rootdata import HalfInt, Weight, _Record, _add, _as_int, _sys
+from .rootdata import HalfInt, Weight, _Record, _add, _as_int, _half, _sys
 from .charoracle import Irrep
 from .quaternionic import QuatModule, inf_char, ktypes
 
@@ -383,7 +383,7 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
         if s - 2 > nmax:
             break
         for tc in range(td, tb + 1, 2):
-            lift = theta_e8_spin9(*map(HalfInt, (ta, tb, tc, td)))
+            lift = theta_e8_spin9(*map(_half, (ta, tb, tc, td)))
             for mod, mult in lift.lifts:
                 _ktype_multiset(mod, nmax, lhs, mult)
         rhs_mod = QuatModule(

@@ -20,6 +20,7 @@ from math import comb
 from .rootdata import (
     HalfInt,
     _add,
+    _half,
     _sub,
     highest_root,
     highest_root_coefficients,
@@ -35,7 +36,6 @@ from .charoracle import (
 )
 from .branchrules import (
     _dominant_tuples,
-    _keys,
     branch_sp,
     branch_spin_even,
     branch_spin_odd,
@@ -197,7 +197,7 @@ def _suite_appendix(max_entry=None):
             restrict(irrep(label, lam), embedding(emb)).twice_mults
             == _rule_twice_mults(rule(lam))
             for parity in parities
-            for lam in map(_keys, _dominant_tuples(
+            for lam in (tuple(map(_half, t)) for t in _dominant_tuples(
                 2 * bound, int(label[1]), parity, signed))
         ]
         yield _each(
@@ -213,7 +213,7 @@ def _suite_f4_spin9(max_entry=None):
             tuple(x.twice for x in w): m
             for w, m in f4_to_spin9_table(a, b).items()
         }
-        hw = tuple(HalfInt(t) for t in (2 * a + b, b, b, b))
+        hw = tuple(map(_half, (2 * a + b, b, b, b)))
         dec = restrict(irrep("F4", hw), embedding("F4>B4"))
         yield (
             f"F4 -> Spin(9) closed form equals oracle for (a,b)=({a},{b})",
@@ -232,7 +232,7 @@ def _suite_e7d6(max_entry=None):
     for k in range(4):
         rows = restrict_e7_to_su2_spin12(k)
         total = sum((m + 1) * weyl_dim(irrep("D6", w)) for m, w in rows)
-        hw = (0, 0, 0, 0, 0, k, HalfInt(-k), HalfInt(k))
+        hw = (0, 0, 0, 0, 0, k, _half(-k), _half(k))
         want = weyl_dim(irrep("E7", hw))
         yield (
             f"SU(2) x Spin(12) rows for the k={k} family sum to "
@@ -419,7 +419,7 @@ def _suite_infchar(max_entry=None):
     yield _each(
         "Spin(8)- and Spin(9)-lift infinitesimal characters match their "
         "stated forms",
-        (infchar_crosscheck(which, _keys(t))
+        (infchar_crosscheck(which, tuple(map(_half, t)))
          for which, top, signed in (("e8_spin8", 4, True),
                                     ("e8_spin9", bound, False))
          for parity in (0, 1)

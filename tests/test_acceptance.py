@@ -37,13 +37,14 @@ from quatheta.quaternionic import (
 )
 from quatheta.branchrules import (
     _dominant_tuples,
-    _keys,
     branch_spin_even,
     branch_spin_odd,
     f4_to_spin9_table,
     restrict_e7_to_su2_spin12,
 )
-from quatheta.rootdata import HalfInt, Weight, _sys, highest_root_coefficients
+from quatheta.rootdata import (
+    HalfInt, Weight, _half, _sys, highest_root_coefficients,
+)
 from quatheta.verify import SUITES, run_suite
 
 
@@ -251,7 +252,7 @@ def test_criterion_16_spin_branching_at_scale():
     ):
         for parity in (0, 1):
             for t in _dominant_tuples(bound, 4, parity, signed):
-                table = rule(_keys(t))
+                table = rule(tuple(map(_half, t)))
                 ok = ok and sum(
                     _dim_single(sub, tuple(c.twice for c in mu))
                     * sum(m for _, m in mod.entries)

@@ -9,7 +9,6 @@ from quatheta.branchrules import (
     _box,
     _cg3,
     _dominant_tuples,
-    _keys,
     _steps,
     branch_sp,
     branch_spin_even,
@@ -19,7 +18,7 @@ from quatheta.branchrules import (
     restrict_e7_to_su2_spin12,
 )
 from quatheta.charoracle import Irrep, embedding, irrep, restrict, weyl_dim
-from quatheta.rootdata import HalfInt
+from quatheta.rootdata import HalfInt, _half
 
 
 def h(p):
@@ -140,7 +139,7 @@ def test_sp_rule_matches_cg_chain(n, bound):
     seen = 0
     for t in _dominant_tuples(bound, n, 0, False):
         got = [(tuple(c.twice for c in mu), cg)
-               for mu, cg in branch_sp(_keys(t)).items()]
+               for mu, cg in branch_sp(tuple(map(_half, t))).items()]
         assert got == list(_branch_sp_reference(t).items()), t
         seen += len(got)
     assert seen > 500
@@ -329,7 +328,7 @@ def test_even_hom_matches_product_chain(n):
     seen = 0
     for parity in (0, 1):
         for t in _dominant_tuples(8, n, parity, True):
-            got = _rule_items(branch_spin_even(_keys(t)))
+            got = _rule_items(branch_spin_even(tuple(map(_half, t))))
             assert got == list(_branch_spin_even_reference(t).items()), t
             seen += len(got)
     assert seen > 1000
@@ -340,7 +339,7 @@ def test_odd_rule_matches_product_chain(n):
     seen = 0
     for parity in (0, 1):
         for t in _dominant_tuples(10, n, parity, False):
-            got = _rule_items(branch_spin_odd(_keys(t)))
+            got = _rule_items(branch_spin_odd(tuple(map(_half, t))))
             assert got == list(_branch_spin_odd_reference(t).items()), t
             seen += len(got)
     assert seen > 100
@@ -445,7 +444,7 @@ class TestF4ToSpin9:
                 for t in _dominant_tuples(2 * (a + b) + 2, 4, parity, False):
                     m = _f4_mult_reference(a, b, t)
                     if m:
-                        want[_keys(t)] = m
+                        want[tuple(map(_half, t))] = m
             assert f4_to_spin9_table(a, b) == want, (a, b)
 
     def test_closed_form_equals_cg_product(self):
@@ -458,7 +457,7 @@ class TestF4ToSpin9:
         # item for item, so the insertion order of the table is pinned
         for b in range(a + 1):
             want = [
-                (_keys(w), m)
+                (tuple(map(_half, w)), m)
                 for parity in (0, 1)
                 for w in _dominant_tuples(2 * (a + b), 4, parity, False)
                 if (m := _f4_mult_reference(a, b, w))
@@ -545,6 +544,27 @@ def test_coordinate_forms_give_the_same_table(rule, twice):
         assert got == ref, name
         if isinstance(got, dict):
             assert all(isinstance(c, HalfInt) for mu in got for c in mu)
+
+
+@pytest.mark.parametrize("make, want", [
+    # half-integral keys
+    (lambda: branch_spin_odd(("5/2", "3/2", "1/2")),
+     [(Fraction(5, 2), Fraction(3, 2)), (Fraction(1, 2), Fraction(1, 2))]),
+    # keys with a negative last entry
+    (lambda: branch_spin_even((2, 1, -1)), [(1, -1), (2, -1), (2, 0)]),
+    # both congruence classes
+    (lambda: f4_to_spin9_table(2, 1),
+     [(2, 1, 1, 0), (Fraction(3, 2),) * 2 + (Fraction(1, 2),) * 2]),
+], ids=["spin_odd", "spin_even", "f4_spin9"])
+def test_rule_keys_are_found_by_int_and_fraction_tuples(make, want):
+    table = make()
+    for key in want:
+        assert key in table
+    for mu, value in table.items():
+        twice = tuple(c.twice for c in mu)
+        assert table[tuple(Fraction(t, 2) for t in twice)] is value
+        if all(t % 2 == 0 for t in twice):
+            assert table[tuple(t // 2 for t in twice)] is value
 
 
 @pytest.mark.parametrize("rule, lam", [

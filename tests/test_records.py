@@ -110,6 +110,14 @@ def test_halfint_hashes_like_fraction():
         assert HalfInt(t) == Fraction(t, 2)
 
 
+def test_private_slots_are_not_fields():
+    # HalfInt's cached hash sits in the underscore slot _hash
+    assert HalfInt._fields == ("twice",)
+    assert HalfInt(twice=3) == HalfInt(3)
+    assert repr(HalfInt(twice=3)) == "3/2"
+    assert HalfInt(3).__reduce__() == (HalfInt, (3,))
+
+
 def test_positional_keyword_and_default_construction():
     assert ThetaLift((), sign="-") == ThetaLift((), "-", False, None)
     assert ThetaLift(lifts=()).sign is None

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import sys
 import tracemalloc
@@ -24,6 +26,7 @@ from quatheta.rootdata import (
     _as_int,
     _add,
     _dot,
+    _half,
     _neg,
     _sub,
     _sys,
@@ -125,28 +128,32 @@ class TestHalfInt:
 
     def test_hash_equals_fraction_hash(self):
         for t in range(-5000, 5001):
-            assert hash(HalfInt(t)) == hash(Fraction(t, 2)), t
+            for x in (HalfInt(t), _half(t)):
+                assert hash(x) == hash(Fraction(t, 2)), t
 
     @pytest.mark.parametrize("t", [
         2**61 + 1, 2**61 - 1, -(2**61 + 1), -(2**61 - 1),
-        2**70 + 3, -(2**70 + 3),
+        2**70 + 3, -(2**70 + 3), 2**70 + 2, -(2**70 + 2),
     ])
     def test_hash_past_the_modulus(self, t):
-        assert hash(HalfInt(t)) == hash(Fraction(t, 2))
+        for x in (HalfInt(t), _half(t)):
+            assert hash(x) == hash(Fraction(t, 2))
 
     def test_hash_never_minus_one(self):
         # for |t| = M + 2, M the hash modulus, |t| / 2 is 1 modulo M, so
         # the signed hash of -|t| would be -1, which CPython reserves
         t = -(sys.hash_info.modulus + 2)
         assert hash(HalfInt(t)) == hash(Fraction(t, 2)) == -2
+        assert hash(_half(t)) == -2
         assert hash(HalfInt(-2)) == hash(-1) == -2
 
     def test_mixed_dict_keys(self):
         for t in (-7, -2, -1, 0, 1, 4, 9, 2**61 - 1, -(2**70 + 3)):
-            x, frac = HalfInt(t), Fraction(t, 2)
-            assert {x: t}[frac] == t and {frac: t}[x] == t
-            if t % 2 == 0:
-                assert {x: t}[t // 2] == t and {t // 2: t}[x] == t
+            frac = Fraction(t, 2)
+            for x in (HalfInt(t), _half(t)):
+                assert {x: t}[frac] == t and {frac: t}[x] == t
+                if t % 2 == 0:
+                    assert {x: t}[t // 2] == t and {t // 2: t}[x] == t
 
     def test_equality_agrees_with_hash(self):
         # strings are read by of/parse, not by comparisons: a HalfInt
@@ -155,13 +162,30 @@ class TestHalfInt:
         assert HalfInt(1) not in {"1/2"}
         assert "4" != HalfInt(8)
         for other in (Fraction(1, 2), Fraction(2), 2, HalfInt(1), HalfInt(4)):
-            for x in (HalfInt(1), HalfInt(4)):
+            for x in (HalfInt(1), HalfInt(4), _half(1), _half(4)):
                 if x == other:
                     assert hash(x) == hash(other)
                     assert other in {x} and x in {other}
         assert HalfInt.of("1/2") == HalfInt.parse("1/2") == HalfInt(1)
         with pytest.raises(TypeError):
             HalfInt(1) < "1"
+
+    def test_interned_values_are_shared(self):
+        for t in (-7, -1, 0, 3, 8, 2**70 + 3):
+            assert _half(t) is _half(t)
+            assert _half(t) == HalfInt(t) and _half(t) is not HalfInt(t)
+        assert HalfInt.of(4) is _half(8)
+        assert HalfInt.of(Fraction(-3, 2)) is _half(-3)
+        assert HalfInt.of("-3/2") is HalfInt.parse(" -3 / 2 ") is _half(-3)
+        assert Weight.from_twice((3, 1), "B2").coords[0] is _half(3)
+
+    def test_interned_value_round_trips(self):
+        for t in (-3, 0, 4):
+            x = _half(t)
+            for copied in (copy.copy(x), copy.deepcopy(x),
+                           pickle.loads(pickle.dumps(x))):
+                assert copied == x and hash(copied) == hash(x)
+                assert type(copied) is HalfInt
 
 
 def test_as_int_keeps_integral_values():
