@@ -170,7 +170,7 @@ class AqData(_Record):
 
     minimal_type_xy is the (b-c, a) image of the minimal type;
     minimal_type_u2 is the standard U(2) pair (a, c), populated for
-    PU21 only.
+    PU21 only.  to_json writes one key per field, skipping a None one.
     """
 
     __slots__ = (
@@ -190,26 +190,22 @@ class AqData(_Record):
         object.__setattr__(self, "minimal_type_u2", minimal_type_u2)
 
     def to_json(self) -> dict:
-        out = {
-            "inf_char": list(self.inf_char),
-            "minimal_type_abc": list(self.minimal_type_abc),
-            "minimal_type_xy": list(self.minimal_type_xy),
-            "u_cap_p_weights": [list(w) for w in self.u_cap_p_weights],
-        }
-        if self.minimal_type_u2 is not None:
-            out["minimal_type_u2"] = list(self.minimal_type_u2)
-        return out
+        return {k: _lists(v) for k, v in zip(self._fields, self._values(self))
+                if v is not None}
 
     @staticmethod
     def from_json(data: dict) -> "AqData":
-        u2 = data.get("minimal_type_u2")
-        return AqData(
-            tuple(data["inf_char"]),
-            tuple(data["minimal_type_abc"]),
-            tuple(data["minimal_type_xy"]),
-            tuple(tuple(w) for w in data["u_cap_p_weights"]),
-            tuple(u2) if u2 is not None else None,
-        )
+        return AqData(**{k: _tuples(data[k]) for k in AqData._fields
+                         if k in data})
+
+
+# nested tuples as JSON lists, and back
+def _lists(v):
+    return [*map(_lists, v)] if isinstance(v, tuple) else v
+
+
+def _tuples(v):
+    return tuple(map(_tuples, v)) if isinstance(v, list) else v
 
 
 def _u_cap_p(case: AqCase):

@@ -23,7 +23,7 @@ import os
 import sys
 
 from .rootdata import HalfInt, _twice_json
-from .charoracle import OracleCapError
+from .charoracle import OracleCapError, irrep, weyl_dim
 from .branchrules import (
     branch_sp,
     branch_spin_even,
@@ -31,7 +31,6 @@ from .branchrules import (
     f4_to_spin9_table,
     restrict_e7_to_su2_spin12,
 )
-from .charoracle import irrep, weyl_dim
 from .quaternionic import QuatModule, inf_char, ktypes
 from .thetamaps import (
     theta_e6_torus,
@@ -53,12 +52,8 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(64)
 
 
-def _half(s: str) -> HalfInt:
-    return HalfInt.parse(s)
-
-
 def _coords(s: str) -> tuple:
-    return tuple(_half(x) for x in s.split(","))
+    return tuple(map(HalfInt.parse, s.split(",")))
 
 
 def _ints(s: str) -> tuple:
@@ -81,7 +76,7 @@ def _arity(parse, n: int):
 
 
 def _wm(s: str) -> tuple:
-    return tuple(tuple(_half(x) for x in f.split(",")) for f in s.split(";"))
+    return tuple(tuple(map(HalfInt.parse, f.split(","))) for f in s.split(";"))
 
 
 def _print_json(obj) -> None:

@@ -385,17 +385,16 @@ class _SysData:
     span.  A product record (label a tuple of labels) has each factor's
     simple and positive roots, pairings, Cartan rows and rho in that
     factor's slice, so every kernel but dominant_twice and
-    sign_and_chamber reads it as it reads one label; factors holds the
-    factor records, empty for one label.  parts lists (record, start,
-    stop) per factor for sign_and_chamber, the record None for a
-    one-coordinate rank-one factor (B1, C1), which it answers inline; a
-    B1 or C1 record is one such part, any other label none.  sum_zero
+    sign_and_chamber reads it as it reads one label.  parts lists
+    (record, start, stop) per factor for those two, the record None for
+    a one-coordinate rank-one factor (B1, C1), which they answer inline;
+    a B1 or C1 record is one such part, any other label none.  sum_zero
     lists the slices whose coordinates must sum to zero for a weight of
     the lattice: G2 lives in the sum-zero plane of its ambient space."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
-        "pairing", "cartan", "spans", "factors", "sum_zero", "parts",
+        "pairing", "cartan", "spans", "sum_zero", "parts",
     )
 
     def __init__(self, label):
@@ -403,10 +402,10 @@ class _SysData:
             # each factor's simple roots, padded with zeros outside its
             # slice; they are orthogonal across factors, so their closure
             # below is the factors' positive roots, each in its slice
-            self.factors = tuple(map(_sys, label))
-            dim = sum(d.dim for d in self.factors)
+            factors = tuple(map(_sys, label))
+            dim = sum(d.dim for d in factors)
             spans, simple, sum_zero, a = [], [], [], 0
-            for lab, d in zip(label, self.factors):
+            for lab, d in zip(label, factors):
                 b = a + d.dim
                 spans.append((lab, a, b))
                 simple += ((0,) * a + r + (0,) * (dim - b) for r in d.simple)
@@ -416,12 +415,11 @@ class _SysData:
             self.spans, self.sum_zero = tuple(spans), tuple(sum_zero)
             self.parts = tuple(
                 (None if d.dim == 1 and d.rank else d, a, b)
-                for d, (_, a, b) in zip(self.factors, spans)
+                for d, (_, a, b) in zip(factors, spans)
             )
         elif label in _SIMPLE:
             dim, simple = _SIMPLE[label]
             self.spans = ((label, 0, dim),)
-            self.factors = ()
             self.sum_zero = ((0, dim),) if label == "G2" else ()
             self.parts = ((None, 0, 1),) if dim == 1 and simple else ()
         else:
@@ -464,11 +462,12 @@ class _SysData:
 
     def dominant_twice(self, t):
         """Dominant Weyl representative of a doubled coordinate vector;
-        a product's is its factors' representatives, slice by slice."""
-        if self.factors:
+        a product's is its factors' representatives, slice by slice, and
+        a B1 or C1 factor's is the absolute value of its coordinate."""
+        if self.parts:
             u = ()
-            for d, (_, a, b) in zip(self.factors, self.spans):
-                u += d.dominant_twice(t[a:b])
+            for d, a, b in self.parts:
+                u += (abs(t[a]),) if d is None else d.dominant_twice(t[a:b])
             return u
         if self.rank == 0:
             return tuple(t)

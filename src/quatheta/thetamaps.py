@@ -29,6 +29,10 @@ class ThetaLift(_Record):
     stated_inf_char carries an infinitesimal character when the theorem
     displays one explicitly.  lifts is a tuple of (QuatModule, positive
     multiplicity).
+
+    from_json reads each JSON shape as a list of {kind: module,
+    "mult": n} entries (mult 1 when absent): the lifts, the document
+    itself when it holds one module, none when it is zero.
     """
 
     __slots__ = ("lifts", "sign", "upper_bound", "stated_inf_char")
@@ -88,33 +92,17 @@ class ThetaLift(_Record):
 
     @staticmethod
     def from_json(data: dict) -> "ThetaLift":
-        kw = {
-            "sign": data.get("sign"),
-            "upper_bound": bool(data.get("upper_bound", False)),
-            "stated_inf_char": (
-                Weight.from_json(data["inf_char"], "B3")
-                if "inf_char" in data else None
-            ),
-        }
-        if data.get("zero"):
-            return ThetaLift((), **kw)
-        if "sigma" in data:
-            return ThetaLift(
-                ((QuatModule.from_json(data["sigma"]).quotient(), 1),), **kw
-            )
-        if "A" in data:
-            return ThetaLift(
-                ((QuatModule.from_json(data["A"]), data.get("mult", 1)),),
-                **kw,
-            )
-        lifts = []
-        for entry in data["lifts"]:
-            if "sigma" in entry:
-                mod = QuatModule.from_json(entry["sigma"]).quotient()
-            else:
-                mod = QuatModule.from_json(entry["A"])
-            lifts.append((mod, entry.get("mult", 1)))
-        return ThetaLift(tuple(lifts), **kw)
+        entries = data.get("lifts", () if data.get("zero") else (data,))
+        lifts = tuple(
+            (QuatModule.from_json(e["sigma"]).quotient() if "sigma" in e
+             else QuatModule.from_json(e["A"]), e.get("mult", 1))
+            for e in entries
+        )
+        inf = data.get("inf_char")
+        return ThetaLift(
+            lifts, data.get("sign"), bool(data.get("upper_bound", False)),
+            None if inf is None else Weight.from_json(inf, "B3"),
+        )
 
 
 def _module_json(m: QuatModule) -> dict:

@@ -137,6 +137,11 @@ def test_aq_data_json_round_trip():
     assert AqData.from_json(d.to_json()) == d
     d2 = aq_data(AqCase("PU21", "II", (3, -4, 1)))
     assert AqData.from_json(d2.to_json()) == d2
+    for group in ("G2", "PU21"):
+        for cid in CASE_IDS:
+            d = aq_data(AqCase(group, cid, _case_lambda(group, cid, 3, 1)))
+            assert AqData.from_json(d.to_json()) == d
+            assert ("minimal_type_u2" in d.to_json()) == (group == "PU21")
 
 
 # (x, y) of the minimal type, closed forms per case

@@ -14,11 +14,19 @@ from hypothesis import strategies as st
 
 import quatheta
 from quatheta import cli, verify
-from quatheta.aqmodules import AqData
+from quatheta.aqmodules import AqCase, AqData, aq_data
 from quatheta.cli import main
-from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
+from quatheta.quaternionic import KTypeLedger, QuatModule, inf_char, ktypes
 from quatheta.rootdata import Weight, _SysData
-from quatheta.thetamaps import ThetaLift, theta_e6_u2
+from quatheta.thetamaps import (
+    ThetaLift,
+    theta_e6_torus,
+    theta_e6_u2,
+    theta_e7,
+    theta_e8_spin8,
+    theta_e8_spin9,
+    theta_f4,
+)
 
 
 # subprocesses import the same quatheta as this test run
@@ -155,6 +163,58 @@ def _readme_commands():
     return commands
 
 
+_THETA_MAPS = {
+    "torus": theta_e6_torus, "u2": theta_e6_u2, "type_": theta_e7,
+    "spin8": theta_e8_spin8, "spin9": theta_e8_spin9, "su2": theta_f4,
+}
+
+
+def _theta_of(args) -> ThetaLift:
+    dest, = (d for d in _THETA_MAPS if getattr(args, d) is not None)
+    value = getattr(args, dest)
+    params = value if isinstance(value, tuple) else (value,)
+    kw = {} if args.sign is None else {"sign": args.sign}
+    return _THETA_MAPS[dest](*params, **kw)
+
+
+def _module_of(args) -> QuatModule:
+    return QuatModule(args.g, args.wm, args.s, "sigma" if args.sigma else "A")
+
+
+def _aq_of(args) -> tuple:
+    case = AqCase(args.group.upper(), args.case, args.lam)
+    return case, aq_data(case)
+
+
+# the JSON-printing subcommands, each with the readers README names for
+# its document, the library call its argv stands for, and the writer:
+# decode(document), compute(argv namespace) and encode(record)
+_README_JSON = {
+    "theta": (ThetaLift.from_json, _theta_of, ThetaLift.to_json),
+    "ktypes": (
+        KTypeLedger.from_json,
+        lambda a: ktypes(_module_of(a), a.kmax),
+        KTypeLedger.to_json,
+    ),
+    "infchar": (
+        lambda d: (QuatModule.from_json(d["module"]),
+                   Weight.from_json(d["inf_char"], d["system"])),
+        lambda a: (_module_of(a), inf_char(_module_of(a))),
+        lambda r: {"module": r[0].to_json(), "system": r[1].system,
+                   "inf_char": r[1].to_json()},
+    ),
+    "aq": (
+        lambda d: (AqCase(d["case"]["group"], d["case"]["id"],
+                          d["case"]["lambda"]),
+                   AqData.from_json(d["data"])),
+        _aq_of,
+        lambda r: {"case": {"group": r[0].group, "id": r[0].case_id,
+                            "lambda": list(r[0].lam)},
+                   "data": r[1].to_json()},
+    ),
+}
+
+
 class TestReadmeExamples:
     @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
     def test_documented_command_runs(self, capsys, argv):
@@ -164,6 +224,21 @@ class TestReadmeExamples:
 
     def test_cli_block_is_found(self):
         assert len(_readme_commands()) >= 15
+        assert {argv[0] for argv in _readme_commands()} >= set(_README_JSON)
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in _readme_commands()
+                 if argv[0] in _README_JSON], ids=" ".join)
+    def test_documented_json_re_parses(self, capsys, argv):
+        # the record read back is the library's own, and writes the
+        # same bytes again
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        decode, compute, encode = _README_JSON[argv[0]]
+        record = decode(json.loads(out))
+        assert record == compute(cli.build_parser().parse_args(argv))
+        assert json.dumps(encode(record), sort_keys=True,
+                          ensure_ascii=False) + "\n" == out
 
     def test_theta_e6_u2(self, capsys):
         code, out, _ = run(capsys, "theta", "--ambient", "E6", "--u2", "2,1")

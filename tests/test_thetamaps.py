@@ -211,8 +211,14 @@ class TestThetaLiftJson:
         assert ThetaLift(()).to_json() == {"zero": True}
 
     def test_round_trip_all_shapes(self):
+        sigma = QuatModule("Spin(4,3)", ((0,), (1,)), 6, "sigma")
+        full = QuatModule("Spin(4,3)", ((1,), (0,)), 5, "A")
         lifts = [
             ThetaLift(()),
+            ThetaLift((), sign="-"),
+            # the general lifts shape, which no theta map returns
+            ThetaLift(((sigma, 2), (full, 1))),
+            ThetaLift(((sigma, 1),), upper_bound=True),
             theta_e6_u2(0, 0, sign="-"),
             theta_e6_torus(2, -1, -1),
             theta_e6_torus(0, 0, 0),
@@ -227,6 +233,7 @@ class TestThetaLiftJson:
             data = lift.to_json()
             back = ThetaLift.from_json(data)
             assert back.to_json() == data
+            assert back == lift
 
     def test_modules_and_inf_chars(self):
         lift = theta_e6_torus(0, 0, 0)
