@@ -21,9 +21,10 @@ subgroup-dominant weights are the w mu, for mu a dominant weight and w a
 minimal representative of a coset W_H w in W_G, and only those are
 stripped.  Decompositions are
 recovered by repeatedly stripping the dominant character of the top
-remaining dominant weight; an IsoDecomp keeps each highest weight as a
-doubled tuple and builds Irreps only when a caller reads .mults or
-.items().  Every path is integer-only: doubled
+remaining dominant weight; IsoDecomp(labels, twice_mults) keeps each
+highest weight as a doubled tuple and builds Irreps only when a caller
+reads .mults or .items() (IsoDecomp.from_json validates what it reads
+as Irreps).  Every path is integer-only: doubled
 coordinates throughout, with no Fraction intermediates.  Every root
 system, the E series included, is in scope; QUATHETA_DIM_CAP bounds the
 dimension of each irreducible computed.
@@ -171,44 +172,30 @@ class CharMultiset(_Record):
         return sum(self.mults.values())
 
 
-class IsoDecomp:
+class IsoDecomp(_Record):
     """Multiplicities of irreducibles in a completely reducible module.
 
-    Held as the factor labels and {concatenated doubled highest weight:
-    mult}; .mults and .items() build the Irreps each time they are read.
+    labels: the group's factor labels; twice_mults maps a concatenated
+    doubled highest weight to its positive multiplicity.  .mults and
+    .items() build the Irreps each time they are read.
     """
 
     __slots__ = ("labels", "twice_mults")
 
-    def __init__(self, mults: dict):
-        """From an {Irrep: mult} dict whose irreps share one group."""
-        groups = {r.labels for r in mults}
-        if len(groups) > 1:
-            raise ValueError("the irreps of a decomposition need one group")
-        self.labels = groups.pop() if groups else ()
-        self.twice_mults = {r.twice_concat(): m for r, m in mults.items()}
-
-    @classmethod
-    def _of_twice(cls, labels: tuple, twice_mults: dict) -> IsoDecomp:
-        dec = cls.__new__(cls)
-        dec.labels, dec.twice_mults = labels, twice_mults
-        return dec
+    def __init__(self, labels: tuple, twice_mults: dict):
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "twice_mults", twice_mults)
 
     @property
     def mults(self) -> dict:
-        return {_irrep_twice(self.labels, t): m
-                for t, m in self.twice_mults.items()}
+        return dict(self.items())
 
     def items(self):
         return [(_irrep_twice(self.labels, t), m)
                 for t, m in sorted(self.twice_mults.items())]
 
     def dimension(self) -> int:
-        # an empty decomposition has no group to look up
-        if not self.twice_mults:
-            return 0
-        label = _sys(self.labels).label
-        return sum(m * _dim_single(label, t)
+        return sum(m * _dim_single(_sys(self.labels).label, t)
                    for t, m in self.twice_mults.items())
 
     def to_json(self):
@@ -218,15 +205,17 @@ class IsoDecomp:
             out.append({"hw": hw[0] if len(hw) == 1 else hw, "mult": m})
         return out
 
-    def __eq__(self, other):
-        if not isinstance(other, IsoDecomp):
-            return NotImplemented
-        return self.twice_mults == other.twice_mults and (
-            self.labels == other.labels or not self.twice_mults
-        )
-
-    def __repr__(self):
-        return f"IsoDecomp({self.mults!r})"
+    @staticmethod
+    def from_json(data, labels: tuple) -> IsoDecomp:
+        """The decomposition to_json wrote, for the group of labels; each
+        entry is validated as an Irrep."""
+        twice_mults = {}
+        for entry in data:
+            # one-factor hws are written flat
+            hws = [entry["hw"]] if len(labels) == 1 else entry["hw"]
+            r = Irrep(labels, tuple(map(tuple, hws)))
+            twice_mults[r.twice_concat()] = entry["mult"]
+        return IsoDecomp(labels, twice_mults)
 
 
 def _irrep_twice(labels, t: tuple) -> Irrep:
@@ -477,7 +466,7 @@ def strip_dominant(c: CharMultiset) -> IsoDecomp:
     out, total = _strip_tops(d, rem)
     if total != sum(c.mults.values()):
         raise AssertionError("stripping left a residue with no dominant key")
-    return IsoDecomp._of_twice(c.labels, out)
+    return IsoDecomp(c.labels, out)
 
 
 def _strip_tops(d, rem: dict) -> tuple:
@@ -591,19 +580,18 @@ def embedding(name: str) -> EmbeddingMap:
 
 @lru_cache(maxsize=None)
 def _coset_walk(e: EmbeddingMap):
-    """The minimal representatives of the cosets W_H w in W_G for an
-    equal-rank embedding, or None when e is not equal rank.
+    """The walk through the minimal representatives w_0 = 1, w_1, ... of
+    the cosets W_H w in W_G for an equal-rank embedding, as steps, or
+    None when e is not equal rank.
 
-    Returns (words, steps).  words[k] is a reduced word (simple-reflection
-    indices, leftmost first) of the k-th representative w_k; these are
-    the w with w rho_G in the H-chamber, one per coset (Humphreys,
-    Reflection Groups and Coxeter Groups, 1.10).  They are found by a
-    gallery walk that never leaves the H-chamber: it is convex, so a
-    minimal gallery from the G-chamber to any G-chamber inside it stays
-    inside.  Crossing the i-th wall of the chamber of w goes to w s_i,
-    with w s_i rho = w rho - w(alpha_i).  steps[k - 1] = (j, i, w_j
-    alpha_i) records that w_k = w_j s_i, so for any mu,
-    w_k mu = w_j mu - <mu, alpha_i^vee> w_j alpha_i.
+    The representatives are the w with w rho_G in the H-chamber, one per
+    coset (Humphreys, Reflection Groups and Coxeter Groups, 1.10).  They
+    are found by a gallery walk that never leaves the H-chamber: it is
+    convex, so a minimal gallery from the G-chamber to any G-chamber
+    inside it stays inside.  Crossing the i-th wall of the chamber of w
+    goes to w s_i, with w s_i rho = w rho - w(alpha_i).  steps[k - 1] =
+    (j, i, w_j alpha_i), j < k, records that w_k = w_j s_i, so for any
+    mu, w_k mu = w_j mu - <mu, alpha_i^vee> w_j alpha_i.
     """
     g = _sys(e.source)
     if e.coords != tuple(range(g.dim)):
@@ -611,7 +599,7 @@ def _coset_walk(e: EmbeddingMap):
     h = _sys(e.targets)
     if not set(h.pos) <= set(g.pos):
         return None
-    words, steps = [()], []
+    steps = []
     layer = [(0, g.rho2, g.simple)]  # (index, w rho, w alpha_1..w alpha_r)
     seen = {g.rho2}
     while layer:
@@ -625,10 +613,9 @@ def _coset_walk(e: EmbeddingMap):
                 moved = tuple(tuple(x - c[i] * y for x, y in zip(im, img))
                               for im, c in zip(images, g.cartan))
                 steps.append((k, i, img))
-                words.append(words[k] + (i,))
-                nxt.append((len(words) - 1, u, moved))
+                nxt.append((len(steps), u, moved))
         layer = nxt
-    return tuple(words), tuple(steps)
+    return tuple(steps)
 
 
 def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
@@ -649,7 +636,7 @@ def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
         for u in set(points):
             rem[u] = rem.get(u, 0) + m
     out, _ = _strip_tops(_sys(e.targets), rem)
-    return IsoDecomp._of_twice(e.targets, out)
+    return IsoDecomp(e.targets, out)
 
 
 def _restrict_pushforward(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
@@ -677,11 +664,11 @@ def restrict(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
     """
     if not isinstance(r.group, str) or e.source != r.group:
         raise ValueError(f"embedding {e.name} does not start at {r.group}")
-    walk = _coset_walk(e)
-    if walk is None:
+    steps = _coset_walk(e)
+    if steps is None:
         dec = _restrict_pushforward(r, e)
     else:
-        dec = _restrict_cosets(r, e, walk[1])
+        dec = _restrict_cosets(r, e, steps)
     if dec.dimension() != weyl_dim(r):
         raise AssertionError("restriction lost dimension")
     return dec

@@ -219,7 +219,7 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
         size = comb(k + n - 1, k) * wdim
         if sum(m * dims[t] for t, m in twice.items()) != size:
             raise AssertionError(f"level {k} lost dimension")
-        out.append(IsoDecomp._of_twice(base.labels, twice))
+        out.append(IsoDecomp(base.labels, twice))
     return out
 
 
@@ -262,15 +262,10 @@ class KTypeLedger(_Record):
     def from_json(d: dict) -> "KTypeLedger":
         mod = QuatModule.from_json(d["module"])
         labels = mod.structure().m_factors
-        levels = []
-        for lv in d["levels"]:
-            mults = {}
-            for entry in lv["mtypes"]:
-                # one-factor hws are written flat
-                hws = [entry["hw"]] if len(labels) == 1 else entry["hw"]
-                mults[Irrep(labels, tuple(map(tuple, hws)))] = entry["mult"]
-            levels.append((lv["su0"], IsoDecomp(mults)))
-        return KTypeLedger(mod, tuple(levels))
+        return KTypeLedger(mod, tuple(
+            (lv["su0"], IsoDecomp.from_json(lv["mtypes"], labels))
+            for lv in d["levels"]
+        ))
 
 
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:

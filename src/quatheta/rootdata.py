@@ -276,7 +276,7 @@ class Weight(_Record):
 
     @staticmethod
     def from_json(data, system: str) -> "Weight":
-        return Weight(tuple(HalfInt.of(c) for c in data), system)
+        return Weight(data, system)
 
     def __repr__(self):
         return f"Weight({', '.join(str(c) for c in self.coords)}; {self.system})"

@@ -177,28 +177,30 @@ def _suite_oracle(max_entry=None):
 
 
 _APPENDIX_FAMILIES = (
-    ("Sp(2) -> Sp(1) x Sp(1)", "C2", "Sp2>Sp1xSp1", branch_sp, False, (0,)),
-    ("Sp(3) -> Sp(2) x Sp(1)", "C3", "Sp3>Sp2xSp1", branch_sp, False, (0,)),
+    ("Sp(2) -> Sp(1) x Sp(1)", "C2", "Sp2>Sp1xSp1", branch_sp),
+    ("Sp(3) -> Sp(2) x Sp(1)", "C3", "Sp3>Sp2xSp1", branch_sp),
     ("Spin(5) -> Spin(3) x Spin(2)", "B2", "Spin5>Spin3xSpin2",
-     branch_spin_odd, False, (0, 1)),
+     branch_spin_odd),
     ("Spin(7) -> Spin(5) x Spin(2)", "B3", "Spin7>Spin5xSpin2",
-     branch_spin_odd, False, (0, 1)),
+     branch_spin_odd),
     ("Spin(6) -> Spin(4) x Spin(2)", "D3", "Spin6>Spin4xSpin2",
-     branch_spin_even, True, (0, 1)),
+     branch_spin_even),
     ("Spin(8) -> Spin(6) x Spin(2)", "D4", "Spin8>Spin6xSpin2",
-     branch_spin_even, True, (0, 1)),
+     branch_spin_even),
 )
 
 
 def _suite_appendix(max_entry=None):
     bound = 2 if max_entry is None else int(max_entry)
-    for name, label, emb, rule, signed, parities in _APPENDIX_FAMILIES:
+    for name, label, emb, rule in _APPENDIX_FAMILIES:
+        # Sp(n) weights are integral; only D's last coordinate is signed
+        parities = (0,) if label[0] == "C" else (0, 1)
         same = [
             restrict(irrep(label, lam), embedding(emb)).twice_mults
             == _rule_twice_mults(rule(lam))
             for parity in parities
             for lam in (tuple(map(_half, t)) for t in _dominant_tuples(
-                2 * bound, int(label[1]), parity, signed))
+                2 * bound, int(label[1]), parity, label[0] == "D"))
         ]
         yield _each(
             f"{name} closed form equals oracle on {len(same)} dominant "

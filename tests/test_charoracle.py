@@ -27,23 +27,29 @@ def h(p):
     return HalfInt(p)
 
 
+def _dec(mults: dict) -> IsoDecomp:
+    """The IsoDecomp of a nonempty {Irrep: mult} dict."""
+    labels = next(iter(mults)).labels
+    return IsoDecomp(labels, {r.twice_concat(): m for r, m in mults.items()})
+
+
 class TestIrrep:
     def test_single_factor(self):
         r = irrep("B3", (1, 1, 0))
         assert r.labels == ("B3",)
         assert r.twice_concat() == (2, 2, 0)
-        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == [1, 1, 0]
+        assert _dec({r: 1}).to_json()[0]["hw"] == [1, 1, 0]
 
     def test_spinor_coordinates(self):
         r = irrep("B3", (h(1), h(1), h(1)))
         assert r.twice_concat() == (1, 1, 1)
-        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == ["1/2"] * 3
+        assert _dec({r: 1}).to_json()[0]["hw"] == ["1/2"] * 3
 
     def test_product_group(self):
         r = irrep(("C1", "C1"), (1,), (2,))
         assert r.labels == ("C1", "C1")
         assert r.twice_concat() == (2, 4)
-        assert IsoDecomp({r: 1}).to_json()[0]["hw"] == [[1], [2]]
+        assert _dec({r: 1}).to_json()[0]["hw"] == [[1], [2]]
         assert weyl_dim(r) == 6
 
     def test_single_tuple_convenience(self):
@@ -246,23 +252,25 @@ def _assert_same_decomposition(a, b):
     {irrep(("C1", "C2"), (1,), (1, 0)): 3, irrep(("C1", "C2"), (0,), (1, 1)): 1},
 ], ids=["c1", "b3-spinor", "c1xc2"])
 def test_iso_decomp_constructions_agree(want):
-    # from an Irrep-keyed dict (as KTypeLedger.from_json builds one) and
-    # from stripping the matching character
+    # from doubled highest weights, from JSON (as KTypeLedger.from_json
+    # reads a level) and from stripping the matching character
     acc = {}
     for r, m in want.items():
         for t, v in char_weights(r).mults.items():
             acc[t] = acc.get(t, 0) + m * v
     labels = next(iter(want)).labels
     stripped = strip_dominant(CharMultiset(labels, acc))
-    _assert_same_decomposition(IsoDecomp(want), stripped)
+    _assert_same_decomposition(_dec(want), stripped)
+    data = _dec(want).to_json()
+    _assert_same_decomposition(IsoDecomp.from_json(data, labels), stripped)
     assert stripped.mults == want
     assert stripped.dimension() == sum(m * weyl_dim(r) for r, m in want.items())
-    assert IsoDecomp({}) == strip_dominant(CharMultiset(labels, {}))
+    assert IsoDecomp(labels, {}) == strip_dominant(CharMultiset(labels, {}))
 
 
 def test_empty_decomposition_needs_no_root_data():
     before = _sys.cache_info()
-    dec = IsoDecomp({})
+    dec = IsoDecomp(("C1",), {})
     assert dec.to_json() == []
     assert dec.dimension() == 0
     assert dec.mults == {}
@@ -272,16 +280,23 @@ def test_empty_decomposition_needs_no_root_data():
 
 
 def test_iso_decomp_inequality():
-    a = IsoDecomp({irrep("C1", (1,)): 1})
-    assert a != IsoDecomp({irrep("C1", (1,)): 2})
-    assert a != IsoDecomp({irrep("C1", (2,)): 1})
-    assert a != IsoDecomp({irrep("B1", (1,)): 1})  # same doubled tuple
+    a = _dec({irrep("C1", (1,)): 1})
+    assert a != _dec({irrep("C1", (1,)): 2})
+    assert a != _dec({irrep("C1", (2,)): 1})
+    assert a != _dec({irrep("B1", (1,)): 1})  # same doubled tuple
     assert a != {irrep("C1", (1,)): 1}
+    # labels are a field: empty decompositions of two groups differ
+    assert IsoDecomp(("C1",), {}) != IsoDecomp(("B1",), {})
 
 
-def test_iso_decomp_refuses_mixed_groups():
+@pytest.mark.parametrize("data,labels", [
+    ([{"hw": [0, 1, 0], "mult": 1}], ("B3",)),  # not dominant
+    ([{"hw": [1, "1/2", "1/2"], "mult": 1}], ("B3",)),  # mixed parity
+    ([{"hw": [[1]], "mult": 1}], ("C1", "C1")),  # one factor's hw of two
+], ids=["non-dominant", "off-lattice", "factor-count"])
+def test_iso_decomp_from_json_validates_each_entry(data, labels):
     with pytest.raises(ValueError):
-        IsoDecomp({irrep("C1", (1,)): 1, irrep("B1", (1,)): 1})
+        IsoDecomp.from_json(data, labels)
 
 
 @pytest.mark.parametrize("mults,message", [
@@ -394,8 +409,8 @@ _COSET_COUNTS = {
 
 class TestCosetPath:
     def test_path_choice(self):
-        counts = {name: None if (w := charoracle._coset_walk(e)) is None
-                  else len(w[0]) for name, e in EMBEDDINGS.items()}
+        counts = {name: None if (s := charoracle._coset_walk(e)) is None
+                  else len(s) + 1 for name, e in EMBEDDINGS.items()}
         assert counts == {**_COSET_COUNTS, "Spin8>Spin7": None}
         assert list(counts.values()) == [2, 3, 4, 6, 6, 8, 2, None, 3]
         assert sum(_COSET_COUNTS.values()) == 34
@@ -436,7 +451,12 @@ class TestCosetPath:
     def test_words_are_reduced_and_land_in_the_subgroup_chamber(self, name):
         e = embedding(name)
         g = _sys(e.source)
-        words, steps = charoracle._coset_walk(e)
+        steps = charoracle._coset_walk(e)
+        # w_k = w_j s_i for each step (j, i, _), w_0 the identity
+        words = [()]
+        for j, i, _ in steps:
+            assert j < len(words)
+            words.append(words[j] + (i,))
         assert words[0] == () and len(steps) == len(words) - 1
         points = set()
         for word in words:

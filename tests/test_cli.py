@@ -679,7 +679,14 @@ class TestKtypesCommand:
         assert (code, err) == (0, "")
         path = os.path.join(os.path.dirname(__file__), "golden", name)
         with open(path) as f:
-            assert out == f.read()
+            golden = f.read()
+        assert out == golden
+        # the golden decodes to the library's ledger and re-encodes to
+        # the same bytes
+        back = KTypeLedger.from_json(json.loads(golden))
+        assert back == ktypes(QuatModule(g, cli._wm(wm), 4), kmax)
+        assert json.dumps(back.to_json(), sort_keys=True,
+                          ensure_ascii=False) + "\n" == golden
 
 
 class TestErrorsReachTheUserAsOneLine:

@@ -1,4 +1,4 @@
-"""The contract of the package's 13 frozen value records: construction
+"""The contract of the package's 14 frozen value records: construction
 by position, keyword and default, no assignment or deletion, class-exact
 equality with equal hashes, the dataclass-style repr, and round trips
 through copy.deepcopy and pickle."""
@@ -9,12 +9,15 @@ from fractions import Fraction
 
 import pytest
 
+import quatheta
 from quatheta.aqmodules import AqCase, AqData, ThetaUnitaryResult, aq_data
 from quatheta.branchrules import Spin2Module
-from quatheta.charoracle import CharMultiset, EmbeddingMap, Irrep, embedding
+from quatheta.charoracle import (
+    CharMultiset, EmbeddingMap, Irrep, IsoDecomp, embedding,
+)
 from quatheta.quaternionic import KTypeLedger, QuatModule, ktypes
 from quatheta.rootdata import (
-    HalfInt, QuaternionicStructure, Weight, quaternionic_structure,
+    HalfInt, QuaternionicStructure, Weight, _Record, quaternionic_structure,
 )
 from quatheta.thetamaps import ThetaLift
 
@@ -32,6 +35,7 @@ def _examples():
                for f in QuaternionicStructure._fields})),
         (Irrep, lambda: Irrep(("C1", "C1"), ((1,), (2,)))),
         (CharMultiset, lambda: CharMultiset(("C1",), {(1,): 1, (-1,): 1})),
+        (IsoDecomp, lambda: IsoDecomp(("C1", "C1"), {(2, 4): 1, (0, 0): 3})),
         (EmbeddingMap, lambda: EmbeddingMap(
             "Spin9>Spin8", "B4", ("D4",), (0, 1, 2, 3))),
         (Spin2Module, lambda: Spin2Module(((-1, 2), (1, 2)))),
@@ -47,11 +51,20 @@ def _examples():
 
 _IDS = [cls.__name__ for cls, _ in _examples()]
 # a dict or an IsoDecomp field makes the record unhashable, as before
-_UNHASHABLE = {CharMultiset, KTypeLedger}
+_UNHASHABLE = {CharMultiset, IsoDecomp, KTypeLedger}
 
 
-def test_thirteen_records():
-    assert len({cls for cls, _ in _examples()}) == 13
+def test_fourteen_records():
+    assert len({cls for cls, _ in _examples()}) == 14
+
+
+def test_every_exported_value_class_is_a_record():
+    exported = {
+        obj for obj in map(quatheta.__dict__.get, quatheta.__all__)
+        if isinstance(obj, type) and not issubclass(obj, Exception)
+    }
+    assert all(issubclass(cls, _Record) for cls in exported)
+    assert exported == {cls for cls, _ in _examples()}
 
 
 @pytest.mark.parametrize("cls, make", _examples(), ids=_IDS)
@@ -179,6 +192,9 @@ def test_pinned_reprs():
     )
     assert repr(CharMultiset(("C1",), {(1,): 1})) == (
         "CharMultiset(labels=('C1',), mults={(1,): 1})"
+    )
+    assert repr(IsoDecomp(("C1", "C1"), {(2, 4): 1})) == (
+        "IsoDecomp(labels=('C1', 'C1'), twice_mults={(2, 4): 1})"
     )
     assert repr(embedding("Spin9>Spin8")) == (
         "EmbeddingMap(name='Spin9>Spin8', source='B4', targets=('D4',), "
