@@ -76,11 +76,6 @@ def _check_dim(dim: int, cap: int) -> None:
         raise OracleCapError(f"dim {dim} exceeds oracle cap {cap}")
 
 
-def _check_cap(r: Irrep) -> None:
-    cap = dim_cap()
-    _check_dim(weyl_dim(r), cap)
-
-
 def _as_tuple(x):
     return x if isinstance(x, tuple) else (x,)
 
@@ -113,8 +108,7 @@ class Irrep(_Record):
             if not d.in_chamber(t):
                 raise ValueError(f"{w!r} is not dominant for {lab}")
             if not d.is_integral(t):
-                why = ("it must lie in the sum-zero plane"
-                       if d.sum_zero and sum(t)
+                why = (f"it must lie in {d.span}" if d.off_span(t)
                        else "its simple-coroot pairings must be integers")
                 raise ValueError(
                     f"{w!r} is not in the weight lattice of {lab}: {why}"
@@ -207,14 +201,33 @@ class IsoDecomp(_Record):
 
     @staticmethod
     def from_json(data, labels: tuple) -> IsoDecomp:
-        """The decomposition to_json wrote, for the group of labels; each
-        entry is validated as an Irrep."""
+        """The decomposition to_json wrote, for the group of labels.
+
+        Each entry must be {"hw": ..., "mult": m}, m a positive int, with
+        an hw not read before that is valid as an Irrep: a list of
+        coordinates, or for a product one such list per factor.
+        Anything else raises ValueError naming the entry.
+        """
         twice_mults = {}
         for entry in data:
+            m = entry.get("mult") if isinstance(entry, dict) else None
+            if type(m) is not int or m < 1 or entry.keys() != {"hw", "mult"}:
+                raise ValueError(
+                    f"entry {entry!r} needs an hw and a positive integer mult"
+                )
             # one-factor hws are written flat
             hws = [entry["hw"]] if len(labels) == 1 else entry["hw"]
-            r = Irrep(labels, tuple(map(tuple, hws)))
-            twice_mults[r.twice_concat()] = entry["mult"]
+            if not (isinstance(hws, list)
+                    and all(isinstance(hw, list) for hw in hws)):
+                raise ValueError(
+                    f"entry {entry!r}: hw must be a list per factor")
+            try:
+                t = Irrep(labels, tuple(map(tuple, hws))).twice_concat()
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"entry {entry!r}: {exc}") from None
+            if t in twice_mults:
+                raise ValueError(f"entry {entry!r} repeats a highest weight")
+            twice_mults[t] = m
         return IsoDecomp(labels, twice_mults)
 
 
@@ -423,7 +436,7 @@ def _product(factors) -> dict:
 def char_weights(r: Irrep) -> CharMultiset:
     """Weight multiset of an irrep (or product irrep), refused above
     dim_cap()."""
-    _check_cap(r)
+    _check_dim(weyl_dim(r), dim_cap())
     mults = _product(
         _char_single(lab, w.twice()) for lab, w in zip(r.labels, r.hws)
     )
@@ -621,8 +634,10 @@ def _coset_walk(e: EmbeddingMap):
 def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
     """Equal-rank restriction: the H-dominant weights of the restriction
     are the distinct w mu, w a coset representative, over the dominant
-    weights mu of r; strip them.  No orbit is walked."""
-    _check_cap(r)
+    weights mu of r; strip them.  No orbit is walked.  r is refused above
+    dim_cap() first, and the stripped total must be r's dimension."""
+    dim = weyl_dim(r)
+    _check_dim(dim, dim_cap())
     g = _sys(e.source)
     simple = tuple(zip(g.simple, g.simple_norm))
     rem = {}
@@ -635,7 +650,9 @@ def _restrict_cosets(r: Irrep, e: EmbeddingMap, steps: tuple) -> IsoDecomp:
             points.append(tuple(x - c * y for x, y in zip(v, img)) if c else v)
         for u in set(points):
             rem[u] = rem.get(u, 0) + m
-    out, _ = _strip_tops(_sys(e.targets), rem)
+    out, total = _strip_tops(_sys(e.targets), rem)
+    if total != dim:
+        raise AssertionError("restriction lost dimension")
     return IsoDecomp(e.targets, out)
 
 
@@ -657,18 +674,14 @@ def restrict(r: Irrep, e: EmbeddingMap) -> IsoDecomp:
     An equal-rank embedding strips only the H-dominant points of each
     dominant weight's orbit, found through the minimal representatives
     of the cosets W_H w in W_G; no weight multiset is built, so
-    strip_dominant's Weyl-invariance and mass checks do not apply there.
-    A projection (Spin8>Spin7) pushes the full weight multiset forward
-    and strips it.  Either way r is refused above dim_cap() before any
-    work, and the result must have r's dimension.
+    _restrict_cosets checks the stripped total against r's dimension.  A
+    projection (Spin8>Spin7) pushes the full weight multiset, whose mass
+    is r's dimension, forward and strips it: strip_dominant's mass check
+    is the same check.  Either way r is refused above dim_cap() first.
     """
     if not isinstance(r.group, str) or e.source != r.group:
         raise ValueError(f"embedding {e.name} does not start at {r.group}")
     steps = _coset_walk(e)
     if steps is None:
-        dec = _restrict_pushforward(r, e)
-    else:
-        dec = _restrict_cosets(r, e, steps)
-    if dec.dimension() != weyl_dim(r):
-        raise AssertionError("restriction lost dimension")
-    return dec
+        return _restrict_pushforward(r, e)
+    return _restrict_cosets(r, e, steps)

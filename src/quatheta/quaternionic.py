@@ -35,7 +35,6 @@ from .charoracle import (
     CharMultiset,
     Irrep,
     IsoDecomp,
-    _check_cap,
     _check_dim,
     _dim_single,
     char_weights,
@@ -153,9 +152,9 @@ def sym_power(vm: Irrep, k: int) -> IsoDecomp:
     return strip_dominant(chain[k])
 
 
-def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
+def _sym_levels(vm: Irrep, w: Irrep, kmax: int) -> list:
     """Decompositions of S^0(V) (x) W, ..., S^kmax(V) (x) W, for V the
-    module with character base, with no level's weights built.
+    irreducible vm, with no level's weights built.
 
     Let p_j be the character of V with every weight scaled by j (an
     Adams operation).  Newton's identity k h_k = sum_(j=1..k) p_j h_(k-j)
@@ -165,27 +164,35 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
     p_j: each weight nu of V, of multiplicity m, adds sign * m to the
     irreducible dom(lambda + j nu + rho) - rho, and nothing when
     lambda + j nu + rho is singular.  One sign_and_chamber call on the
-    root data of base's group answers both: the classical families and
+    root data of vm's group answers both: the classical families and
     the SU(2) factors read the sign from the chamber's closed forms, a
     product multiplies its factors' signs, and G2, F4 and E count the
     positive roots pairing negatively.  Levels are held shifted by rho,
     and those answers are memoized for the call.
 
-    Every level is checked as it is made: the division by k is exact
-    with a positive quotient, each irreducible is within dim_cap() (the
-    first refused is the one of greatest rho-pairing, as stripping
-    would refuse it), and the dimensions add up to C(k+n-1, k) dim W,
-    n = dim V.
+    V, W and each level's Cartan component (highest weight k vm + w,
+    once in its level) are checked against dim_cap() first, so a ledger
+    refused there costs no level product.  Every level is then checked
+    as it is made: the division by k is exact with a positive quotient,
+    each irreducible is within dim_cap() (the first refused is the one
+    of greatest rho-pairing, as stripping would refuse it), and the
+    dimensions add up to C(k+n-1, k) dim W, n = dim V.
     """
-    d = _sys(base.labels)
-    rho2 = d.rho2
-    n, wdim, cap = base.mass(), weyl_dim(w), dim_cap()
+    base = char_weights(vm)  # refuses V above the cap
+    d = _sys(vm.labels)
+    rho2, cap = d.rho2, dim_cap()
+    n, wdim = base.mass(), weyl_dim(w)
+    _check_dim(wdim, cap)
+    vm2, w2 = vm.twice_concat(), w.twice_concat()
+    for k in range(1, kmax + 1):
+        t = tuple(k * a + b for a, b in zip(vm2, w2))
+        _check_dim(_dim_single(d.label, t), cap)
     memo = {}  # lambda + j nu + rho -> (sign, dominant image), or 0
     adams = [  # adams[j - 1] holds the weights of p_j
         [(tuple(j * x for x in nu), m) for nu, m in base.mults.items()]
         for j in range(1, kmax + 1)
     ]
-    shifted = [{_add(w.twice_concat(), rho2): 1}]
+    shifted = [{_add(w2, rho2): 1}]
     out = []
     for k in range(kmax + 1):
         if k:
@@ -219,7 +226,7 @@ def _sym_levels(base: CharMultiset, w: Irrep, kmax: int) -> list:
         size = comb(k + n - 1, k) * wdim
         if sum(m * dims[t] for t, m in twice.items()) != size:
             raise AssertionError(f"level {k} lost dimension")
-        out.append(IsoDecomp(base.labels, twice))
+        out.append(IsoDecomp(vm.labels, twice))
     return out
 
 
@@ -260,36 +267,28 @@ class KTypeLedger(_Record):
 
     @staticmethod
     def from_json(d: dict) -> "KTypeLedger":
+        """The ledger to_json wrote; a level without su0 or mtypes, or a
+        malformed M-type entry, raises ValueError naming it."""
         mod = QuatModule.from_json(d["module"])
         labels = mod.structure().m_factors
-        return KTypeLedger(mod, tuple(
-            (lv["su0"], IsoDecomp.from_json(lv["mtypes"], labels))
-            for lv in d["levels"]
-        ))
+        levels = []
+        for lv in d["levels"]:
+            if not isinstance(lv, dict) or not lv.keys() >= {"su0", "mtypes"}:
+                raise ValueError(f"level {lv!r} needs the keys su0 and mtypes")
+            levels.append(
+                (lv["su0"], IsoDecomp.from_json(lv["mtypes"], labels))
+            )
+        return KTypeLedger(mod, tuple(levels))
 
 
 def ktypes(m: QuatModule, kmax: int) -> KTypeLedger:
-    """K-type ledger of A(G, W[s]) up to level kmax.
-
-    V_M, W and each level's Cartan component, the irreducible of
-    highest weight k vm + w that occurs once in S^k(V_M) (x) W, are
-    checked against dim_cap() before any level is computed, so a ledger
-    refused there costs no level product; _sym_levels checks every other
-    irreducible as its level is made.
-    """
+    """K-type ledger of A(G, W[s]) up to level kmax; _sym_levels makes
+    the levels and does every check against dim_cap()."""
     if kmax < 0:
         raise ValueError("need kmax >= 0")
-    vm, w = _vm_irrep(m.structure()), m.m_irrep()
-    base = char_weights(vm)
-    _check_cap(w)
-    label, cap = _sys(vm.labels).label, dim_cap()
-    vm2, w2 = vm.twice_concat(), w.twice_concat()
-    for k in range(1, kmax + 1):
-        t = tuple(k * a + b for a, b in zip(vm2, w2))
-        _check_dim(_dim_single(label, t), cap)
+    levels = _sym_levels(_vm_irrep(m.structure()), m.m_irrep(), kmax)
     return KTypeLedger(m, tuple(
-        (m.s + k - 2, dec)
-        for k, dec in enumerate(_sym_levels(base, w, kmax))
+        (m.s + k - 2, dec) for k, dec in enumerate(levels)
     ))
 
 

@@ -21,7 +21,8 @@ Supported system labels:
     C1 C2 C3             sp(n), ambient dimension n
     D2 D3 D4 D6          so(2n), ambient dimension n
     G2                   ambient dimension 3 (coordinates sum to zero)
-    F4 E6 E7 E8          ambient dimensions 4, 8, 8, 8
+    F4 E6 E7 E8          ambient dimensions 4, 8, 8, 8 (E7 in x7 + x8 = 0,
+                         E6 in x6 = x7 = -x8)
     Spin2                one-dimensional torus, no roots
 
 Only the simple roots are written down (_SIMPLE, in the coordinates of
@@ -38,7 +39,8 @@ the package rely on this realisation (rho = (2,1,-3)).
 The root-data kernels behind the character oracle are integer-only, on
 doubled coordinates: simple reflections divide with divmod, and the
 weight lattice is "every simple-coroot pairing is an integer" (for G2,
-inside the sum-zero plane).  Dominant representatives are closed forms
+E6 and E7, inside the span of the roots; A_n keeps the GL(n+1) weights
+off it).  Dominant representatives are closed forms
 (sorting and signed permutations) for the classical groups and G2; F4
 and the E series take the closed form of a classical parabolic
 subsystem plus reflections in one simple root.  Every Weyl orbit is
@@ -343,6 +345,17 @@ _SIMPLE = {
     "Spin2": (1, ()),
 }
 
+# label -> (its name, integer normals) of the span of the roots, for the
+# labels whose weights must lie in it (Bourbaki's Plates V, VI; G2 as
+# realised above).  A_n keeps the weights of GL(n+1), off its sum-zero
+# plane: E6_4's V_M is (1,1,1,0,0,0) for A5.
+_SPANS = {
+    "G2": ("the sum-zero plane", ((1, 1, 1),)),
+    "E6": ("the root span x6 = x7 = -x8",
+           ((0, 0, 0, 0, 0, 1, -1, 0), (0, 0, 0, 0, 0, 0, 1, 1))),
+    "E7": ("the root span x7 + x8 = 0", ((0, 0, 0, 0, 0, 0, 1, 1),)),
+}
+
 
 def _positive_roots(simple, norms) -> dict:
     """{positive root: its simple-coroot pairings}: the closure of the
@@ -388,13 +401,14 @@ class _SysData:
     sign_and_chamber reads it as it reads one label.  parts lists
     (record, start, stop) per factor for those two, the record None for
     a one-coordinate rank-one factor (B1, C1), which they answer inline;
-    a B1 or C1 record is one such part, any other label none.  sum_zero
-    lists the slices whose coordinates must sum to zero for a weight of
-    the lattice: G2 lives in the sum-zero plane of its ambient space."""
+    a B1 or C1 record is one such part, any other label none.  normals
+    are integer vectors orthogonal to the roots that a weight of the
+    lattice must be orthogonal to as well (_SPANS; a product's padded per
+    factor), and span names where a one-label record's weights lie."""
 
     __slots__ = (
         "label", "dim", "rank", "simple", "pos", "rho2", "simple_norm",
-        "pairing", "cartan", "spans", "sum_zero", "parts",
+        "pairing", "cartan", "spans", "normals", "span", "parts",
     )
 
     def __init__(self, label):
@@ -404,15 +418,17 @@ class _SysData:
             # below is the factors' positive roots, each in its slice
             factors = tuple(map(_sys, label))
             dim = sum(d.dim for d in factors)
-            spans, simple, sum_zero, a = [], [], [], 0
+            spans, simple, normals, a = [], [], [], 0
             for lab, d in zip(label, factors):
                 b = a + d.dim
                 spans.append((lab, a, b))
-                simple += ((0,) * a + r + (0,) * (dim - b) for r in d.simple)
-                sum_zero += ((a + x, a + y) for x, y in d.sum_zero)
+                left, right = (0,) * a, (0,) * (dim - b)
+                simple += (left + r + right for r in d.simple)
+                normals += (left + r + right for r in d.normals)
                 a = b
             simple = tuple(simple)
-            self.spans, self.sum_zero = tuple(spans), tuple(sum_zero)
+            self.spans, self.normals = tuple(spans), tuple(normals)
+            self.span = None
             self.parts = tuple(
                 (None if d.dim == 1 and d.rank else d, a, b)
                 for d, (_, a, b) in zip(factors, spans)
@@ -420,7 +436,7 @@ class _SysData:
         elif label in _SIMPLE:
             dim, simple = _SIMPLE[label]
             self.spans = ((label, 0, dim),)
-            self.sum_zero = ((0, dim),) if label == "G2" else ()
+            self.span, self.normals = _SPANS.get(label, (None, ()))
             self.parts = ((None, 0, 1),) if dim == 1 and simple else ()
         else:
             raise ValueError(f"unsupported root system label {label!r}")
@@ -446,12 +462,18 @@ class _SysData:
 
     def is_integral(self, tvec) -> bool:
         """True iff the vector lies in the weight lattice: every
-        simple-coroot pairing 2<w,a>/<a,a> is an integer, and each
-        sum_zero slice sums to zero."""
+        simple-coroot pairing 2<w,a>/<a,a> is an integer, and the vector
+        lies in the span of the roots where _SPANS requires it (G2, E6,
+        E7, and those factors of a product).  A_n is not so restricted:
+        its weights are those of GL(n+1)."""
         return all(
             2 * _dot(tvec, a) % n == 0
             for a, n in zip(self.simple, self.simple_norm)
-        ) and not any(sum(tvec[a:b]) for a, b in self.sum_zero)
+        ) and not self.off_span(tvec)
+
+    def off_span(self, tvec) -> bool:
+        """True iff the vector leaves the span that _SPANS requires."""
+        return any(_dot(tvec, n) for n in self.normals)
 
     def reflect_simple(self, tvec, i: int):
         a = self.simple[i]
@@ -514,7 +536,7 @@ class _SysData:
         one: v is singular iff <v, alpha> = 0 for some positive root, and
         the sign is det w = (-1)^l(w) for the w with w v dominant.
 
-        The classical families read both off dominant_twice's closed
+        The classical families read the sign off dominant_twice's closed
         forms, with no positive root visited.  W(A) permutes, so the sign
         is that of the permutation sorting v downward, and v is singular
         iff two entries tie.  W(B) = W(C) permutes and changes signs: the
@@ -525,7 +547,8 @@ class _SysData:
         factor (B1, C1), alone or in a product, is answered inline: the
         sign of its coordinate, singular at 0.  A product multiplies its
         factors' signs.  G2, F4, E and Spin2 count the positive roots
-        that pair negatively with v (l(w) counts them).
+        that pair negatively with v (l(w) counts them).  Every record but
+        a product takes the chamber from dominant_twice.
         """
         if self.parts:
             sign, top = 1, []
@@ -547,27 +570,23 @@ class _SysData:
         fam = self.label[0]
         if fam == "A":
             sign = _sort_sign(v)
-            return (sign, tuple(sorted(v, reverse=True))) if sign else None
-        if fam in ("B", "C", "D"):
+        elif fam in ("B", "C", "D"):
             mags = tuple(map(abs, v))
             sign = _sort_sign(mags)
-            if not sign:
-                return None
-            if fam == "D":
-                return sign, tuple(_d_chamber(v, reverse=True))
-            if 0 in mags:
-                return None
-            if sum(1 for x in v if x < 0) % 2:
-                sign = -sign
-            return sign, tuple(sorted(mags, reverse=True))
-        sign = 1
-        for a in self.pos:
-            p = _dot(v, a)
-            if not p:
-                return None
-            if p < 0:
-                sign = -sign
-        return sign, self.dominant_twice(v)
+            if fam != "D" and sign:
+                if 0 in mags:
+                    return None
+                if sum(1 for x in v if x < 0) % 2:
+                    sign = -sign
+        else:
+            sign = 1
+            for a in self.pos:
+                p = _dot(v, a)
+                if not p:
+                    return None
+                if p < 0:
+                    sign = -sign
+        return (sign, self.dominant_twice(v)) if sign else None
 
     def orbit(self, dom, max_size: int) -> list:
         """Weyl orbit of a dominant doubled vector (in the weight lattice),
@@ -670,19 +689,20 @@ def dominant_representative(w: Weight) -> Weight:
     """The dominant Weyl-chamber representative of the orbit of w.
 
     Classical families use the signed-permutation normal form and G2
-    sorts up to sign, which is a Weyl action only on the sum-zero plane:
-    a G2 weight off it raises ValueError.  F4 and the E series apply the
-    closed form of a classical parabolic subsystem and reflect in the
-    one remaining simple root until it pairs non-negatively; that
-    reflection requires w to be in the weight lattice (integral simple
-    pairings) and raises ValueError otherwise.
+    sorts up to sign, which is a Weyl action only on the sum-zero plane.
+    F4 and the E series apply the closed form of a classical parabolic
+    subsystem and reflect in the one remaining simple root until it
+    pairs non-negatively; that reflection requires w to be in the weight
+    lattice (integral simple pairings) and raises ValueError otherwise.
+    A G2, E6 or E7 weight off the span of the roots (is_integral's span
+    rule) raises ValueError.
     """
     d = _sys(w.system)
     t = w.twice()
-    if any(sum(t[a:b]) for a, b in d.sum_zero):
+    if d.off_span(t):
         raise ValueError(
             f"{w!r} has no dominant representative for {w.system}: "
-            "it must lie in the sum-zero plane"
+            f"it must lie in {d.span}"
         )
     return Weight.from_twice(d.dominant_twice(t), w.system)
 

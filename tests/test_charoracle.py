@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import prod
 
 import pytest
@@ -20,6 +21,7 @@ from quatheta.charoracle import (
     strip_dominant,
     weyl_dim,
 )
+from quatheta.quaternionic import KTypeLedger
 from quatheta.rootdata import HalfInt, Weight, _dot, _sys
 
 
@@ -85,6 +87,26 @@ class TestIrrep:
             irrep("G2", hw)
         with pytest.raises(ValueError, match="sum-zero plane"):
             strip_dominant(CharMultiset(("G2",), {t: 1}))
+
+    @pytest.mark.parametrize("label,hw,span", [
+        ("E7", (0, 0, 0, 0, 0, 0, 1, 1), "x7 + x8 = 0"),
+        ("E6", (0, 0, 0, 0, 0, 1, 0, 1), "x6 = x7 = -x8"),
+    ])
+    def test_rejects_e_weight_off_the_root_span(self, label, hw, span):
+        # every simple-coroot pairing is 0, so the chamber and the
+        # pairings pass: only the span of the roots refuses the weight
+        d = _sys(label)
+        t = tuple(2 * x for x in hw)
+        assert all(_dot(t, a) == 0 for a in d.simple)
+        assert not d.is_integral(t)
+        message = (f"not in the weight lattice of {label}: "
+                   f"it must lie in the root span {span}")
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            irrep(label, *hw)
+        with pytest.raises(ValueError, match="root span"):
+            strip_dominant(CharMultiset((label,), {t: 1}))
+        # a product pads the span's normals into the factor's slice
+        assert not _sys(("C1", label)).is_integral((0,) + t)
 
     def test_accepts_half_integral_lattice_weights(self):
         assert weyl_dim(irrep("A2", (h(1), h(1), h(-1)))) == 3
@@ -289,14 +311,41 @@ def test_iso_decomp_inequality():
     assert IsoDecomp(("C1",), {}) != IsoDecomp(("B1",), {})
 
 
+def _ledger(level: dict) -> dict:
+    """A G2_2 ledger document whose one level is level."""
+    module = {"G": "G2_2", "wm": [[0]], "s": 4, "quotient": False}
+    return {"module": module, "levels": [level]}
+
+
 @pytest.mark.parametrize("data,labels", [
     ([{"hw": [0, 1, 0], "mult": 1}], ("B3",)),  # not dominant
     ([{"hw": [1, "1/2", "1/2"], "mult": 1}], ("B3",)),  # mixed parity
     ([{"hw": [[1]], "mult": 1}], ("C1", "C1")),  # one factor's hw of two
-], ids=["non-dominant", "off-lattice", "factor-count"])
+    ([{"hw": [1], "mult": 1}], ("C1", "C1")),
+    ([{"mult": 1}], ("C1",)),
+    ([{"hw": [1]}], ("C1",)),
+    ([{"hw": [1], "mult": 0}], ("C1",)),
+    ([{"hw": [1], "mult": -2}], ("C1",)),
+    ([{"hw": [1], "mult": "2"}], ("C1",)),
+    ([{"hw": [1], "mult": True}], ("C1",)),
+    ([{"hw": [1], "mult": 1.0}], ("C1",)),
+    ([{"hw": "12", "mult": 1}], ("C1",)),
+    ([{"hw": [1.5], "mult": 1}], ("C1",)),
+    ([{"hw": [1], "mult": 1}, {"hw": [1], "mult": 2}], ("C1",)),
+    (_ledger({"k": 0, "su0": 2}), None),
+], ids=["non-dominant", "off-lattice", "factor-count", "flat-product-hw",
+        "no-hw", "no-mult", "mult-0", "mult-negative", "mult-str",
+        "mult-bool", "mult-float", "hw-str", "hw-float", "repeated-hw",
+        "ledger-level-without-mtypes"])
 def test_iso_decomp_from_json_validates_each_entry(data, labels):
-    with pytest.raises(ValueError):
-        IsoDecomp.from_json(data, labels)
+    # every refusal is a ValueError naming the offending entry; labels
+    # None reads data as a ledger, whose levels hold the entries
+    if labels is None:
+        with pytest.raises(ValueError, match="^level "):
+            KTypeLedger.from_json(data)
+    else:
+        with pytest.raises(ValueError, match="^entry "):
+            IsoDecomp.from_json(data, labels)
 
 
 @pytest.mark.parametrize("mults,message", [
@@ -486,6 +535,24 @@ class TestCosetPath:
             want = charoracle._restrict_pushforward(r, e)
             assert got == want, t
             assert got.labels == want.labels == e.targets
+
+    def test_checks_the_stripped_dimension(self, monkeypatch):
+        # one more zero weight in the source's character: the stripped
+        # irreducibles then account for one dimension more than r has
+        r, e = irrep("C2", (2, 0)), embedding("Sp2>Sp1xSp1")
+        thw = r.twice_concat()
+        full = charoracle._dominant_char
+
+        def padded(label, t):
+            dom = full(label, t)
+            if (label, t) != (e.source, thw):
+                return dom
+            return {**dom, (0, 0): dom[(0, 0)] + 1}
+
+        monkeypatch.setattr(charoracle, "_dominant_char", padded)
+        with pytest.raises(AssertionError,
+                           match="^restriction lost dimension$"):
+            restrict(r, e)
 
     @pytest.mark.parametrize("name,hw", [
         ("F4>B4", (1, 0, 0, 0)),

@@ -623,6 +623,16 @@ class TestKtypesCommand:
         assert out == ""
         assert err == "error: dim 24320 exceeds oracle cap 20000\n"
 
+    def test_e8_4_refuses_an_m_type_off_the_root_span(self, capsys):
+        # every simple-coroot pairing of (0,...,0,1/2,1/2) is 0, but E7's
+        # roots span x7 + x8 = 0: the weight is no M-type
+        code, out, err = run(capsys, "ktypes", "--g", "E8_4", "--wm",
+                             "0,0,0,0,0,0,1/2,1/2", "--s", "4", "--kmax", "1")
+        assert (code, out) == (1, "")
+        assert err == ("error: Weight(0, 0, 0, 0, 0, 0, 1/2, 1/2; E7) is not "
+                       "in the weight lattice of E7: it must lie in the root "
+                       "span x7 + x8 = 0\n")
+
     def test_cap_is_checked_before_any_level(self, capsys, monkeypatch):
         # level 3's Cartan component is refused before any level product
         # runs: every level past W takes the Klimyk kernel

@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -122,6 +123,8 @@ class TestHalfInt:
 
     def test_comparisons_and_hash(self):
         assert HalfInt(1) < 1 < HalfInt(3)
+        assert HalfInt(1) <= HalfInt(1) <= 1 and not HalfInt(3) <= 1
+        assert HalfInt(3) >= HalfInt(3) >= 1 and not HalfInt(1) >= 1
         assert hash(HalfInt.of(2)) == hash(2)
         assert hash(HalfInt(3)) == hash(Fraction(3, 2))
         assert len({HalfInt.of(2), 2, Fraction(2)}) == 1
@@ -697,6 +700,20 @@ def test_dominant_representative_refuses_g2_off_the_plane():
     # on the plane but off the lattice, (3/2, -5/2, 1) still sorts
     w = Weight.from_twice((3, -5, 2), "G2")
     assert dominant_representative(w).twice() == (3, 2, -5)
+
+
+@pytest.mark.parametrize("label,coords,span", [
+    ("E7", (0, 0, 0, 0, 0, 0, 1, 1), "x7 + x8 = 0"),
+    ("E6", (0, 0, 0, 0, 0, 1, 0, 1), "x6 = x7 = -x8"),
+])
+def test_dominant_representative_refuses_e_weights_off_the_root_span(
+        label, coords, span):
+    w = Weight(coords, label)
+    message = f"it must lie in the root span {span}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        dominant_representative(w)
+    # on the span, the highest root is its own representative
+    assert dominant_representative(highest_root(label)) == highest_root(label)
 
 
 @pytest.mark.parametrize("label", ["B3", "C3", "D4", "G2", "F4"])
