@@ -248,8 +248,6 @@ def cone_contains(case: AqCase, query_xy) -> bool:
     except ValueError:
         return False
     delta = _sub(q, data.minimal_type_abc)
-    if sum(delta) != 0:
-        return False
     gens = data.u_cap_p_weights
     phi = _positive_functional(case.group, gens)
 

@@ -251,8 +251,6 @@ def _dim_single(label, thw: tuple) -> int:
     callers pass the record's own label, so that a one-label tuple and
     its label share entries."""
     d = _sys(label)
-    if d.rank == 0:
-        return 1
     lam_rho = _add(thw, d.rho2)
     num = den = 1
     for a in d.pos:

@@ -96,8 +96,19 @@ class QuatModule(_Record):
 
     @staticmethod
     def from_json(d: dict) -> "QuatModule":
+        """The module to_json wrote; "quotient" is optional, and a
+        missing G, wm or s raises ValueError naming it."""
+        _check_keys(d, "module", ("G", "wm", "s"))
         kind = "sigma" if d.get("quotient") else "A"
         return QuatModule(d["G"], d["wm"], d["s"], kind)
+
+
+def _check_keys(d, what: str, keys: tuple):
+    """Refuse a JSON document that is not an object holding every key,
+    with a ValueError naming the first key it lacks."""
+    for key in keys:
+        if not isinstance(d, dict) or key not in d:
+            raise ValueError(f"{what} {d!r} needs the key {key!r}")
 
 
 def minimal_type(m: QuatModule) -> tuple:
@@ -267,17 +278,22 @@ class KTypeLedger(_Record):
 
     @staticmethod
     def from_json(d: dict) -> "KTypeLedger":
-        """The ledger to_json wrote; a level without su0 or mtypes, or a
-        malformed M-type entry, raises ValueError naming it."""
+        """The ledger to_json wrote.  A missing module or levels, a level
+        without su0 or mtypes, a level k whose su0 is not s+k-2 or whose
+        "k" (optional) is not k, or a malformed M-type entry raises
+        ValueError naming it."""
+        _check_keys(d, "ledger", ("module", "levels"))
         mod = QuatModule.from_json(d["module"])
         labels = mod.structure().m_factors
         levels = []
-        for lv in d["levels"]:
-            if not isinstance(lv, dict) or not lv.keys() >= {"su0", "mtypes"}:
-                raise ValueError(f"level {lv!r} needs the keys su0 and mtypes")
-            levels.append(
-                (lv["su0"], IsoDecomp.from_json(lv["mtypes"], labels))
-            )
+        for k, lv in enumerate(d["levels"]):
+            _check_keys(lv, "level", ("su0", "mtypes"))
+            su0 = mod.s + k - 2
+            if not all(type(x) is int and x == want
+                       for x, want in ((lv["su0"], su0), (lv.get("k", k), k))):
+                raise ValueError(f"level {lv!r} is not level {k}: "
+                                 f"it needs k {k} and su0 {su0}")
+            levels.append((su0, IsoDecomp.from_json(lv["mtypes"], labels)))
         return KTypeLedger(mod, tuple(levels))
 
 

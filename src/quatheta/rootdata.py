@@ -793,7 +793,12 @@ _QUAT_ROWS = {
 
 
 @lru_cache(maxsize=None)
-def _quat_structure(g_label: str) -> QuaternionicStructure:
+def quaternionic_structure(g_label: str) -> QuaternionicStructure:
+    """g_label's row of _QUAT_ROWS as a record, alpha0 the negated highest
+    root; an unknown label raises ValueError on every call, since
+    lru_cache caches no exception."""
+    if g_label not in _QUAT_ROWS:
+        raise ValueError(f"no quaternionic structure for {g_label!r}")
     system, m_label, m_factors, vm_hw, vm_dim, k_label, m_simple_coords = (
         _QUAT_ROWS[g_label]
     )
@@ -802,10 +807,3 @@ def _quat_structure(g_label: str) -> QuaternionicStructure:
         g_label, system, m_label, m_factors, vm_hw, vm_dim, alpha0, k_label,
         m_simple_coords,
     )
-
-
-def quaternionic_structure(g_label: str) -> QuaternionicStructure:
-    try:
-        return _quat_structure(g_label)
-    except KeyError:
-        raise ValueError(f"no quaternionic structure for {g_label!r}") from None

@@ -329,19 +329,6 @@ def infchar_crosscheck(which: str, params) -> bool:
 # see-saw truncation
 
 
-def _ktype_multiset(module: QuatModule, nmax: int, acc: dict, mult: int = 1):
-    """Accumulate {su0_label: {M-irrep: mult}} for levels with SU_0(2)
-    label <= nmax."""
-    kmax = nmax - (module.s - 2)
-    if kmax < 0:
-        return
-    ledger = ktypes(module, kmax)
-    for su0, dec in ledger:
-        bucket = acc.setdefault(su0, {})
-        for key, m in dec.twice_mults.items():
-            bucket[key] = bucket.get(key, 0) + m * mult
-
-
 def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     """Truncated see-saw identity for the rank-8 pair.
 
@@ -364,7 +351,16 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
     if (tb - td) % 2:
         raise ValueError("b and d must be congruent mod 1")
     copies = (tb - td) // 2 + 1
-    lhs: dict = {}
+    ledgers: dict = {}  # each module's ledger up to label nmax, built once
+
+    def add(side: dict, mod: QuatModule, mult: int):
+        if mod not in ledgers:
+            ledgers[mod] = ktypes(mod, nmax - (mod.s - 2))
+        for su0, dec in ledgers[mod]:
+            for key, m in dec.twice_mults.items():
+                side[su0, key] = side.get((su0, key), 0) + m * mult
+
+    lhs: dict = {}  # {(SU_0(2) label, M-type): mult}
     rhs: dict = {}
     for ta in itertools.count(tb, 2):
         s = 10 + (ta + tb) // 2
@@ -373,15 +369,7 @@ def seesaw_truncation_check(b, d, nmax: int) -> tuple:
         for tc in range(td, tb + 1, 2):
             lift = theta_e8_spin9(*map(_half, (ta, tb, tc, td)))
             for mod, mult in lift.lifts:
-                _ktype_multiset(mod, nmax, lhs, mult)
-        rhs_mod = QuatModule(
-            "Spin(4,3)", (((ta - tb) // 2,), (td,)), s, "A"
-        )
-        _ktype_multiset(rhs_mod, nmax, rhs, copies)
-    compared = {
-        (su0, key)
-        for side in (lhs, rhs)
-        for su0, bucket in side.items()
-        for key in bucket
-    }
-    return lhs == rhs, len(compared)
+                add(lhs, mod, mult)
+        add(rhs, QuatModule("Spin(4,3)", (((ta - tb) // 2,), (td,)), s),
+            copies)
+    return lhs == rhs, len(lhs.keys() | rhs.keys())

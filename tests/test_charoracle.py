@@ -311,41 +311,78 @@ def test_iso_decomp_inequality():
     assert IsoDecomp(("C1",), {}) != IsoDecomp(("B1",), {})
 
 
-def _ledger(level: dict) -> dict:
-    """A G2_2 ledger document whose one level is level."""
-    module = {"G": "G2_2", "wm": [[0]], "s": 4, "quotient": False}
-    return {"module": module, "levels": [level]}
+def _ledger(level: dict, **module) -> dict:
+    """A G2_2 ledger document whose one level is level; module's items
+    replace the module document's (None drops the key)."""
+    doc = {"G": "G2_2", "wm": [[0]], "s": 4, "quotient": False, **module}
+    doc = {k: v for k, v in doc.items() if v is not None}
+    return {"module": doc, "levels": [level]}
 
 
-@pytest.mark.parametrize("data,labels", [
-    ([{"hw": [0, 1, 0], "mult": 1}], ("B3",)),  # not dominant
-    ([{"hw": [1, "1/2", "1/2"], "mult": 1}], ("B3",)),  # mixed parity
-    ([{"hw": [[1]], "mult": 1}], ("C1", "C1")),  # one factor's hw of two
-    ([{"hw": [1], "mult": 1}], ("C1", "C1")),
-    ([{"mult": 1}], ("C1",)),
-    ([{"hw": [1]}], ("C1",)),
-    ([{"hw": [1], "mult": 0}], ("C1",)),
-    ([{"hw": [1], "mult": -2}], ("C1",)),
-    ([{"hw": [1], "mult": "2"}], ("C1",)),
-    ([{"hw": [1], "mult": True}], ("C1",)),
-    ([{"hw": [1], "mult": 1.0}], ("C1",)),
-    ([{"hw": "12", "mult": 1}], ("C1",)),
-    ([{"hw": [1.5], "mult": 1}], ("C1",)),
-    ([{"hw": [1], "mult": 1}, {"hw": [1], "mult": 2}], ("C1",)),
-    (_ledger({"k": 0, "su0": 2}), None),
+_LEVEL = {"k": 0, "su0": 2, "mtypes": [{"hw": [0], "mult": 1}]}
+
+
+@pytest.mark.parametrize("data,labels,match", [
+    ([{"hw": [0, 1, 0], "mult": 1}], ("B3",), "^entry "),  # not dominant
+    ([{"hw": [1, "1/2", "1/2"], "mult": 1}], ("B3",), "^entry "),  # parity
+    ([{"hw": [[1]], "mult": 1}], ("C1", "C1"), "^entry "),  # one hw of two
+    ([{"hw": [1], "mult": 1}], ("C1", "C1"), "^entry "),
+    ([{"mult": 1}], ("C1",), "^entry "),
+    ([{"hw": [1]}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": 0}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": -2}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": "2"}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": True}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": 1.0}], ("C1",), "^entry "),
+    ([{"hw": "12", "mult": 1}], ("C1",), "^entry "),
+    ([{"hw": [1.5], "mult": 1}], ("C1",), "^entry "),
+    ([{"hw": [1], "mult": 1}, {"hw": [1], "mult": 2}], ("C1",), "^entry "),
+    (_ledger({"k": 0, "su0": 2}), None, "^level .* needs the key 'mtypes'$"),
+    ({}, None, r"^ledger \{\} needs the key 'module'$"),
+    ({"module": _ledger(_LEVEL)["module"]}, None,
+     "^ledger .* needs the key 'levels'$"),
+    (_ledger(_LEVEL, G=None), None, "^module .* needs the key 'G'$"),
+    (_ledger(_LEVEL, wm=None), None, "^module .* needs the key 'wm'$"),
+    (_ledger(_LEVEL, s=None), None, "^module .* needs the key 's'$"),
+    ({"module": "G2_2", "levels": []}, None, "^module 'G2_2' needs the key"),
+    (_ledger({"k": 0, "su0": "x", "mtypes": []}), None,
+     "^level .* is not level 0: it needs k 0 and su0 2$"),
+    (_ledger({"k": 0, "su0": 99, "mtypes": []}, s=3), None,
+     "^level .* is not level 0: it needs k 0 and su0 1$"),
+    (_ledger({"k": 0, "su0": True, "mtypes": []}, s=3), None,
+     "^level .* is not level 0"),
+    (_ledger({"k": 1, "su0": 2, "mtypes": []}), None,
+     "^level .* is not level 0"),
+    (_ledger({"k": "0", "su0": 2, "mtypes": []}), None,
+     "^level .* is not level 0"),
 ], ids=["non-dominant", "off-lattice", "factor-count", "flat-product-hw",
         "no-hw", "no-mult", "mult-0", "mult-negative", "mult-str",
         "mult-bool", "mult-float", "hw-str", "hw-float", "repeated-hw",
-        "ledger-level-without-mtypes"])
-def test_iso_decomp_from_json_validates_each_entry(data, labels):
-    # every refusal is a ValueError naming the offending entry; labels
-    # None reads data as a ledger, whose levels hold the entries
+        "ledger-level-without-mtypes", "ledger-empty",
+        "ledger-without-levels", "module-without-G", "module-without-wm",
+        "module-without-s", "module-not-an-object", "level-su0-str",
+        "level-su0-off-position", "level-su0-bool", "level-k-off-position",
+        "level-k-str"])
+def test_iso_decomp_from_json_validates_each_entry(data, labels, match):
+    # every refusal is a ValueError naming the offending entry, level,
+    # module or ledger; labels None reads data as a ledger, whose levels
+    # hold the entries
     if labels is None:
-        with pytest.raises(ValueError, match="^level "):
+        with pytest.raises(ValueError, match=match):
             KTypeLedger.from_json(data)
     else:
-        with pytest.raises(ValueError, match="^entry "):
+        with pytest.raises(ValueError, match=match):
             IsoDecomp.from_json(data, labels)
+
+
+def test_ledger_from_json_needs_neither_k_nor_quotient():
+    # "quotient" is absent from the module documents inside ThetaLift
+    # JSON, and a level's position is its k
+    level = {k: v for k, v in _LEVEL.items() if k != "k"}
+    back = KTypeLedger.from_json(_ledger(level, quotient=None))
+    assert back.module.kind == "A"
+    assert [su0 for su0, _ in back] == [2]
+    assert back.to_json() == _ledger(_LEVEL)
 
 
 @pytest.mark.parametrize("mults,message", [

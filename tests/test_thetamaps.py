@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quatheta.quaternionic import QuatModule, inf_char
+from quatheta import thetamaps
+from quatheta.quaternionic import QuatModule, inf_char, ktypes
 from quatheta.rootdata import HalfInt, Weight, _sys, dominant_representative
 from quatheta.thetamaps import (
     ThetaLift,
@@ -16,6 +17,7 @@ from quatheta.thetamaps import (
     theta_e8_spin9,
     theta_f4,
 )
+from quatheta.verify import _suite_seesaw
 
 
 def h(p):
@@ -356,3 +358,22 @@ class TestSeesaw:
     def test_low_truncation_compares_nothing(self):
         # the lowest outer label on either side is 8 + a + b
         assert seesaw_truncation_check(1, 0, 8) == (True, 0)
+
+    def test_each_module_ledger_is_built_once(self, monkeypatch):
+        # every lift over c in [d, b] is the right side's module
+        built = []
+
+        def spy(mod, kmax):
+            built.append(mod)
+            return ktypes(mod, kmax)
+
+        monkeypatch.setattr(thetamaps, "ktypes", spy)
+        assert seesaw_truncation_check(HalfInt(4), HalfInt(0), 16)[0]
+        assert built and len(built) == len(set(built))
+
+    def test_suite_pairs_at_outer_label_24(self):
+        # (sides equal, K-types compared) in _suite_seesaw's order
+        assert [(ok, n) for _, n, ok in _suite_seesaw(24)] == [
+            (True, 725), (True, 508), (True, 575), (True, 340),
+            (True, 391), (True, 437), (True, 612), (True, 420),
+        ]
