@@ -8,12 +8,16 @@ restriction of F4 irreps to Spin(9).
 
 The three two-step rules walk exactly the two-step interlacing mu, depth
 first (_interlacing_boxes), and share one character per mu: the product
-of the boxes B(z1-z2), B(z3-z4), ... of the merged chain z, convolved as
-integer counts along the walk.  They differ only in the last factor:
-Sp(1) takes one more box and reads its constituents off the palindromic
-counts by first differences; Spin(2n+1) convolves A(z_{2n-1}); Spin(2n)
-takes the counts as they are and reaches the negative signs by reversing
-them.
+of the boxes B(z1-z2), B(z3-z4), ... of the merged chain z.  The walk
+hands each mu its box widths as a sorted tuple, and a rule's value
+depends on mu only through them, its lowest weight and its last factor;
+each rule reads that value from a cache keyed by this signature, so the
+integer counts of a product of boxes are convolved once per distinct
+signature and the frozen Spin2Modules are shared between keys and
+calls.  The rules differ only in the last factor: Sp(1) takes one more
+box and reads its constituents off the palindromic counts by first
+differences; Spin(2n+1) convolves A(z_{2n-1}); Spin(2n) takes the counts
+as they are and reaches the negative signs by reversing them.
 
 Conventions: SU(2) representations are labeled by their integer highest
 weight m (dimension m+1); Spin(2) weights are half-integers.  Branching
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from functools import lru_cache, reduce
 
 from .rootdata import HalfInt, Weight, _Record, _as_int, _half
 
@@ -103,7 +108,7 @@ def _dominant_tuples(tbound: int, length: int, parity: int, signed_last: bool):
 
 
 def _interlacing_boxes(lam: tuple, parity: int) -> list:
-    """(key, last, low, counts) for each mu that two-step interlaces lam,
+    """(key, last, low, widths) for each mu that two-step interlaces lam,
     on doubled coordinates of the given parity; lam's last entry must be
     nonnegative.  key is mu as a HalfInt tuple, last its doubled last
     entry.
@@ -111,27 +116,31 @@ def _interlacing_boxes(lam: tuple, parity: int) -> list:
     mu is walked depth first over exactly the interlacing: mu_i runs
     from lam_(i+2) (0 past the end) up to U_i = min(lam_i, mu_(i-1)),
     U_0 = lam_0, so no mu is rejected.  Box i spans [L_i, U_i] with
-    L_i = max(lam_(i+1), mu_i); counts is the product of the boxes
-    B(U_i - L_i) on the lattice of step 4 (doubled), convolved once per
-    node so that a prefix's boxes and key entries serve its whole
-    subtree.  low is sum(lam) + sum(mu) - 2 sum(U_i), the lowest weight
-    of that product centered at sum(lam) + sum(mu) - sum(L_i + U_i)."""
+    L_i = max(lam_(i+1), mu_i); widths is the sorted tuple of the box
+    widths (U_i - L_i)/2 + 1 other than 1, so that mu with the same
+    multiset of boxes get the same tuple (a product of boxes does not
+    depend on their order).  The product of the boxes B(U_i - L_i) on
+    the lattice of step 4 (doubled), reduce(_box, widths, [1]), is
+    centered at sum(lam) + sum(mu) - sum(L_i + U_i); low is
+    sum(lam) + sum(mu) - 2 sum(U_i), its lowest weight.  A prefix's
+    widths and key entries serve its whole subtree."""
     n = len(lam)
     lows = lam[2:] + (0,)
     out = []
 
-    def walk(i, key, cap, low, counts):
+    def walk(i, key, cap, low, widths):
         hi = min(lam[i], cap)
         nxt = lam[i + 1]
         for m in _steps(lows[i], hi, parity):
             width = (hi - max(nxt, m)) // 2 + 1
-            boxed = counts if width == 1 else _box(counts, width)
+            boxed = widths if width == 1 else widths + (width,)
             if i < n - 2:
                 walk(i + 1, key + (_half(m),), m, low + m - 2 * hi, boxed)
             else:
-                out.append((key + (_half(m),), m, low + m - 2 * hi, boxed))
+                out.append((key + (_half(m),), m, low + m - 2 * hi,
+                            tuple(sorted(boxed))))
 
-    walk(0, (), lam[0], sum(lam), [1])
+    walk(0, (), lam[0], sum(lam), ())
     return out
 
 
@@ -160,15 +169,26 @@ def branch_sp(lam) -> dict:
     ) or lam[-1] < 0:
         raise ValueError("lam must be a dominant integer Sp(n) weight")
     out = {}
-    for key, last, _, counts in _interlacing_boxes(lam, 0):
-        counts = _box(counts, min(lam[-1], last) // 2 + 1)
-        top = len(counts) - 1
-        half = counts[:top // 2 + 1]
-        out[key] = {
-            top - 2 * j: c
-            for j, c in enumerate(map(operator.sub, half, [0] + half)) if c
-        }
+    for key, last, _, widths in _interlacing_boxes(lam, 0):
+        width = min(lam[-1], last) // 2 + 1
+        if width > 1:
+            widths = tuple(sorted(widths + (width,)))
+        out[key] = dict(_sp_items(widths))
     return out
+
+
+@lru_cache(maxsize=None)
+def _sp_items(widths: tuple) -> tuple:
+    """The (su2 weight, mult) items of branch_sp's value for the boxes of
+    widths, the last one included; branch_sp copies them into a dict
+    per key, so no mutable value is shared."""
+    counts = reduce(_box, widths, [1])
+    top = len(counts) - 1
+    half = counts[:top // 2 + 1]
+    return tuple(
+        (top - 2 * j, c)
+        for j, c in enumerate(map(operator.sub, half, [0] + half)) if c
+    )
 
 
 def _spin_parity(lam: tuple) -> int:
@@ -193,16 +213,24 @@ def branch_spin_odd(lam) -> dict:
         raise ValueError("need rank >= 2")
     if any(lam[i] < lam[i + 1] for i in range(n - 1)) or lam[-1] < 0:
         raise ValueError("lam must be dominant")
-    out = {}
-    for key, last, low, counts in _interlacing_boxes(lam, _spin_parity(lam)):
-        z = min(lam[-1], last)
-        spread = [0] * (2 * len(counts) - 1)
-        spread[::2] = counts
-        weights = itertools.count(low - 2 * z, 2)
-        out[key] = Spin2Module(tuple(
-            (t, c) for t, c in zip(weights, _box(spread, z + 1)) if c
-        ))
-    return out
+    return {
+        key: _odd_module(low, widths, min(lam[-1], last))
+        for key, last, low, widths in _interlacing_boxes(
+            lam, _spin_parity(lam))
+    }
+
+
+@lru_cache(maxsize=None)
+def _odd_module(low: int, widths: tuple, z: int) -> Spin2Module:
+    """branch_spin_odd's module for the boxes of widths with lowest
+    weight low, convolved with A(z), z doubled."""
+    counts = reduce(_box, widths, [1])
+    spread = [0] * (2 * len(counts) - 1)
+    spread[::2] = counts
+    weights = itertools.count(low - 2 * z, 2)
+    return Spin2Module(tuple(
+        (t, c) for t, c in zip(weights, _box(spread, z + 1)) if c
+    ))
 
 
 def branch_spin_even(lam) -> dict:
@@ -237,19 +265,26 @@ def branch_spin_even(lam) -> dict:
     parity = _spin_parity(lam)
     flip = lam[-1] < 0
     out = {}
-    for key, last, low, counts in _interlacing_boxes(
+    for key, last, low, widths in _interlacing_boxes(
         lam[:-1] + (abs(lam[-1]),), parity
     ):
-        top = low + 4 * (len(counts) - 1)
-        pos = tuple(zip(range(low, top + 1, 4), counts))
-        if last or flip:
-            neg = tuple(zip(range(-top, -low + 1, 4), counts))
-            if flip:
-                pos, neg = neg, pos
-        out[key] = Spin2Module(pos)
+        pos, neg = _even_modules(low, widths)
+        if flip:
+            pos, neg = neg, pos
+        out[key] = pos
         if last:
-            out[key[:-1] + (_half(-last),)] = Spin2Module(neg)
+            out[key[:-1] + (_half(-last),)] = neg
     return out
+
+
+@lru_cache(maxsize=None)
+def _even_modules(low: int, widths: tuple) -> tuple:
+    """(module, negated module) of branch_spin_even for the boxes of
+    widths with lowest weight low."""
+    counts = reduce(_box, widths, [1])
+    top = low + 4 * (len(counts) - 1)
+    return (Spin2Module(tuple(zip(range(low, top + 1, 4), counts))),
+            Spin2Module(tuple(zip(range(-top, -low + 1, 4), counts))))
 
 
 # ---------------------------------------------------------------------------

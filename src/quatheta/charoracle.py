@@ -193,9 +193,12 @@ class IsoDecomp(_Record):
                    for t, m in self.twice_mults.items())
 
     def to_json(self):
+        if not self.twice_mults:  # reads no root data
+            return []
+        spans = _sys(self.labels).spans
         out = []
         for t, m in sorted(self.twice_mults.items()):
-            hw = [_twice_json(t[a:b]) for _, a, b in _sys(self.labels).spans]
+            hw = [_twice_json(t[a:b]) for _, a, b in spans]
             out.append({"hw": hw[0] if len(hw) == 1 else hw, "mult": m})
         return out
 

@@ -278,12 +278,14 @@ class KTypeLedger(_Record):
 
     @staticmethod
     def from_json(d: dict) -> "KTypeLedger":
-        """The ledger to_json wrote.  A missing module or levels, a level
-        without su0 or mtypes, a level k whose su0 is not s+k-2 or whose
-        "k" (optional) is not k, or a malformed M-type entry raises
-        ValueError naming it."""
+        """The ledger to_json wrote.  A missing module or levels, levels
+        that are not a nonempty list, a level without su0 or mtypes, a
+        level k whose su0 is not s+k-2 or whose "k" (optional) is not k,
+        or a malformed M-type entry raises ValueError naming it."""
         _check_keys(d, "ledger", ("module", "levels"))
         mod = QuatModule.from_json(d["module"])
+        if not (isinstance(d["levels"], list) and d["levels"]):
+            raise ValueError(f"ledger {d!r} needs a nonempty list of levels")
         labels = mod.structure().m_factors
         levels = []
         for k, lv in enumerate(d["levels"]):

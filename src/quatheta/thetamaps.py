@@ -32,7 +32,10 @@ class ThetaLift(_Record):
 
     from_json reads each JSON shape as a list of {kind: module,
     "mult": n} entries (mult 1 when absent): the lifts, the document
-    itself when it holds one module, none when it is zero.
+    itself when it holds one module, none when it is zero.  A document
+    that is not an object, lifts that are not a list, or an entry
+    without an "A" or "sigma" module or whose mult is not a positive
+    int raises ValueError naming it.
     """
 
     __slots__ = ("lifts", "sign", "upper_bound", "stated_inf_char")
@@ -92,17 +95,28 @@ class ThetaLift(_Record):
 
     @staticmethod
     def from_json(data: dict) -> "ThetaLift":
-        entries = data.get("lifts", () if data.get("zero") else (data,))
-        lifts = tuple(
-            (QuatModule.from_json(e["sigma"]).quotient() if "sigma" in e
-             else QuatModule.from_json(e["A"]), e.get("mult", 1))
-            for e in entries
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"lift {data!r} must be an object")
+        entries = data.get("lifts", [] if data.get("zero") else [data])
+        if not isinstance(entries, list):
+            raise ValueError(f"lift {data!r}: lifts must be a list")
         inf = data.get("inf_char")
         return ThetaLift(
-            lifts, data.get("sign"), bool(data.get("upper_bound", False)),
+            tuple(map(_lift_entry, entries)), data.get("sign"),
+            bool(data.get("upper_bound", False)),
             None if inf is None else Weight.from_json(inf, "B3"),
         )
+
+
+def _lift_entry(e) -> tuple:
+    """(module, mult) of one entry of ThetaLift JSON."""
+    mult = e.get("mult", 1) if isinstance(e, dict) else None
+    if type(mult) is not int or mult < 1 or not e.keys() & {"A", "sigma"}:
+        raise ValueError(f"lift entry {e!r} needs an A or sigma module "
+                         "and a positive integer mult")
+    if "sigma" in e:
+        return QuatModule.from_json(e["sigma"]).quotient(), mult
+    return QuatModule.from_json(e["A"]), mult
 
 
 def _module_json(m: QuatModule) -> dict:

@@ -9,6 +9,9 @@ from quatheta.branchrules import (
     _box,
     _cg3,
     _dominant_tuples,
+    _even_modules,
+    _odd_module,
+    _sp_items,
     _steps,
     branch_sp,
     branch_spin_even,
@@ -373,6 +376,55 @@ def test_a_product_of_boxes_is_a_palindrome():
         pal = half + half[-2::-1]
         boxed = _box(pal, rng.randint(1, 6))
         assert boxed == boxed[::-1]
+
+
+def test_branch_sp_values_share_no_state():
+    # (3, 1) reads two of its values from signatures that (2, 1) put in
+    # the cache; mutating every dict of (2, 1)'s table, including one of
+    # two equal values in it, reaches no other value
+    _sp_items.cache_clear()
+    table = branch_sp((2, 1))
+    assert table[(0,)] == table[(2,)] and table[(0,)] is not table[(2,)]
+    table[(0,)][1] = 7
+    assert table[(2,)] == {1: 1}
+    for cg in table.values():
+        cg.clear()
+    hits = _sp_items.cache_info().hits
+    got = [(tuple(c.twice for c in mu), cg)
+           for mu, cg in branch_sp((3, 1)).items()]
+    assert _sp_items.cache_info().hits == hits + 2
+    assert got == list(_branch_sp_reference((6, 2)).items())
+
+
+@pytest.mark.parametrize("rule, reference, n, parities, signed", [
+    (branch_sp, _branch_sp_reference, 2, (0,), False),
+    (branch_sp, _branch_sp_reference, 3, (0,), False),
+    (branch_spin_odd, _branch_spin_odd_reference, 2, (0, 1), False),
+    (branch_spin_odd, _branch_spin_odd_reference, 3, (0, 1), False),
+    (branch_spin_even, _branch_spin_even_reference, 3, (0, 1), True),
+    (branch_spin_even, _branch_spin_even_reference, 4, (0, 1), True),
+])
+def test_cached_values_do_not_depend_on_call_order(
+    rule, reference, n, parities, signed
+):
+    # every dominant lam with doubled entries <= 8, built from empty
+    # caches in ascending and then in descending order: both runs give
+    # the enumerate-and-reject tables, order included
+    lams = sorted(t for p in parities
+                  for t in _dominant_tuples(8, n, p, signed))
+    want = {t: list(reference(t).items()) for t in lams}
+
+    def tables(order):
+        for memo in (_sp_items, _odd_module, _even_modules):
+            memo.cache_clear()
+        return {t: [(tuple(c.twice for c in mu),
+                     v.entries if isinstance(v, Spin2Module) else v)
+                    for mu, v in rule(tuple(map(_half, t))).items()]
+                for t in order}
+
+    assert len(want) > 10
+    assert tables(lams) == want
+    assert tables(lams[::-1]) == want
 
 
 def test_branch_preserves_dimension():

@@ -345,6 +345,10 @@ _LEVEL = {"k": 0, "su0": 2, "mtypes": [{"hw": [0], "mult": 1}]}
     (_ledger(_LEVEL, wm=None), None, "^module .* needs the key 'wm'$"),
     (_ledger(_LEVEL, s=None), None, "^module .* needs the key 's'$"),
     ({"module": "G2_2", "levels": []}, None, "^module 'G2_2' needs the key"),
+    ({**_ledger(_LEVEL), "levels": 5}, None,
+     "^ledger .* needs a nonempty list of levels$"),
+    ({**_ledger(_LEVEL), "levels": []}, None,
+     "^ledger .* needs a nonempty list of levels$"),
     (_ledger({"k": 0, "su0": "x", "mtypes": []}), None,
      "^level .* is not level 0: it needs k 0 and su0 2$"),
     (_ledger({"k": 0, "su0": 99, "mtypes": []}, s=3), None,
@@ -360,7 +364,8 @@ _LEVEL = {"k": 0, "su0": 2, "mtypes": [{"hw": [0], "mult": 1}]}
         "mult-bool", "mult-float", "hw-str", "hw-float", "repeated-hw",
         "ledger-level-without-mtypes", "ledger-empty",
         "ledger-without-levels", "module-without-G", "module-without-wm",
-        "module-without-s", "module-not-an-object", "level-su0-str",
+        "module-without-s", "module-not-an-object", "levels-int",
+        "levels-empty", "level-su0-str",
         "level-su0-off-position", "level-su0-bool", "level-k-off-position",
         "level-k-str"])
 def test_iso_decomp_from_json_validates_each_entry(data, labels, match):

@@ -208,6 +208,9 @@ class TestF4:
             theta_f4(-1)
 
 
+_MODULE_DOC = {"G": "Spin(4,3)", "wm": [[1], [0]], "s": 5}
+
+
 class TestThetaLiftJson:
     def test_zero_shape(self):
         assert ThetaLift(()).to_json() == {"zero": True}
@@ -236,6 +239,23 @@ class TestThetaLiftJson:
             back = ThetaLift.from_json(data)
             assert back.to_json() == data
             assert back == lift
+
+    @pytest.mark.parametrize("data, match", [
+        ({}, r"^lift entry \{\} needs an A or sigma module"),
+        ({"lifts": [{"mult": 1}]}, "^lift entry .* needs an A or sigma"),
+        ({"lifts": [_MODULE_DOC]}, "^lift entry .* needs an A or sigma"),
+        ({"A": _MODULE_DOC, "mult": "1"}, "^lift entry .* positive integer"),
+        ({"A": _MODULE_DOC, "mult": 0}, "^lift entry .* positive integer"),
+        ({"A": _MODULE_DOC, "mult": True}, "^lift entry .* positive integer"),
+        ({"lifts": [5]}, "^lift entry 5 needs"),
+        ({"lifts": {"A": _MODULE_DOC}}, "^lift .*: lifts must be a list$"),
+        ([], r"^lift \[\] must be an object$"),
+    ], ids=["empty", "entry-without-module", "bare-module", "mult-str",
+            "mult-0", "mult-bool", "entry-not-an-object", "lifts-object",
+            "document-a-list"])
+    def test_from_json_refuses_malformed_documents(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            ThetaLift.from_json(data)
 
     def test_modules_and_inf_chars(self):
         lift = theta_e6_torus(0, 0, 0)
